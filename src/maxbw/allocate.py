@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import core
-from .core import LOG2E, CoherenceBlock
+from .core import CoherenceBlock
 from .errors import ConfigError
 from .fading import FadingModel
 
@@ -83,49 +83,28 @@ def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.Operat
     return core.rate_fixed_bandwidth(user.pd_hz(p_w), w_hz, user.cb, user.fading)
 
 
-def baseline_rates(users: Sequence[UserLink]) -> List[float]:
-    """Each user's rate at its own (Pt, W0) with only the pilots optimized."""
+def _baseline_entries(users: Sequence[UserLink]) -> List[AllocationEntry]:
+    """Each user at its own (Pt, W0) with only the pilots optimized."""
     if not users:
         raise ValueError("need at least one user")
-    return [fixed_bandwidth_rate(u, u.pt_w, u.w0_hz).rate_bps for u in users]
+    entries = []
+    for u in users:
+        point = fixed_bandwidth_rate(u, u.pt_w, u.w0_hz)
+        entries.append(AllocationEntry(p_w=u.pt_w, w_hz=u.w0_hz, rate_bps=point.rate_bps,
+                                       pilot_count=point.pilot_count,
+                                       baseline_bps=point.rate_bps))
+    return entries
 
 
-def _rates_flat(user: UserLink, p_vec: np.ndarray, w_vec: np.ndarray,
-                iters: int = 26) -> np.ndarray:
-    """Vectorized pilot-optimized rates at per-candidate power and bandwidth.
+def baseline_rates(users: Sequence[UserLink]) -> List[float]:
+    """Each user's rate at its own (Pt, W0) with only the pilots optimized."""
+    return [e.rate_bps for e in _baseline_entries(users)]
 
-    Search-path approximation of fixed_bandwidth_rate: every kept candidate
-    is re-scored with the scalar path before it can enter the result, so the
-    shorter golden section here only steers the search.
-    """
-    lc = user.cb.lc
-    rho = user.gain_hz_per_watt * p_vec / w_vec
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
 
-    def se(alpha):
-        al = alpha * lc
-        snr = al * rho * rho / (1.0 + (1.0 + al) * rho)
-        return (1.0 - alpha) * user.fading.expected_log1p(snr)
-
-    a = np.full_like(rho, 1e-9)
-    b = np.full_like(rho, 1.0 - 1e-9)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = se(c), se(d)
-    for _ in range(iters):
-        keep_low = fc > fd
-        b = np.where(keep_low, d, b)
-        a = np.where(keep_low, a, c)
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = se(c), se(d)
-    alpha_c = 0.5 * (a + b)
-
-    n_hi = max(1, math.ceil(lc) - 1)
-    n_floor = np.clip(np.floor(alpha_c * lc), 1, n_hi)
-    n_ceil = np.clip(np.ceil(alpha_c * lc), 1, n_hi)
-    best = np.maximum(se(n_floor / lc), se(n_ceil / lc))
-    return best * w_vec * LOG2E
+def _rates_flat(user: UserLink, p_vec: np.ndarray, w_vec: np.ndarray) -> np.ndarray:
+    """Pilot-optimized rates at per-candidate power and bandwidth, in one pass."""
+    return core._best_pilots(user.gain_hz_per_watt * p_vec / w_vec, w_vec,
+                             user.cb.lc, user.fading)[1]
 
 
 def _cap_steps(user: UserLink, p_w: float) -> int:
@@ -225,20 +204,20 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
 
 
 def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget: float,
-                          base1: float, base2: float, objective: str,
+                          seed1: AllocationEntry, seed2: AllocationEntry, objective: str,
                           ) -> Tuple[AllocationEntry, AllocationEntry, Tuple[str, ...]]:
+    """seed1, seed2: the users' baseline entries; the baseline split is always
+    feasible and seeds the search."""
     weak_first = u1.gain_hz_per_watt <= u2.gain_hz_per_watt
     weak, strong = (u1, u2) if weak_first else (u2, u1)
-    base_weak, base_strong = (base1, base2) if weak_first else (base2, base1)
+    best_weak, best_strong = (seed1, seed2) if weak_first else (seed2, seed1)
+    base_weak, base_strong = best_weak.baseline_bps, best_strong.baseline_bps
 
     def scalar_entry(user, p, w, base):
         point = fixed_bandwidth_rate(user, p, w)
         return AllocationEntry(p_w=p, w_hz=w, rate_bps=point.rate_bps,
                                pilot_count=point.pilot_count, baseline_bps=base)
 
-    # the baseline split is always feasible and seeds the search
-    best_weak = scalar_entry(weak, weak.pt_w, weak.w0_hz, base_weak)
-    best_strong = scalar_entry(strong, strong.pt_w, strong.w0_hz, base_strong)
     best_val = _objective_values(best_weak.rate_bps, best_strong.rate_bps, objective)
 
     hi_db = 10.0 * math.log10(p_budget / weak.pt_w)
@@ -297,31 +276,28 @@ def allocate_pair(u1: UserLink, u2: UserLink, objective: str) -> Allocation:
     """
     if objective not in OBJECTIVES:
         raise ConfigError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
-    base1, base2 = baseline_rates([u1, u2])
+    seeds = _baseline_entries([u1, u2])
     p_budget = u1.pt_w + u2.pt_w
     w_budget = u1.w0_hz + u2.w0_hz
-    e1, e2, flags = _allocate_pair_budget(u1, u2, p_budget, w_budget, base1, base2, objective)
+    e1, e2, flags = _allocate_pair_budget(u1, u2, p_budget, w_budget, *seeds, objective)
     entries = (e1, e2)
     return Allocation(
         entries=entries,
         objective=objective,
         objective_value=_group_objective([u1, u2], entries, objective),
-        baseline_value=_group_objective_from_rates([u1, u2], [base1, base2], objective),
+        baseline_value=_group_objective([u1, u2], seeds, objective),
         flags=flags,
     )
 
 
-def _group_objective_from_rates(users, rates, objective: str) -> float:
+def _group_objective(users, entries, objective: str) -> float:
+    rates = [e.rate_bps for e in entries]
     gains = [u.gain_hz_per_watt for u in users]
     if objective == MAX_WEAK:
         return rates[int(np.argmin(gains))]
     if objective == MAX_STRONG:
         return rates[int(np.argmax(gains))]
     return float(sum(rates))
-
-
-def _group_objective(users, entries, objective: str) -> float:
-    return _group_objective_from_rates(users, [e.rate_bps for e in entries], objective)
 
 
 def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
@@ -337,15 +313,10 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     users = list(users)
     if len(users) < 2:
         raise ValueError("group allocation needs at least two users")
-    bases = baseline_rates(users)
-    entries = [
-        AllocationEntry(p_w=u.pt_w, w_hz=u.w0_hz, rate_bps=b,
-                        pilot_count=fixed_bandwidth_rate(u, u.pt_w, u.w0_hz).pilot_count,
-                        baseline_bps=b)
-        for u, b in zip(users, bases)
-    ]
+    seeds = _baseline_entries(users)
+    entries = list(seeds)
     flags: Tuple[str, ...] = ()
-    current = _group_objective(users, entries, objective)
+    baseline = current = _group_objective(users, entries, objective)
 
     for _round in range(20):
         improved = False
@@ -355,7 +326,7 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
                 w_budget = entries[i].w_hz + entries[j].w_hz
                 ei, ej, pair_flags = _allocate_pair_budget(
                     users[i], users[j], p_budget, w_budget,
-                    bases[i], bases[j], objective,
+                    seeds[i], seeds[j], objective,
                 )
                 trial = list(entries)
                 trial[i], trial[j] = ei, ej
@@ -372,7 +343,7 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
         entries=tuple(entries),
         objective=objective,
         objective_value=current,
-        baseline_value=_group_objective_from_rates(users, bases, objective),
+        baseline_value=baseline,
         flags=flags,
     )
 

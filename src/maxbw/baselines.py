@@ -83,10 +83,10 @@ def mi_lower_bound_se(rho: float, lc: float) -> float:
     equals (d*g(-y) + g(d*y)) / Lc * log2(e) exactly; both terms are
     nonnegative and each is evaluated without cancellation.
     """
-    if rho < 0.0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    if not lc >= 1.0:
-        raise ValueError(f"coherence length must be >= 1, got {lc}")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+    if not 1.0 <= lc < math.inf:
+        raise ValueError(f"coherence length must be finite and >= 1, got {lc}")
     d = lc - 1.0
     y = rho / (1.0 + rho)
     # g(-y) = ln(1+rho) - y; once y is not small, log1p(-y) would inherit the
@@ -115,7 +115,8 @@ def _x_minus_log1p(x: float) -> float:
 
 def equal_power_se(rho: float, alpha: float, lc: float, fading: FadingModel) -> float:
     """Spectral efficiency of the equal-power pilot scheme, bits/s/Hz."""
-    return (1.0 - alpha) * fading.expected_log1p(core.effective_snr(rho, alpha, lc)) * LOG2E
+    core._check_point(rho, alpha, lc)
+    return core._rates(rho, 1.0, alpha, lc, fading)
 
 
 def pilot_power_boost_se(rho: float, alpha: float, lc: float, fading: FadingModel) -> float:

@@ -14,7 +14,7 @@ so every result from `core` carries over; this module owns the bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from . import core
@@ -102,16 +102,22 @@ class SubstitutedProblem:
         return self.gain, self.sweep_penalty
 
 
-def substitute(cfg: ArrayConfig, cb: CoherenceBlock) -> SubstitutedProblem:
-    """Effective coherence length and gain pair for the scalar problem."""
-    penalty = cfg.kt * cfg.g2
-    lc_tilde = cb.lc / penalty
+def _lc_tilde(lc: float, penalty: float) -> float:
+    """Coherence length left per beam, lc / (Kt*G2); at least 2 symbols."""
+    lc_tilde = lc / penalty
     if lc_tilde < 2.0:
         raise ConfigError(
             f"coherence exhausted by beam sweep: lc/(kt*g2) = {lc_tilde:.3f} < 2 "
-            f"(lc={cb.lc}, kt={cfg.kt}, g2={cfg.g2})"
+            f"(lc={lc}, kt*g2={penalty})"
         )
-    return SubstitutedProblem(lc_tilde=lc_tilde, gain=cfg.g1 * cfg.g2, sweep_penalty=penalty)
+    return lc_tilde
+
+
+def substitute(cfg: ArrayConfig, cb: CoherenceBlock) -> SubstitutedProblem:
+    """Effective coherence length and gain pair for the scalar problem."""
+    penalty = cfg.kt * cfg.g2
+    return SubstitutedProblem(lc_tilde=_lc_tilde(cb.lc, penalty), gain=cfg.g1 * cfg.g2,
+                              sweep_penalty=penalty)
 
 
 def _substituted_block(cb: CoherenceBlock, lc_tilde: float) -> CoherenceBlock:
@@ -122,13 +128,7 @@ def _substituted_block(cb: CoherenceBlock, lc_tilde: float) -> CoherenceBlock:
 def _check_pair(gain: float, sweep_penalty: float, lc: float) -> float:
     if gain <= 0.0 or sweep_penalty < 1.0:
         raise ConfigError(f"bad gain pair ({gain}, {sweep_penalty})")
-    lc_tilde = lc / sweep_penalty
-    if lc_tilde < 2.0:
-        raise ConfigError(
-            f"coherence exhausted by beam sweep: lc/(kt*g2) = {lc_tilde:.3f} < 2 "
-            f"(lc={lc}, penalty={sweep_penalty})"
-        )
-    return lc_tilde
+    return _lc_tilde(lc, sweep_penalty)
 
 
 def solve_with_gains(pd, cb: CoherenceBlock, gain: float, sweep_penalty: float,
@@ -142,15 +142,7 @@ def solve_with_gains(pd, cb: CoherenceBlock, gain: float, sweep_penalty: float,
     lc_tilde = _check_pair(gain, sweep_penalty, cb.lc)
     pd_hz = core._pd_hz(pd)
     point = core.solve_continuous(pd_hz * gain, _substituted_block(cb, lc_tilde), fading)
-    return OperatingPoint(
-        w_hz=point.w_hz,
-        alpha=point.alpha,
-        rho=point.rho / gain,
-        rho_eff=point.rho_eff,
-        rate_bps=point.rate_bps,
-        pilot_count=point.pilot_count,
-        flags=point.flags,
-    )
+    return replace(point, rho=point.rho / gain)
 
 
 def fixed_bandwidth_with_gains(pd, w_hz: float, cb: CoherenceBlock, gain: float,
@@ -159,15 +151,7 @@ def fixed_bandwidth_with_gains(pd, w_hz: float, cb: CoherenceBlock, gain: float,
     lc_tilde = _check_pair(gain, sweep_penalty, cb.lc)
     point = core.rate_fixed_bandwidth(core._pd_hz(pd) * gain, w_hz,
                                       _substituted_block(cb, lc_tilde), fading)
-    return OperatingPoint(
-        w_hz=point.w_hz,
-        alpha=point.alpha,
-        rho=point.rho / gain,
-        rho_eff=point.rho_eff,
-        rate_bps=point.rate_bps,
-        pilot_count=point.pilot_count,
-        flags=point.flags,
-    )
+    return replace(point, rho=point.rho / gain)
 
 
 def solve_mimo(pd, cb: CoherenceBlock, cfg: ArrayConfig, fading: FadingModel) -> OperatingPoint:
@@ -206,10 +190,7 @@ def closed_form_mimo(cfg: ArrayConfig, lc: float) -> ClosedForm:
     closed forms when Kt = G1 = G2 = 1.
     """
     penalty = cfg.kt * cfg.g2
-    if lc / penalty < 2.0:
-        raise ConfigError(
-            f"coherence exhausted by beam sweep: lc/(kt*g2) = {lc / penalty:.3f} < 2"
-        )
+    _lc_tilde(lc, penalty)
     x = (4.0 * penalty / lc) ** (1.0 / 3.0)
     gain = cfg.g1 * cfg.g2
     return ClosedForm(

@@ -1,8 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 configuration or input problems, 2 solver failures.
-Output is deterministic: identical inputs give byte-identical output, with
-or without --parallel.
+Output is deterministic: identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,8 +10,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, List, Optional, Tuple
 
 from . import allocate as allocate_mod
 from . import baselines, beamform, core, scenario
@@ -64,13 +63,13 @@ def _load_mapping(args) -> Dict[str, str]:
     raise ConfigError("need --scenario FILE or --preset NAME")
 
 
-def _solve_row(res: scenario.Resolved) -> Dict[str, object]:
+def _solve_row(res: scenario.Resolved) -> Tuple[core.OperatingPoint, Dict[str, object]]:
     point = beamform.solve_with_gains(res.pd, res.cb, res.gain, res.sweep_penalty, res.fading)
     fixed = beamform.fixed_bandwidth_with_gains(
         res.pd, FIXED_REFERENCE_HZ, res.cb, res.gain, res.sweep_penalty, res.fading)
     lc_tilde = res.cb.lc / res.sweep_penalty
     pd_beamformed = res.pd.pr_over_n0_hz * res.gain
-    return {
+    return point, {
         "w_opt_hz": point.w_hz,
         "alpha_opt": point.alpha,
         "pilots": max(1, round(point.alpha * lc_tilde)),
@@ -92,55 +91,10 @@ def _csv(rows: List[Dict[str, object]], columns: List[str]) -> str:
     return "\n".join(lines)
 
 
-def _best_neighbor(m0, n0, rate, cb, pd_hz, fading):
-    """Best 3x3 lattice neighbor strictly beating `rate`, or None."""
-    n_hi = max(1, math.ceil(cb.lc) - 1)
-    top = None
-    for m in (m0 - 1, m0, m0 + 1):
-        for n in (n0 - 1, n0, n0 + 1):
-            if m < 1 or n < 1 or n > n_hi or (m == m0 and n == n0):
-                continue
-            r = core._lattice_rate(pd_hz, m, n, cb, fading)
-            if r > rate * (1 + 1e-12) and (top is None or r > top[0]):
-                top = (r, m, n)
-    return top
-
-
-def _lattice_polish(point, cb, pd_hz, fading):
-    """Greedy ascent from the rounded point to a lattice local maximum.
-
-    Floor/ceil rounding lands within one step of the continuous optimum, but
-    on a flat enough peak the discrete argmax can sit just outside that cell.
-    A handful of steps always suffices here.
-    """
-    best = core.discretize(point, cb, pd_hz, fading)
-    m0 = max(1, round(best.w_hz / cb.bc_hz))
-    n0 = best.pilot_count
-    rate = best.rate_bps
-    for _ in range(64):
-        nxt = _best_neighbor(m0, n0, rate, cb, pd_hz, fading)
-        if nxt is None:
-            break
-        rate, m0, n0 = nxt
-    w = m0 * cb.bc_hz
-    rho = pd_hz / w
-    alpha = n0 / cb.lc
-    return core.OperatingPoint(
-        w_hz=w, alpha=alpha, rho=rho,
-        rho_eff=core._rho_eff(rho, alpha, cb.lc),
-        rate_bps=rate, pilot_count=n0, flags=best.flags)
-
-
-def _lattice_certificate(lattice, cb, pd_hz, fading) -> bool:
-    """True when no 3x3 lattice neighbor of the reported point does better."""
-    m0 = max(1, round(lattice.w_hz / cb.bc_hz))
-    return _best_neighbor(m0, lattice.pilot_count, lattice.rate_bps, cb, pd_hz, fading) is None
-
-
 def cmd_optimize(args) -> int:
     mapping = _load_mapping(args)
     res = scenario.resolve(mapping)
-    row = _solve_row(res)
+    point, row = _solve_row(res)
     lc_tilde = res.cb.lc / res.sweep_penalty
 
     report: Dict[str, object] = {
@@ -155,18 +109,17 @@ def cmd_optimize(args) -> int:
     if res.cb.bc_hz is not None:
         sub_cb = core.CoherenceBlock(lc=lc_tilde, bc_hz=res.cb.bc_hz)
         pd_sub = res.pd.pr_over_n0_hz * res.gain
-        point = beamform.solve_with_gains(res.pd, res.cb, res.gain, res.sweep_penalty, res.fading)
-        sub_point = core.OperatingPoint(
-            w_hz=point.w_hz, alpha=point.alpha, rho=point.rho * res.gain,
-            rho_eff=point.rho_eff, rate_bps=point.rate_bps)
-        lattice = _lattice_polish(sub_point, sub_cb, pd_sub, res.fading)
+        # the lattice reports its own flags, not the continuous solve's
+        lattice = core.discretize(replace(point, flags=()), sub_cb, pd_sub, res.fading)
         report["lattice_w_hz"] = lattice.w_hz
         report["lattice_pilots"] = lattice.pilot_count
         report["lattice_rate_bps"] = lattice.rate_bps
         if lattice.flags:
             report["lattice_flags"] = ";".join(lattice.flags)
         if args.verify:
-            ok = _lattice_certificate(lattice, sub_cb, pd_sub, res.fading)
+            m = max(1, round(lattice.w_hz / sub_cb.bc_hz))
+            ok = core._best_neighbor(pd_sub, (lattice.rate_bps, m, lattice.pilot_count),
+                                     sub_cb, res.fading) is None
             report["verified_local_max"] = ok
             if not ok:
                 raise SolverError("lattice certificate failed: a neighbor beats the "
@@ -194,14 +147,10 @@ def cmd_sweep(args) -> int:
     def one(x: float) -> Dict[str, object]:
         res = scenario.resolve(mapping, overrides={key: x})
         row: Dict[str, object] = {"x_value": x}
-        row.update(_solve_row(res))
+        row.update(_solve_row(res)[1])
         return row
 
-    if args.parallel and args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(x) for x in grid]
+    rows = [one(x) for x in grid]
 
     if args.format == "json":
         _emit(json.dumps(rows, indent=2), args.out)
@@ -213,7 +162,7 @@ def cmd_sweep(args) -> int:
 def cmd_baselines(args) -> int:
     mapping = _load_mapping(args)
     res = scenario.resolve(mapping)
-    row = _solve_row(res)
+    row = _solve_row(res)[1]
     schemes = [
         ("optimized", row["rate_bps"]),
         (baselines.CSIR_INFINITE_BW, row["rate_csir_bps"]),
@@ -300,7 +249,7 @@ def cmd_presets(args) -> int:
         mapping = scenario.preset(name)
         try:
             res = scenario.resolve(mapping)
-            row = _solve_row(res)
+            row = _solve_row(res)[1]
         except (ConfigError, SolverError) as exc:
             lines.append(f"FAIL {name}: {exc}")
             failures += 1
@@ -343,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="solve along the scenario's sweep axis")
     add_scenario_args(p_sweep)
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--parallel", type=int, default=1, metavar="N",
-                         help="worker threads (output identical to serial)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_base = sub.add_parser("baselines", help="compare against reference schemes")

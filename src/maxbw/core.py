@@ -160,14 +160,25 @@ def _rho_eff(rho, alpha, lc):
     return al * rho * rho / (1.0 + (1.0 + al) * rho)
 
 
+def _rates(rho, w, alpha, lc, fading: FadingModel):
+    """Pilot-penalized rate (1 - alpha) * W * E[log2(1 + rho_eff X)] in bits/s.
+
+    The one copy of the rate expression. Plain arithmetic, so scalars and
+    broadcastable arrays take the same code. Lattice points pass rho = pd/W
+    and alpha = n/Lc; the continuous optimum passes its own rho, which
+    pd/(pd/rho) can miss in the last bit.
+    """
+    return (1.0 - alpha) * w * fading.expected_log1p(_rho_eff(rho, alpha, lc)) * LOG2E
+
+
 def rate(pd, w_hz: float, alpha: float, cb: CoherenceBlock, fading: FadingModel) -> float:
     """Pilot-penalized achievable rate in bits/second at bandwidth w_hz."""
     pd_hz = _pd_hz(pd)
     if not w_hz > 0.0:
         raise ValueError(f"bandwidth must be positive, got {w_hz}")
     rho = pd_hz / w_hz
-    snr = effective_snr(rho, alpha, cb.lc)
-    return (1.0 - alpha) * w_hz * fading.expected_log1p(snr) * LOG2E
+    _check_point(rho, alpha, cb.lc)
+    return _rates(rho, w_hz, alpha, cb.lc, fading)
 
 
 def condition_residuals(rho: float, alpha: float, lc: float, fading: FadingModel):
@@ -203,33 +214,26 @@ def alpha_given_rho(rho: float, lc: float) -> float:
     return (1.0 + rho) / (math.sqrt(b * b + (1.0 + rho) * rho * lc) + b)
 
 
-@lru_cache(maxsize=4096)
-def _solve_rho_on_curve(lc: float, fading: FadingModel) -> float:
-    """Root of the bandwidth residual along the alpha(rho) curve.
+def _bisect_root(residual, what: str) -> float:
+    """Root of a residual that is negative below it and positive above it.
 
-    The residual is negative below the optimum and positive above it, so a
-    sign bisection converges unconditionally once bracketed. The initial
-    bracket [1e-6, 10] covers every practical coherence length; it is grown
-    geometrically if a pathological input escapes it.
+    The initial bracket [1e-6, 10] covers every practical coherence length;
+    it is grown geometrically if a pathological input escapes it. Once
+    bracketed, the sign bisection converges unconditionally.
     """
-
-    def residual(r: float) -> float:
-        return condition_residuals(r, alpha_given_rho(r, lc), lc, fading)[0]
-
     lo, hi = _BRACKET_LO, _BRACKET_HI
-    grow = 0
-    while residual(lo) > 0.0:
+    for _ in range(51):  # the initial end, then up to 50 growths
+        if residual(lo) <= 0.0:
+            break
         lo *= 0.25
-        grow += 1
-        if grow > 50:
-            raise SolverError(f"could not bracket the bandwidth optimum from below (lc={lc})")
-    grow = 0
-    while residual(hi) < 0.0:
+    else:
+        raise SolverError(f"could not bracket {what} from below")
+    for _ in range(51):
+        if residual(hi) >= 0.0:
+            break
         hi *= 4.0
-        grow += 1
-        if grow > 50:
-            raise SolverError(f"could not bracket the bandwidth optimum from above (lc={lc})")
-
+    else:
+        raise SolverError(f"could not bracket {what} from above")
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if residual(mid) >= 0.0:
@@ -237,45 +241,22 @@ def _solve_rho_on_curve(lc: float, fading: FadingModel) -> float:
         else:
             lo = mid
         if hi - lo < 1e-10 * mid:
-            break
-    else:
-        raise SolverError(
-            f"bandwidth bisection did not converge within {_BISECT_MAX_ITER} iterations (lc={lc})"
-        )
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
+    raise SolverError(f"bisection for {what} did not converge within {_BISECT_MAX_ITER} iterations")
+
+
+@lru_cache(maxsize=4096)
+def _solve_rho_on_curve(lc: float, fading: FadingModel) -> float:
+    """Root of the bandwidth residual along the alpha(rho) curve."""
+    return _bisect_root(lambda r: condition_residuals(r, alpha_given_rho(r, lc), lc, fading)[0],
+                        f"the bandwidth optimum (lc={lc})")
 
 
 @lru_cache(maxsize=4096)
 def _solve_rho_fixed_alpha(alpha: float, lc: float, fading: FadingModel) -> float:
     """Root of the bandwidth residual in rho with the pilot ratio pinned."""
-
-    def residual(r: float) -> float:
-        return condition_residuals(r, alpha, lc, fading)[0]
-
-    lo, hi = _BRACKET_LO, _BRACKET_HI
-    grow = 0
-    while residual(lo) > 0.0:
-        lo *= 0.25
-        grow += 1
-        if grow > 50:
-            raise SolverError("could not bracket the fixed-overhead bandwidth optimum from below")
-    grow = 0
-    while residual(hi) < 0.0:
-        hi *= 4.0
-        grow += 1
-        if grow > 50:
-            raise SolverError("could not bracket the fixed-overhead bandwidth optimum from above")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-10 * mid:
-            break
-    else:
-        raise SolverError(f"fixed-overhead bisection did not converge within {_BISECT_MAX_ITER} iterations")
-    return 0.5 * (lo + hi)
+    return _bisect_root(lambda r: condition_residuals(r, alpha, lc, fading)[0],
+                        f"the fixed-overhead bandwidth optimum (lc={lc})")
 
 
 def solve_continuous(pd, cb: CoherenceBlock, fading: FadingModel) -> OperatingPoint:
@@ -303,9 +284,8 @@ def solve_continuous(pd, cb: CoherenceBlock, fading: FadingModel) -> OperatingPo
                 f"r_w={r_w:.3e}, r_alpha={r_alpha:.3e} (lc={cb.lc})"
             )
     w = pd_hz / rho
-    snr = _rho_eff(rho, alpha, cb.lc)
-    rate_bps = (1.0 - alpha) * w * fading.expected_log1p(snr) * LOG2E
-    return OperatingPoint(w_hz=w, alpha=alpha, rho=rho, rho_eff=snr, rate_bps=rate_bps, flags=flags)
+    return OperatingPoint(w_hz=w, alpha=alpha, rho=rho, rho_eff=_rho_eff(rho, alpha, cb.lc),
+                          rate_bps=_rates(rho, w, alpha, cb.lc, fading), flags=flags)
 
 
 def closed_form_first_order(lc: float) -> ClosedForm:
@@ -336,24 +316,95 @@ def closed_form_refined(lc: float) -> RefinedForm:
     return RefinedForm(rho=2.0 * u + (14.0 / 9.0) * u * u, alpha=u - (8.0 / 9.0) * u * u)
 
 
-def _lattice_rate(pd_hz: float, m: int, n: int, cb: CoherenceBlock, fading: FadingModel) -> float:
-    w = m * cb.bc_hz
-    alpha = n / cb.lc
-    rho = pd_hz / w
-    return (1.0 - alpha) * w * fading.expected_log1p(_rho_eff(rho, alpha, cb.lc)) * LOG2E
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _pilot_bounds(lc: float) -> Tuple[int, int]:
+def _max_pilots(lc: float) -> int:
     # integer pilot counts leaving at least one data symbol
-    n_max = math.ceil(lc) - 1
-    return 1, max(1, n_max)
+    return max(1, math.ceil(lc) - 1)
+
+
+def _lattice_point(pd_hz: float, w: float, n: int, lc: float, rate_bps: float,
+                   flags: Tuple[str, ...] = ()) -> OperatingPoint:
+    alpha = n / lc
+    rho = pd_hz / w
+    return OperatingPoint(w_hz=w, alpha=alpha, rho=rho, rho_eff=_rho_eff(rho, alpha, lc),
+                          rate_bps=rate_bps, pilot_count=n, flags=flags)
+
+
+def _best_pilots(rho, w, lc: float, fading: FadingModel):
+    """Rate-maximizing integer pilot count at fixed bandwidth, and its rate.
+
+    Golden-section search on the pilot ratio, one new rate per iteration.
+    The rate is log-concave in alpha at fixed W, so the search cannot miss
+    the basin, and after ceil(ln Lc / ln phi) + 1 iterations the bracket
+    [a, b] is narrower than one pilot: the integer argmax is then among
+    floor(a*Lc) .. floor(a*Lc) + 2. rho and w are scalars or arrays of
+    one shape, each element searched on its own. The branches are blends
+    s*u + (1-s)*v with s in {0, 1}, exact for finite values, so a scalar
+    never pays for np.where on 0-d arrays.
+    """
+    a = np.full(np.broadcast(rho, w).shape, 1e-9)[()]
+    b = 1.0 - a
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = _rates(rho, w, c, lc, fading), _rates(rho, w, d, lc, fading)
+    for _ in range(math.ceil(math.log(lc) / -math.log(_INV_PHI)) + 1):
+        s = (fc > fd) * 1.0  # 1 where the maximum lies in [a, d], else in [c, b]
+        t = 1.0 - s
+        a, b = s * a + t * c, s * d + t * b
+        x = s * (b - _INV_PHI * (b - a)) + t * (a + _INV_PHI * (b - a))
+        fx = _rates(rho, w, x, lc, fading)
+        c, d, fc, fd = s * x + t * d, s * c + t * x, s * fx + t * fd, s * fc + t * fx
+    best_n, best_r = 0.0, -1.0  # every rate is >= 0, so the first candidate replaces this
+    for k in range(3):
+        n = np.minimum(np.maximum(np.floor(a * lc) + k, 1.0), _max_pilots(lc))
+        r = _rates(rho, w, n / lc, lc, fading)
+        s = (r > best_r) * 1.0
+        best_n, best_r = s * n + (1.0 - s) * best_n, s * r + (1.0 - s) * best_r
+    if np.ndim(best_n) == 0:
+        return int(best_n), float(best_r)
+    return best_n.astype(int), best_r
+
+
+def _best_neighbor(pd_hz: float, best, cb: CoherenceBlock, fading: FadingModel,
+                   m_max: Optional[int] = None):
+    """Best 3x3 lattice neighbor of best = (rate, m, n) beating its rate, or None.
+
+    A neighbor must win by more than 1e-12 relative; m stays within m_max.
+    """
+    rate_bps, m0, n0 = best
+    m_hi = m0 + 1 if m_max is None else min(m_max, m0 + 1)
+    top = None
+    for m in range(max(1, m0 - 1), m_hi + 1):
+        for n in range(max(1, n0 - 1), min(_max_pilots(cb.lc), n0 + 1) + 1):
+            if (m, n) == (m0, n0):
+                continue
+            w = m * cb.bc_hz
+            r = _rates(pd_hz / w, w, n / cb.lc, cb.lc, fading)
+            if r > rate_bps * (1 + 1e-12) and (top is None or r > top[0]):
+                top = (r, m, n)
+    return top
+
+
+def _polish(pd_hz: float, best, cb: CoherenceBlock, fading: FadingModel,
+            m_max: Optional[int] = None):
+    """Greedy ascent through 3x3 neighbors from best = (rate, m, n) toward a
+    lattice local maximum, stopping after 64 steps."""
+    for _ in range(64):
+        step = _best_neighbor(pd_hz, best, cb, fading, m_max)
+        if step is None:
+            break
+        best = step
+    return best
 
 
 def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) -> OperatingPoint:
     """Round a continuous optimum onto the (W = m*Bc, integer pilots) lattice.
 
-    Evaluates the rate at all floor/ceil combinations of the two coordinates
-    and keeps the best, which can only improve on naive rounding. If Bc
+    Evaluates the rate at all floor/ceil combinations of the two coordinates,
+    keeps the best, then climbs through 3x3 lattice neighbors (at most 64
+    steps) toward a local maximum: on a flat peak the discrete argmax can
+    sit outside the rounding cell. If Bc
     already exceeds the beneficial bandwidth the floor W = Bc is returned
     with a "bandwidth_floor" flag: the relaxation's interior optimum does
     not exist on the lattice.
@@ -361,7 +412,7 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
     if cb.bc_hz is None:
         raise ValueError("discretize needs a coherence block with bc_hz set")
     pd_hz = _pd_hz(pd)
-    n_lo, n_hi = _pilot_bounds(cb.lc)
+    n_hi = _max_pilots(cb.lc)
     flags = tuple(op.flags)
 
     m_star = op.w_hz / cb.bc_hz
@@ -373,36 +424,26 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
         m_candidates = sorted({math.floor(m_star), math.ceil(m_star)})
     n_star = op.alpha * cb.lc
     n_candidates = sorted(
-        {min(max(math.floor(n_star), n_lo), n_hi), min(max(math.ceil(n_star), n_lo), n_hi)}
+        {min(max(math.floor(n_star), 1), n_hi), min(max(math.ceil(n_star), 1), n_hi)}
     )
 
     best = None
     for m in m_candidates:
         for n in n_candidates:
-            r = _lattice_rate(pd_hz, m, n, cb, fading)
+            w = m * cb.bc_hz
+            r = _rates(pd_hz / w, w, n / cb.lc, cb.lc, fading)
             if best is None or r > best[0]:
                 best = (r, m, n)
-    rate_bps, m, n = best
-    w = m * cb.bc_hz
-    alpha = n / cb.lc
-    rho = pd_hz / w
-    return OperatingPoint(
-        w_hz=w,
-        alpha=alpha,
-        rho=rho,
-        rho_eff=_rho_eff(rho, alpha, cb.lc),
-        rate_bps=rate_bps,
-        pilot_count=n,
-        flags=flags,
-    )
+    rate_bps, m, n = _polish(pd_hz, best, cb, fading)
+    return _lattice_point(pd_hz, m * cb.bc_hz, n, cb.lc, rate_bps, flags)
 
 
 def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -> OperatingPoint:
     """Global lattice maximizer over W in {Bc..m_max*Bc} and every pilot count.
 
     The pilot dimension is scanned in full when the coherence length is small
-    enough; otherwise a geometric coarse pass is refined to step 1 around its
-    best point, and the winner is verified against its full 3x3 lattice
+    enough; otherwise the exact pilot search of rate_fixed_bandwidth runs at
+    every bandwidth at once. The winner is certified against its 3x3 lattice
     neighborhood. A "maximum_at_edge" flag marks a rate still increasing at
     m_max, meaning the bracket was too small.
     """
@@ -412,126 +453,35 @@ def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     pd_hz = _pd_hz(pd)
     lc = cb.lc
-    n_lo, n_hi = _pilot_bounds(lc)
+    n_hi = _max_pilots(lc)
+    full = n_hi <= 4096
 
-    if n_hi - n_lo < 4096:
-        n_grid = np.arange(n_lo, n_hi + 1)
-        coarse = False
-    else:
-        n_grid = np.unique(np.geomspace(n_lo, n_hi, 512).round().astype(int))
-        coarse = True
-    alpha_grid = n_grid / lc
-
-    best_rate, best_m, best_n = -1.0, 1, n_lo
-    chunk = max(1, int(4e6 // max(len(n_grid), 1)))
+    # chunks bound the (bandwidths x pilots x quadrature nodes) temporaries
+    best = (-1.0, 1, 1)
+    chunk = int(4e6 // n_hi) if full else 1 << 14
     for m0 in range(1, m_max + 1, chunk):
-        ms = np.arange(m0, min(m0 + chunk, m_max + 1))
-        w = ms[:, None] * cb.bc_hz
-        rho = pd_hz / w
-        al = alpha_grid[None, :] * lc
-        snr = al * rho * rho / (1.0 + (1.0 + al) * rho)
-        rates = (1.0 - alpha_grid[None, :]) * w * fading.expected_log1p(snr) * LOG2E
-        idx = np.unravel_index(np.argmax(rates), rates.shape)
-        if rates[idx] > best_rate:
-            best_rate = float(rates[idx])
-            best_m = int(ms[idx[0]])
-            best_n = int(n_grid[idx[1]])
+        w = np.arange(m0, min(m0 + chunk, m_max + 1))[:, None] * cb.bc_hz
+        if full:
+            n = np.arange(1, n_hi + 1)[None, :]
+            rates = _rates(pd_hz / w, w, n / lc, lc, fading)
+        else:
+            n, rates = _best_pilots(pd_hz / w, w, lc, fading)
+        i, j = np.unravel_index(np.argmax(rates), rates.shape)
+        if rates[i, j] > best[0]:
+            best = (float(rates[i, j]), m0 + int(i), int(np.broadcast_to(n, rates.shape)[i, j]))
 
-    if coarse:
-        # refine the pilot dimension to step 1 near the coarse winner
-        lo = max(n_lo, best_n // 2)
-        hi = min(n_hi, best_n * 2)
-        n_fine = np.arange(lo, hi + 1)
-        for m in {max(1, best_m - 1), best_m, min(m_max, best_m + 1)}:
-            w = m * cb.bc_hz
-            rho = pd_hz / w
-            al = n_fine.astype(float)  # alpha * lc is exactly the pilot count
-            alpha = n_fine / lc
-            snr = al * rho * rho / (1.0 + (1.0 + al) * rho)
-            rates = (1.0 - alpha) * w * fading.expected_log1p(snr) * LOG2E
-            i = int(np.argmax(rates))
-            if rates[i] > best_rate:
-                best_rate = float(rates[i])
-                best_m = m
-                best_n = int(n_fine[i])
-
-    # 3x3 neighborhood certificate; also catches any coarse-pass miss locally
-    improved = True
-    while improved:
-        improved = False
-        for m in range(max(1, best_m - 1), min(m_max, best_m + 1) + 1):
-            for n in range(max(n_lo, best_n - 1), min(n_hi, best_n + 1) + 1):
-                r = _lattice_rate(pd_hz, m, n, cb, fading)
-                if r > best_rate:
-                    best_rate, best_m, best_n = r, m, n
-                    improved = True
-
-    flags = ("maximum_at_edge",) if best_m == m_max and m_max > 1 else ()
-    w = best_m * cb.bc_hz
-    alpha = best_n / lc
-    rho = pd_hz / w
-    return OperatingPoint(
-        w_hz=w,
-        alpha=alpha,
-        rho=rho,
-        rho_eff=_rho_eff(rho, alpha, lc),
-        rate_bps=best_rate,
-        pilot_count=best_n,
-        flags=flags,
-    )
+    rate_bps, m, n = _polish(pd_hz, best, cb, fading, m_max)
+    flags = ("maximum_at_edge",) if m == m_max and m_max > 1 else ()
+    return _lattice_point(pd_hz, m * cb.bc_hz, n, lc, rate_bps, flags)
 
 
 def rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, fading: FadingModel) -> OperatingPoint:
-    """Best rate at a pinned bandwidth, optimizing only the pilot count.
+    """Best rate at a pinned bandwidth, optimizing only the integer pilot count.
 
-    Golden-section search on the continuous pilot ratio, then the better of
-    the two integer pilot counts around it. The rate is unimodal in alpha at
-    fixed W, so the section search cannot miss the basin.
+    The pilot search is exact on the integer lattice (see _best_pilots).
     """
     pd_hz = _pd_hz(pd)
     if not w_hz > 0.0:
         raise ValueError(f"bandwidth must be positive, got {w_hz}")
-    rho = pd_hz / w_hz
-    lc = cb.lc
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 1e-9, 1.0 - 1e-9
-
-    def se(alpha: float) -> float:
-        return (1.0 - alpha) * fading.expected_log1p(_rho_eff(rho, alpha, lc))
-
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = se(c), se(d)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = se(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = se(d)
-    alpha_cont = 0.5 * (a + b)
-
-    n_lo, n_hi = _pilot_bounds(lc)
-    candidates = {
-        min(max(math.floor(alpha_cont * lc), n_lo), n_hi),
-        min(max(math.ceil(alpha_cont * lc), n_lo), n_hi),
-    }
-    best = None
-    for n in candidates:
-        alpha = n / lc
-        r = (1.0 - alpha) * w_hz * fading.expected_log1p(_rho_eff(rho, alpha, lc)) * LOG2E
-        if best is None or r > best[0]:
-            best = (r, n)
-    rate_bps, n = best
-    alpha = n / lc
-    return OperatingPoint(
-        w_hz=w_hz,
-        alpha=alpha,
-        rho=rho,
-        rho_eff=_rho_eff(rho, alpha, lc),
-        rate_bps=rate_bps,
-        pilot_count=n,
-    )
+    n, rate_bps = _best_pilots(pd_hz / w_hz, w_hz, cb.lc, fading)
+    return _lattice_point(pd_hz, w_hz, n, cb.lc, rate_bps)

@@ -44,7 +44,13 @@ class FadingModel:
     def __post_init__(self):
         if self.kind not in (RAYLEIGH, DETERMINISTIC, TABULATED):
             raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.kind == TABULATED:
+        # quadrature values and weights, built once: the Gauss-Laguerre rule
+        # for Rayleigh, the atoms for tabulated. They are not dataclass fields,
+        # so hashing and equality stay on (kind, atoms).
+        values, weights = _GL_NODES, _GL_WEIGHTS
+        if self.kind == DETERMINISTIC:
+            values, weights = np.ones(1), np.ones(1)
+        elif self.kind == TABULATED:
             if not self.atoms:
                 raise ValueError("tabulated fading needs at least one atom")
             values = np.array([v for v, _ in self.atoms], dtype=float)
@@ -62,11 +68,10 @@ class FadingModel:
                     "rescale the values before constructing the model"
                 )
             # renormalize exactly to unit mean; downstream formulas assume it
-            object.__setattr__(
-                self,
-                "atoms",
-                tuple((float(v / mean), float(w)) for v, w in zip(values, weights)),
-            )
+            values = values / mean
+            object.__setattr__(self, "atoms", tuple(zip(values.tolist(), weights.tolist())))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_weights", weights)
 
     @classmethod
     def rayleigh(cls) -> "FadingModel":
@@ -98,30 +103,17 @@ class FadingModel:
                     continue  # header line
         return cls.tabulated(pairs)
 
-    def _atom_arrays(self):
-        values = np.array([v for v, _ in self.atoms], dtype=float)
-        weights = np.array([w for _, w in self.atoms], dtype=float)
-        return values, weights
-
     def mean_power(self) -> float:
         """E[X] as the expectation machinery actually sees it (unit-mean check)."""
-        if self.kind == DETERMINISTIC:
-            return 1.0
-        if self.kind == RAYLEIGH:
-            return float(_GL_WEIGHTS @ _GL_NODES)
-        values, weights = self._atom_arrays()
-        return float(weights @ values)
+        return float(self._weights @ self._values)
 
     def expected_log1p(self, s):
         """E[ln(1 + s X)] in nats; accepts a scalar or ndarray scale s >= 0."""
         arr = _require_scale(s)
         if self.kind == DETERMINISTIC:
             out = np.log1p(arr)
-        elif self.kind == RAYLEIGH:
-            out = np.log1p(np.multiply.outer(arr, _GL_NODES)) @ _GL_WEIGHTS
         else:
-            values, weights = self._atom_arrays()
-            out = np.log1p(np.multiply.outer(arr, values)) @ weights
+            out = np.log1p(np.multiply.outer(arr, self._values)) @ self._weights
         return out if isinstance(s, np.ndarray) else float(out)
 
     def expected_inv1p(self, s):
@@ -129,19 +121,17 @@ class FadingModel:
         arr = _require_scale(s)
         if self.kind == DETERMINISTIC:
             out = 1.0 / (1.0 + arr)
-        elif self.kind == RAYLEIGH:
-            out = (1.0 / (1.0 + np.multiply.outer(arr, _GL_NODES))) @ _GL_WEIGHTS
         else:
-            values, weights = self._atom_arrays()
-            out = (1.0 / (1.0 + np.multiply.outer(arr, values))) @ weights
+            out = (1.0 / (1.0 + np.multiply.outer(arr, self._values))) @ self._weights
         return out if isinstance(s, np.ndarray) else float(out)
 
     def kurtosis(self) -> float:
-        """E[X^2] / E[X]^2, always >= 1."""
-        if self.kind == DETERMINISTIC:
-            return 1.0
+        """E[X^2] / E[X]^2, always >= 1.
+
+        Rayleigh's exact value is 2; its 64-node quadrature would give
+        2 - 3.5e-14.
+        """
         if self.kind == RAYLEIGH:
             return 2.0
-        values, weights = self._atom_arrays()
-        mean = float(weights @ values)
-        return float(weights @ (values * values)) / (mean * mean)
+        mean = self.mean_power()
+        return float(self._weights @ (self._values * self._values)) / (mean * mean)

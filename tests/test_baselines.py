@@ -129,6 +129,10 @@ def test_mi_lower_bound_validation():
         baselines.mi_lower_bound_se(-0.1, 100.0)
     with pytest.raises(ValueError):
         baselines.mi_lower_bound_se(0.1, 0.5)
+    # non-finite input used to come back as NaN without a word
+    for rho, lc in [(math.nan, 100.0), (math.inf, 100.0), (0.1, math.nan), (0.1, math.inf)]:
+        with pytest.raises(ValueError):
+            baselines.mi_lower_bound_se(rho, lc)
 
 
 # --------------------------------------------------------- pilot power boost

@@ -1,6 +1,7 @@
 """Exercise the CLI through main(argv): exit codes, formats, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -80,8 +81,8 @@ def test_optimize_verify_passes(capsys):
 
 
 def test_optimize_verify_polishes_flat_peak(capsys):
-    # fig4-left rounds to (595, 101) pilots/slots but the lattice local max
-    # is one bandwidth step over; the polish must find it and certify.
+    # plain floor/ceil rounding of fig4-left's optimum misses the lattice
+    # local max by one bandwidth step; the polish must find it and certify.
     code, out, _ = run(capsys, "optimize", "--preset", "fig4-left",
                        "--format", "json", "--verify")
     assert code == 0
@@ -89,17 +90,18 @@ def test_optimize_verify_polishes_flat_peak(capsys):
     assert report["verified_local_max"] is True
 
     res = scenario.resolve(scenario.preset("fig4-left"))
-    lc_tilde = res.cb.lc / res.sweep_penalty
-    sub_cb = core.CoherenceBlock(lc=lc_tilde, bc_hz=res.cb.bc_hz)
+    sub_cb = core.CoherenceBlock(lc=res.cb.lc / res.sweep_penalty, bc_hz=res.cb.bc_hz)
+    pd = res.pd.pr_over_n0_hz * res.gain
     point = beamform.solve_with_gains(res.pd, res.cb, res.gain,
                                       res.sweep_penalty, res.fading)
-    sub_point = core.OperatingPoint(
-        w_hz=point.w_hz, alpha=point.alpha, rho=point.rho * res.gain,
-        rho_eff=point.rho_eff, rate_bps=point.rate_bps)
-    rounded = core.discretize(sub_point, sub_cb,
-                              res.pd.pr_over_n0_hz * res.gain, res.fading)
-    assert report["lattice_rate_bps"] > rounded.rate_bps
-    assert report["lattice_w_hz"] == rounded.w_hz + sub_cb.bc_hz
+    m_star, n_star = point.w_hz / sub_cb.bc_hz, point.alpha * sub_cb.lc
+    rounded = max(
+        (core.rate(pd, m * sub_cb.bc_hz, n / sub_cb.lc, sub_cb, res.fading), m)
+        for m in (math.floor(m_star), math.ceil(m_star))
+        for n in (math.floor(n_star), math.ceil(n_star))
+    )
+    assert report["lattice_rate_bps"] > rounded[0]
+    assert report["lattice_w_hz"] == (rounded[1] + 1) * sub_cb.bc_hz
 
 
 def test_optimize_verify_needs_lattice(tmp_path, capsys):
@@ -202,10 +204,9 @@ def test_sweep_csv_and_determinism(tmp_path, capsys):
     assert lines[0] == ",".join(cli.SWEEP_COLUMNS)
     assert len(lines) == 4  # header + 3 points
 
-    code, parallel, _ = run(capsys, "sweep", "--scenario", str(scn),
-                            "--parallel", "4")
+    code, again, _ = run(capsys, "sweep", "--scenario", str(scn))
     assert code == 0
-    assert parallel == serial  # byte identical
+    assert again == serial  # byte identical
 
 
 def test_sweep_json(tmp_path, capsys):

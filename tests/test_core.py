@@ -237,6 +237,45 @@ def test_exhaustive_search_agrees_with_discretized_solution():
         assert lat.rate_bps >= ex.rate_bps * (1 - 0.005)
 
 
+def test_rate_fixed_bandwidth_pilots_match_brute_force():
+    # the golden-section pilot search must land on the argmax over every
+    # integer pilot count, whatever the fading law
+    rng = np.random.default_rng(20171)
+    atoms = np.sort(rng.gamma(1.5, 1.0, 32))
+    models = [DET, RAY, FadingModel.tabulated([(v / atoms.mean(), 1.0 / 32) for v in atoms])]
+    for i in range(120):
+        fading = models[i % 3]
+        lc = float(np.exp(rng.uniform(math.log(2.0), math.log(4096.0))))
+        pd = float(10.0 ** rng.uniform(5.0, 10.0))
+        w = float(pd / 10.0 ** rng.uniform(-2.5, 1.5))
+        n = np.arange(1, max(1, math.ceil(lc) - 1) + 1)
+        rho, al = pd / w, n.astype(float)
+        snr = al * rho * rho / (1.0 + (1.0 + al) * rho)
+        brute = (1.0 - n / lc) * w * fading.expected_log1p(snr)
+        point = core.rate_fixed_bandwidth(pd, w, CoherenceBlock(lc=lc), fading)
+        assert point.pilot_count == int(n[np.argmax(brute)]), (fading.kind, lc, pd, w)
+
+
+def test_exhaustive_search_long_coherence_reaches_lattice_point():
+    # Lc - 1 > 4096 takes the per-bandwidth pilot search instead of the full
+    # pilot scan; a coarse pilot grid used to stop 3.7e-8 below discretize here
+    cb = CoherenceBlock(lc=8620.854826605364, bc_hz=1568246.5935462452)
+    pd = 592817415.6481733
+    lattice = core.discretize(core.solve_continuous(pd, cb, DET), cb, pd, DET)
+    ex = core.exhaustive_search(pd, cb, DET, m_max=9482)
+    assert ex.rate_bps >= lattice.rate_bps * (1 - 1e-12)
+
+
+def test_discretize_returns_lattice_local_maximum():
+    cb = CoherenceBlock(lc=1e4, bc_hz=1e6)
+    pd = 1e8
+    lat = core.discretize(core.solve_continuous(pd, cb, RAY), cb, pd, RAY)
+    m0 = round(lat.w_hz / cb.bc_hz)
+    for m in (m0 - 1, m0, m0 + 1):
+        for n in (lat.pilot_count - 1, lat.pilot_count, lat.pilot_count + 1):
+            assert core.rate(pd, m * cb.bc_hz, n / cb.lc, cb, RAY) <= lat.rate_bps * (1 + 1e-12)
+
+
 def test_exhaustive_search_flags_edge_maximum():
     cb = CoherenceBlock(lc=1e3, bc_hz=1e6)
     ex = core.exhaustive_search(PowerDensity(1e8), cb, RAY, m_max=50)
@@ -253,7 +292,7 @@ def test_exhaustive_point_is_local_maximum():
         for n in (n0 - 1, n0, n0 + 1):
             if m < 1 or n < 1 or n > 999 or (m, n) == (m0, n0):
                 continue
-            assert core._lattice_rate(pd, m, n, cb, RAY) <= ex.rate_bps * (1 + 1e-12)
+            assert core.rate(pd, m * cb.bc_hz, n / cb.lc, cb, RAY) <= ex.rate_bps * (1 + 1e-12)
 
 
 def test_rate_unimodal_in_bandwidth():
@@ -277,7 +316,7 @@ def test_continuous_beats_lattice_everywhere():
     point = core.solve_continuous(PowerDensity(pd), cb, RAY)
     for m in (1, 3, 10, 40):
         for n in (1, 5, 50, 500):
-            assert core._lattice_rate(pd, m, n, cb, RAY) <= point.rate_bps * (1 + 1e-12)
+            assert core.rate(pd, m * cb.bc_hz, n / cb.lc, cb, RAY) <= point.rate_bps * (1 + 1e-12)
 
 
 def test_solver_error_when_bracket_cannot_close():
