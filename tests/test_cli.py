@@ -104,6 +104,20 @@ def test_optimize_verify_polishes_flat_peak(capsys):
     assert report["lattice_w_hz"] == (rounded[1] + 1) * sub_cb.bc_hz
 
 
+def test_optimize_verify_walks_to_distant_lattice_maximum(tmp_path, capsys):
+    # W*/Bc is about 84 600 here, and the lattice maximum for the rounded
+    # pilot count sits 192 Bc steps beyond the best point a 64-step walk
+    # from the rounding cell reaches
+    scn = tmp_path / "wide.scn"
+    scn.write_text("pr_n0_dbhz = 90\nlc = 1000\nbc_mhz = 0.1\nfading = rayleigh\n")
+    code, out, err = run(capsys, "optimize", "--scenario", str(scn), "--format", "json",
+                         "--verify")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verified_local_max"] is True
+    assert (round(report["lattice_w_hz"] / 1e5), report["lattice_pilots"]) == (84819, 85)
+
+
 def test_optimize_verify_needs_lattice(tmp_path, capsys):
     scn = tmp_path / "nolattice.scn"
     scn.write_text("pr_n0_dbhz = 80\nlc = 10000\nfading = rayleigh\n")

@@ -1,12 +1,16 @@
 """Fading-model expectations against independent quadrature oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxbw
 from maxbw.fading import FadingModel
 
 
@@ -24,19 +28,130 @@ def _mp_inv1p_exp(s: float) -> float:
     return float(mp.exp(1 / mp.mpf(s)) * mp.expint(1, 1 / mp.mpf(s)) / mp.mpf(s))
 
 
-@pytest.mark.parametrize("s", [1e-4, 0.01, 0.1, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("s", [1e-4, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0, 1e4, 1e7])
 def test_rayleigh_log1p_matches_quadrature_oracle(s):
     ray = FadingModel.rayleigh()
-    assert ray.expected_log1p(s) == pytest.approx(_mp_log1p_exp(s), rel=5e-9)
+    assert ray.expected_log1p(s) == pytest.approx(_mp_log1p_exp(s), rel=1e-14, abs=0.0)
 
 
-# quadrature convergence degrades with the slow-decaying 1/(1+sx) integrand
-# at large s; the solver only evaluates it at s well below 1
 @pytest.mark.parametrize("s,rel", [(1e-4, 1e-12), (0.01, 1e-12), (0.1, 1e-12),
-                                   (0.5, 1e-12), (1.0, 1e-11), (3.0, 1e-6)])
+                                   (0.5, 1e-12), (1.0, 1e-11), (3.0, 1e-14),
+                                   (10.0, 1e-14), (100.0, 1e-14), (1e4, 1e-14),
+                                   (1e7, 1e-14)])
 def test_rayleigh_inv1p_matches_quadrature_oracle(s, rel):
     ray = FadingModel.rayleigh()
-    assert ray.expected_inv1p(s) == pytest.approx(_mp_inv1p_exp(s), rel=rel)
+    assert ray.expected_inv1p(s) == pytest.approx(_mp_inv1p_exp(s), rel=rel, abs=0.0)
+
+
+# s from 1e-6 to 1e7, denser around s = 1/2 where the kernel switches from
+# the continued fraction to the series for E1(1/s)
+ORACLE_SCALES = np.unique(np.concatenate([np.geomspace(1e-6, 1e7, 131),
+                                          np.linspace(0.3, 0.8, 51)]))
+
+
+def _rayleigh_oracle(s):
+    """(E[ln(1+sX)], E[1/(1+sX)]) for X ~ Exp(1): scipy's exp1 while e^(1/s)
+    stays finite, 50-digit mpmath beyond."""
+    x = 1.0 / s
+    if x < 700.0:
+        from scipy.special import exp1
+        g = math.exp(x) * float(exp1(x))
+    else:
+        import mpmath as mp
+        with mp.workdps(50):
+            g = float(mp.exp(mp.mpf(x)) * mp.e1(mp.mpf(x)))
+    return g, x * g
+
+
+def test_rayleigh_kernel_matches_exp1_oracle():
+    ray = FadingModel.rayleigh()
+    ref = np.array([_rayleigh_oracle(float(s)) for s in ORACLE_SCALES])
+    got = np.array([(ray.expected_log1p(float(s)), ray.expected_inv1p(float(s)))
+                    for s in ORACLE_SCALES])
+    vec = np.stack([ray.expected_log1p(ORACLE_SCALES), ray.expected_inv1p(ORACLE_SCALES)], axis=1)
+    assert np.max(np.abs(got / ref - 1.0)) < 1e-13
+    assert np.max(np.abs(vec / ref - 1.0)) < 1e-13
+
+
+def test_rayleigh_scalar_and_array_paths_agree():
+    ray = FadingModel.rayleigh()
+    grid = np.concatenate([[0.0, 1e-300, 2.0 ** -61, 2.0 ** -59], ORACLE_SCALES])
+    for expectation in (ray.expected_log1p, ray.expected_inv1p):
+        vec = expectation(grid.reshape(-1, 3))
+        assert vec.shape == (len(grid) // 3, 3)
+        for s, v in zip(grid, vec.ravel()):
+            assert v == pytest.approx(expectation(float(s)), rel=1e-14, abs=1e-300)
+
+
+# Exact values of the earlier implementation, which sent scalars through 0-d
+# arrays; the deterministic and tabulated scalar paths must keep every bit.
+DET_PINS = [
+    (1e-06, 9.999995000003334e-07, 0.9999990000010001),
+    (3.61403e-06, 3.6140234694093142e-06, 0.9999963859830613),
+    (1.28571e-05, 1.2857017348198235e-05, 0.9999871430653029),
+    (4.51754e-05, 4.517437962234795e-05, 0.9999548266407247),
+    (0.000157143, 0.0001571306543321154, 0.9998428816900425),
+    (0.000542105, 0.0005419581141671197, 0.9994581887186046),
+    (0.00185714, 0.001855417647613515, 0.9981463025756346),
+    (0.00632456, 0.00630464390000673, 0.9937151886663683),
+    (0.0214286, 0.02120223562263056, 0.9790209516357776),
+    (0.0722806, 0.06978778212842245, 0.9325917115352083),
+    (0.242857, 0.21741276166268939, 0.8045977936319304),
+    (0.813157, 0.59506952482431, 0.5515242199103553),
+    (2.71429, 1.312187542811657, 0.2692304585802401),
+    (9.03508, 2.306086954314183, 0.09965042630452373),
+    (30.0, 3.4339872044851463, 0.03225806451612903),
+    (99.3859, 4.609021759148243, 0.009961558346341468),
+    (328.571, 5.797791808727478, 0.003034247552120787),
+    (1084.21, 6.989528795633584, 0.0009214806350844537),
+    (3571.43, 8.181001315490292, 0.0002799215100085936),
+    (11745.6, 9.371319115997002, 8.513101663460065e-05),
+]
+TAB_ATOMS = [(0.1, 0.25), (0.7, 0.35), (1.5, 0.3), (2.8, 0.1)]
+TAB_PINS = [
+    (1e-06, 9.999991835011092e-07, 0.9999990000016332),
+    (3.61403e-06, 3.6140193355720793e-06, 0.999996385991329),
+    (1.28571e-05, 1.2856965030808496e-05, 0.9999871431699362),
+    (4.51754e-05, 4.517373377537785e-05, 0.9999548279323471),
+    (0.000157143, 0.00015712284171588193, 0.999842897312266),
+    (0.000542105, 0.0005418652253146575, 0.999458374372974),
+    (0.00185714, 0.0018543309993908443, 0.9981484709415297),
+    (0.00632456, 0.006292177533153834, 0.9937399303744628),
+    (0.0214286, 0.021064199406169513, 0.9792900528189318),
+    (0.0722806, 0.06838750531580788, 0.9351733513714034),
+    (0.242857, 0.20601876511392023, 0.8226369987174041),
+    (0.813157, 0.5351492761277779, 0.6199104533041149),
+    (2.71429, 1.1349479905764708, 0.3881014228690521),
+    (9.03508, 1.9881374681393447, 0.20353830794107727),
+    (30.0, 3.0212959935511434, 0.08610730062776102),
+    (99.3859, 4.154456583736199, 0.03017148278180509),
+    (328.571, 5.328602295780858, 0.009615170757941117),
+    (1084.21, 6.515699324417031, 0.0029625940997371984),
+    (3571.43, 7.705745313063833, 0.0009039776830006473),
+    (11745.6, 8.895628341305704, 0.00027529580413100695),
+]
+
+
+@pytest.mark.parametrize("model,pins", [(FadingModel.deterministic(), DET_PINS),
+                                        (FadingModel.tabulated(TAB_ATOMS), TAB_PINS)],
+                         ids=["deterministic", "tabulated"])
+def test_scalar_path_keeps_pinned_bits(model, pins):
+    for s, log1p, inv1p in pins:
+        assert model.expected_log1p(s) == log1p
+        assert model.expected_inv1p(s) == inv1p
+        assert model.expected_log1p(np.array([s]))[0] == log1p
+        assert model.expected_inv1p(np.array([s]))[0] == inv1p
+
+
+def test_import_loads_no_test_oracles():
+    # scipy and mpmath are test dependencies; the package must not need them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maxbw.__file__)))
+    code = ("import sys, maxbw, maxbw.cli; "
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_deterministic_is_exact():
@@ -61,8 +176,8 @@ def test_vectorized_matches_scalars():
 def test_zero_scale():
     for model in (FadingModel.rayleigh(), FadingModel.deterministic()):
         assert model.expected_log1p(0.0) == 0.0
-        # quadrature weight sum carries one ulp of error for rayleigh
-        assert model.expected_inv1p(0.0) == pytest.approx(1.0, abs=1e-15)
+        # both kernels are exact at s = 0
+        assert model.expected_inv1p(0.0) == 1.0
 
 
 def test_negative_or_nonfinite_scale_rejected():
