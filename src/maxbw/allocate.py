@@ -5,6 +5,12 @@ budget W0, pilot overhead optimized). Reallocation may move power and
 bandwidth between users subject to the pooled budgets and to the rule that
 nobody ends below their baseline rate. Bandwidth lives on each user's
 coherence lattice; power is searched on a dB grid, coarse pass then refined.
+
+Candidates are scored in one vectorized pass whose integer pilot search is
+core._guided_pilots: every candidate of a user shares one coherence length,
+so the cached argmax guide of that length is built once and reused. Each
+winner is then re-scored on the scalar path, rate_fixed_bandwidth, whose
+search is the golden section of core._best_pilots.
 """
 
 from __future__ import annotations
@@ -103,8 +109,8 @@ def baseline_rates(users: Sequence[UserLink]) -> List[float]:
 
 def _rates_flat(user: UserLink, p_vec: np.ndarray, w_vec: np.ndarray) -> np.ndarray:
     """Pilot-optimized rates at per-candidate power and bandwidth, in one pass."""
-    return core._best_pilots(user.gain_hz_per_watt * p_vec / w_vec, w_vec,
-                             user.cb.lc, user.fading)[1]
+    return core._guided_pilots(user.gain_hz_per_watt * p_vec / w_vec, w_vec,
+                               user.cb.lc, user.fading)[1]
 
 
 def _cap_steps(user: UserLink, p_w: float) -> int:
@@ -317,6 +323,9 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     entries = list(seeds)
     flags: Tuple[str, ...] = ()
     baseline = current = _group_objective(users, entries, objective)
+    # a pair's solve depends only on the pair and its budgets: a repeat is
+    # looked up, not solved again
+    solved = {}
 
     for _round in range(20):
         improved = False
@@ -324,10 +333,13 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
             for j in range(i + 1, len(users)):
                 p_budget = entries[i].p_w + entries[j].p_w
                 w_budget = entries[i].w_hz + entries[j].w_hz
-                ei, ej, pair_flags = _allocate_pair_budget(
-                    users[i], users[j], p_budget, w_budget,
-                    seeds[i], seeds[j], objective,
-                )
+                key = (i, j, p_budget, w_budget)
+                if key not in solved:
+                    solved[key] = _allocate_pair_budget(
+                        users[i], users[j], p_budget, w_budget,
+                        seeds[i], seeds[j], objective,
+                    )
+                ei, ej, pair_flags = solved[key]
                 trial = list(entries)
                 trial[i], trial[j] = ei, ej
                 value = _group_objective(users, trial, objective)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import SolverError
-from .fading import FadingModel
+from .fading import FadingModel, _log1p_inv1p
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -192,9 +192,8 @@ def condition_residuals(rho: float, alpha: float, lc: float, fading: FadingModel
     al = alpha * lc
     denom = 1.0 + (1.0 + al) * rho
     snr = al * rho * rho / denom
-    r_w = fading.expected_log1p(snr) - (1.0 + denom) / denom * (
-        1.0 - fading.expected_inv1p(snr)
-    )
+    log1p, inv1p = _log1p_inv1p(fading, snr)
+    r_w = log1p - (1.0 + denom) / denom * (1.0 - inv1p)
     r_alpha = rho * (alpha * alpha * lc + 2.0 * alpha - 1.0) - (1.0 - 3.0 * alpha)
     return r_w, r_alpha
 
@@ -247,10 +246,28 @@ def _bisect_root(residual, what: str) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _solve_rho_on_curve(lc: float, fading: FadingModel) -> float:
-    """Root of the bandwidth residual along the alpha(rho) curve."""
-    return _bisect_root(lambda r: condition_residuals(r, alpha_given_rho(r, lc), lc, fading)[0],
-                        f"the bandwidth optimum (lc={lc})")
+def _solve_rho_on_curve(lc: float, fading: FadingModel):
+    """The part of solve_continuous that does not depend on Pr/N0, checked once.
+
+    Returns (rho, alpha, flags, E[ln(1 + rho_eff X)]). rho is the root of the
+    bandwidth residual along the alpha(rho) curve, whose residuals are checked
+    here, so that a cache hit makes no kernel call. At lc == 2 the pilot ratio
+    is pinned to 1/2 instead.
+    """
+    if lc == 2.0:
+        rho = _solve_rho_fixed_alpha(0.5, 2.0, fading)
+        alpha, flags = 0.5, ("lattice_only",)
+    else:
+        rho = _bisect_root(lambda r: condition_residuals(r, alpha_given_rho(r, lc), lc, fading)[0],
+                           f"the bandwidth optimum (lc={lc})")
+        alpha, flags = alpha_given_rho(rho, lc), ()
+        r_w, r_alpha = condition_residuals(rho, alpha, lc, fading)
+        if abs(r_w) > R_W_TOL or abs(r_alpha) > R_ALPHA_TOL:
+            raise SolverError(
+                f"stationarity residuals out of tolerance at the solution: "
+                f"r_w={r_w:.3e}, r_alpha={r_alpha:.3e} (lc={lc})"
+            )
+    return rho, alpha, flags, fading.expected_log1p(_rho_eff(rho, alpha, lc))
 
 
 @lru_cache(maxsize=4096)
@@ -270,23 +287,11 @@ def solve_continuous(pd, cb: CoherenceBlock, fading: FadingModel) -> OperatingPo
     the result carries a "lattice_only" flag.
     """
     pd_hz = _pd_hz(pd)
-    if cb.lc == 2.0:
-        rho = _solve_rho_fixed_alpha(0.5, 2.0, fading)
-        alpha = 0.5
-        flags = ("lattice_only",)
-    else:
-        rho = _solve_rho_on_curve(cb.lc, fading)
-        alpha = alpha_given_rho(rho, cb.lc)
-        flags = ()
-        r_w, r_alpha = condition_residuals(rho, alpha, cb.lc, fading)
-        if abs(r_w) > R_W_TOL or abs(r_alpha) > R_ALPHA_TOL:
-            raise SolverError(
-                f"stationarity residuals out of tolerance at the solution: "
-                f"r_w={r_w:.3e}, r_alpha={r_alpha:.3e} (lc={cb.lc})"
-            )
+    rho, alpha, flags, e_log1p = _solve_rho_on_curve(cb.lc, fading)
     w = pd_hz / rho
+    # _rates's product, in its order, on the cached expectation
     return OperatingPoint(w_hz=w, alpha=alpha, rho=rho, rho_eff=_rho_eff(rho, alpha, cb.lc),
-                          rate_bps=_rates(rho, w, alpha, cb.lc, fading), flags=flags)
+                          rate_bps=(1.0 - alpha) * w * e_log1p * LOG2E, flags=flags)
 
 
 def closed_form_first_order(lc: float) -> ClosedForm:
@@ -336,6 +341,10 @@ def _lattice_point(pd_hz: float, w: float, n: int, lc: float, rate_bps: float,
 def _best_pilots(rho, w, lc: float, fading: FadingModel):
     """Rate-maximizing integer pilot count at fixed bandwidth, and its rate.
 
+    The search for callers that see a coherence length once or a few times:
+    rate_fixed_bandwidth, exhaustive_search and _pilot_guide. The allocation
+    candidate pass, which sees one length many times, uses _guided_pilots.
+
     Golden-section search on the pilot ratio, one new rate per iteration.
     The rate is log-concave in alpha at fixed W, so the search cannot miss
     the basin, and after ceil(ln Lc / ln phi) + 1 iterations the bracket
@@ -370,6 +379,52 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
     if scalar:
         return int(best_n), float(best_r)
     return best_n.astype(int), best_r
+
+
+@lru_cache(maxsize=256)
+def _pilot_guide(lc: float, fading: FadingModel):
+    """The exact integer pilot argmax n*(rho) on a grid of log10(rho).
+
+    At fixed bandwidth the argmax depends only on (rho, lc, fading), since W
+    only scales the rate. 64 points per decade over rho from 1e-8 to 1e8.
+    """
+    log_rho = np.linspace(-8.0, 8.0, 16 * 64 + 1)
+    guide = _best_pilots(10.0 ** log_rho, 1.0, lc, fading)[0].astype(float)
+    for cached in (log_rho, guide):  # shared by every caller
+        cached.flags.writeable = False
+    return log_rho, guide
+
+
+def _guided_pilots(rho, w, lc: float, fading: FadingModel):
+    """_best_pilots for 1-d arrays rho and w of one length, started from the guide.
+
+    The guide is interpolated at each rho and rounded to a count n; n - 1, n
+    and n + 1 are scored at once and the best kept, ties going to the lower
+    count. Where an end wins, the search walks one pilot at a time in that
+    direction, on those elements only, until the next count no longer wins.
+    The rate is log-concave in alpha at fixed W, so it is unimodal over the
+    integer counts and a local maximum is the global one: the guide only
+    saves rate evaluations and cannot change the answer.
+    """
+    log_rho, guide = _pilot_guide(lc, fading)
+    n_hi = _max_pilots(lc)
+    n = np.interp(np.log10(rho), log_rho, guide).round()
+    trial = np.clip(n[:, None] + np.array([-1.0, 0.0, 1.0]), 1.0, n_hi)
+    rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
+    k = rates.argmax(axis=1)
+    rows = np.arange(k.size)
+    n, best = trial[rows, k], rates[rows, k]
+    for end, step in ((0, -1.0), (2, 1.0)):
+        i = np.flatnonzero(k == end)
+        while i.size:
+            m = n[i] + step
+            inside = (m >= 1.0) & (m <= n_hi)
+            i, m = i[inside], m[inside]
+            r = _rates(rho[i], w[i], m / lc, lc, fading)
+            wins = r >= best[i] if step < 0 else r > best[i]
+            i = i[wins]
+            n[i], best[i] = m[wins], r[wins]
+    return n.astype(int), best
 
 
 def _best_neighbor(pd_hz: float, best, cb: CoherenceBlock, fading: FadingModel,

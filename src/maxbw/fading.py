@@ -51,7 +51,8 @@ _BLOCK = 4096
 
 def _require_scale(s):
     arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    # two reductions: NaN fails both tests, and an empty array has no minimum
+    if arr.size and not (arr.min() >= 0.0 and math.isfinite(arr.max())):
         raise ValueError(f"expectation scale must be finite and >= 0, got {s!r}")
     return arr
 
@@ -130,6 +131,20 @@ def _rayleigh_array(s):
     h[rest] = hr = _laguerre_inv1p(flat[rest])
     g[rest] = flat[rest] * hr
     return g.reshape(s.shape), h.reshape(s.shape)
+
+
+def _log1p_inv1p(model, s):
+    """(model.expected_log1p(s), model.expected_inv1p(s)), to the same bits.
+
+    For Rayleigh both come from one evaluation of e^x E1(x); other models make
+    the two calls. A module function rather than a method, so that the solvers
+    keep working with any object that has the two expectation methods.
+    """
+    if model.kind != RAYLEIGH:
+        return model.expected_log1p(s), model.expected_inv1p(s)
+    if isinstance(s, np.ndarray):
+        return _rayleigh_array(_require_scale(s))
+    return _rayleigh(_scalar_scale(s))
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,57 @@ def test_check_allocation_catches_harm():
         allocate.check_allocation([weak, strong], bad)
 
 
+# ------------------------------------------------- guided candidate search
+
+
+def _golden_rates_flat(user, p_vec, w_vec):
+    return core._best_pilots(user.gain_hz_per_watt * p_vec / w_vec, w_vec,
+                             user.cb.lc, user.fading)[1]
+
+
+def _seeded_users(rng, k):
+    # gains as in the acceptance test, a fading law and coherence tile per instance
+    atoms = np.sort(rng.gamma(2.0, 1.0, 16))
+    laws = [RAY, FadingModel.deterministic(),
+            FadingModel.tabulated([(v / atoms.mean(), 1.0 / 16) for v in atoms])]
+    cbs = [CB, CoherenceBlock.from_tc_bc(tc_s=4e-4, bc_hz=1e6)]
+    fading, cb = laws[rng.integers(3)], cbs[rng.integers(2)]
+    return [UserLink(gain_hz_per_watt=10.0 ** ((75.0 + 6.0 * z) / 10.0), pt_w=1.0,
+                     w0_hz=100e6, cb=cb, fading=fading) for z in rng.standard_normal(k)]
+
+
+def test_guided_candidate_pass_keeps_pair_allocations(monkeypatch):
+    rng = np.random.default_rng(8080)
+    cases = [(_seeded_users(rng, 2), allocate.OBJECTIVES[i % 3]) for i in range(60)]
+    guided = [allocate.allocate_pair(*users, obj) for users, obj in cases]
+    monkeypatch.setattr(allocate, "_rates_flat", _golden_rates_flat)
+    golden = [allocate.allocate_pair(*users, obj) for users, obj in cases]
+    assert guided == golden
+
+
+def test_guided_candidate_pass_keeps_group_allocations(monkeypatch):
+    rng = np.random.default_rng(8081)
+    cases = [(_seeded_users(rng, 3), allocate.OBJECTIVES[i % 3]) for i in range(6)]
+    guided = [allocate.allocate_group(users, obj) for users, obj in cases]
+    monkeypatch.setattr(allocate, "_rates_flat", _golden_rates_flat)
+    golden = [allocate.allocate_group(users, obj) for users, obj in cases]
+    assert guided == golden
+
+
+def test_group_solves_each_pair_budget_once(monkeypatch):
+    solves = []
+    original = allocate._allocate_pair_budget
+
+    def counted(u1, u2, p_budget, w_budget, *rest):
+        solves.append((id(u1), id(u2), p_budget, w_budget))
+        return original(u1, u2, p_budget, w_budget, *rest)
+
+    monkeypatch.setattr(allocate, "_allocate_pair_budget", counted)
+    users = [_user(65.0), _user(75.0), _user(85.0)]
+    allocate.allocate_group(users, "sum")
+    assert len(solves) == len(set(solves))
+
+
 # ------------------------------------------------------------------ utilities
 
 

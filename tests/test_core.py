@@ -345,3 +345,108 @@ def test_operating_point_is_frozen():
     point = core.solve_continuous(PowerDensity(1e6), CoherenceBlock(lc=1e3), DET)
     with pytest.raises(AttributeError):
         point.rate_bps = 0.0
+
+
+# ------------------------------------------------------- guided pilot search
+
+
+def _three_laws(rng):
+    atoms = np.sort(rng.gamma(1.5, 1.0, 64))
+    return [RAY, DET, FadingModel.tabulated([(v / atoms.mean(), 1.0 / 64) for v in atoms])]
+
+
+@pytest.mark.parametrize("lc", [2.0, 2.5, 17.3, 2500.0, 1e6])
+def test_guided_pilots_match_golden_search(lc):
+    # rho spans 1e-10..1e10, so a fifth of the points lie outside the guide
+    rng = np.random.default_rng(int(lc * 10))
+    for fading in _three_laws(rng):
+        rho = 10.0 ** rng.uniform(-10.0, 10.0, 400)
+        w = 10.0 ** rng.uniform(5.0, 9.0, 400)
+        n, r = core._guided_pilots(rho, w, lc, fading)
+        n_gold, r_gold = core._best_pilots(rho, w, lc, fading)
+        assert np.array_equal(n, n_gold), fading.kind
+        assert r == pytest.approx(r_gold, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("lc", [2.0, 2.5, 17.3, 2500.0])
+def test_guided_pilots_match_brute_force(lc):
+    # the first argmax over every integer count, as the guided search breaks ties
+    rng = np.random.default_rng(int(lc * 10) + 1)
+    n_all = np.arange(1.0, core._max_pilots(lc) + 1.0)
+    for fading in _three_laws(rng):
+        rho = 10.0 ** rng.uniform(-10.0, 10.0, 60)
+        w = 10.0 ** rng.uniform(5.0, 9.0, 60)
+        n, _ = core._guided_pilots(rho, w, lc, fading)
+        for j in range(rho.size):
+            brute = core._rates(rho[j], w[j], n_all / lc, lc, fading)
+            assert n[j] == n_all[np.argmax(brute)], (fading.kind, rho[j])
+
+
+@pytest.mark.parametrize("guess", ["lowest", "highest"])
+def test_guided_pilots_are_exact_from_a_wrong_guide(monkeypatch, guess):
+    # the guide only picks the start: from either end, the walks reach the argmax
+    lc = 700.0
+    log_rho = np.linspace(-8.0, 8.0, 3)
+    start = 1.0 if guess == "lowest" else float(core._max_pilots(lc))
+    monkeypatch.setattr(core, "_pilot_guide", lambda lc, fading: (log_rho, np.full(3, start)))
+    rng = np.random.default_rng(11)
+    for fading in _three_laws(rng):
+        rho = 10.0 ** rng.uniform(-4.0, 4.0, 50)
+        w = 10.0 ** rng.uniform(5.0, 9.0, 50)
+        n, _ = core._guided_pilots(rho, w, lc, fading)
+        assert np.array_equal(n, core._best_pilots(rho, w, lc, fading)[0]), fading.kind
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count every fading-kernel evaluation: the two public expectations and
+    the Rayleigh scalar and array kernels that the joint one calls directly."""
+    from maxbw import fading as fading_module
+
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("expected_log1p", "expected_inv1p"):
+        counted(FadingModel, name)
+    for name in ("_rayleigh", "_rayleigh_array"):
+        counted(fading_module, name)
+    return calls
+
+
+@pytest.mark.parametrize("lc", [2.0, 12345.678])
+def test_solve_continuous_cache_hit_makes_no_kernel_call(monkeypatch, lc):
+    rng = np.random.default_rng(5)
+    cb = CoherenceBlock(lc=lc)
+    for fading in _three_laws(rng):
+        core._solve_rho_on_curve.cache_clear()
+        cold = core.solve_continuous(3e8, cb, fading)
+        calls = _count_kernel_calls(monkeypatch)
+        warm = core.solve_continuous(3e8, cb, fading)
+        monkeypatch.undo()
+        assert calls == {}, fading.kind
+        assert warm == cold
+        # the cached expectation gives the bits of the rate kernel
+        assert warm.rate_bps == core._rates(warm.rho, warm.w_hz, warm.alpha, lc, fading)
+
+
+def test_cold_rayleigh_solve_evaluates_the_kernel_once_per_residual(monkeypatch):
+    residuals = []
+    original = core.condition_residuals
+
+    def counted(*args):
+        residuals.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, "condition_residuals", counted)
+    calls = _count_kernel_calls(monkeypatch)
+    core._solve_rho_on_curve.cache_clear()
+    core.solve_continuous(1e8, CoherenceBlock(lc=12345.678), RAY)
+    # one joint kernel call per residual, plus the rate's expectation
+    assert calls == {"_rayleigh": len(residuals) + 1, "expected_log1p": 1}

@@ -271,3 +271,39 @@ def test_monotone_in_scale(s1, s2):
     lo, hi = sorted((s1, s2))
     assert ray.expected_log1p(hi) >= ray.expected_log1p(lo) - 1e-15
     assert ray.expected_inv1p(hi) <= ray.expected_inv1p(lo) + 1e-15
+
+
+def _old_scale_check_raises(s):
+    arr = np.asarray(s, dtype=float)
+    return bool(not np.all(np.isfinite(arr)) or np.any(arr < 0.0))
+
+
+@pytest.mark.parametrize("s", [
+    [], [[]], np.zeros((0, 3)), [0.0], [-0.0], [1e-300], [1e308, 1e308], [[0.5, 2.0], [3.0, 4.0]],
+    [np.nan], [1.0, np.nan], [np.inf], [2.0, -np.inf], [-1e-300], [[1.0, -2.0]], [np.nan, -1.0],
+])
+def test_require_scale_accepts_and_rejects_as_before(s):
+    from maxbw.fading import _require_scale
+
+    arr = np.asarray(s, dtype=float)
+    if _old_scale_check_raises(arr):
+        with pytest.raises(ValueError, match="expectation scale must be finite and >= 0"):
+            _require_scale(arr)
+    else:
+        out = _require_scale(arr)
+        assert out.shape == arr.shape
+        for model in (FadingModel.rayleigh(), FadingModel.deterministic()):
+            assert model.expected_log1p(arr).shape == arr.shape
+
+
+def test_joint_expectations_keep_the_bits_of_the_two_calls():
+    from maxbw.fading import _log1p_inv1p
+
+    tab = FadingModel.tabulated([(0.25, 0.5), (1.75, 0.5)])
+    grid = np.concatenate([[0.0, 1e-300], np.geomspace(1e-6, 1e7, 90)])
+    for model in (FadingModel.rayleigh(), FadingModel.deterministic(), tab):
+        for s in grid.tolist():
+            assert _log1p_inv1p(model, s) == (model.expected_log1p(s), model.expected_inv1p(s))
+        log1p, inv1p = _log1p_inv1p(model, grid)
+        assert np.array_equal(log1p, model.expected_log1p(grid))
+        assert np.array_equal(inv1p, model.expected_inv1p(grid))
