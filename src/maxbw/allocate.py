@@ -6,11 +6,13 @@ bandwidth between users subject to the pooled budgets and to the rule that
 nobody ends below their baseline rate. Bandwidth lives on each user's
 coherence lattice; power is searched on a dB grid, coarse pass then refined.
 
-Candidates are scored in one vectorized pass whose integer pilot search is
-core._guided_pilots: every candidate of a user shares one coherence length,
-so the cached argmax guide of that length is built once and reused. Each
-winner is then re-scored on the scalar path, rate_fixed_bandwidth, whose
-search is the golden section of core._best_pilots.
+Each call of the candidate pass builds all of its candidates in one array
+pass over power offsets, bandwidth caps and lattice steps, and scores them
+in one vectorized pass. Each winner is then re-scored on the scalar path,
+fixed_bandwidth_rate. Both use the integer pilot search core._guided_pilots:
+every rate of a user shares one coherence length, so the cached argmax guide
+of that length is built once and reused, and the scalar re-score has the
+bits of core.rate_fixed_bandwidth.
 """
 
 from __future__ import annotations
@@ -85,8 +87,13 @@ class Allocation:
 
 
 def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.OperatingPoint:
-    """Rate at pinned power and bandwidth, integer pilot count optimized."""
-    return core.rate_fixed_bandwidth(user.pd_hz(p_w), w_hz, user.cb, user.fading)
+    """Rate at pinned power and bandwidth, integer pilot count optimized.
+
+    Equal to core.rate_fixed_bandwidth, from the pilot guide of the user's
+    coherence length instead of a golden-section search.
+    """
+    return core._fixed_bandwidth_point(user.pd_hz(p_w), w_hz, user.cb, user.fading,
+                                       core._guided_pilots)
 
 
 def _baseline_entries(users: Sequence[UserLink]) -> List[AllocationEntry]:
@@ -113,11 +120,16 @@ def _rates_flat(user: UserLink, p_vec: np.ndarray, w_vec: np.ndarray) -> np.ndar
                                user.cb.lc, user.fading)[1]
 
 
-def _cap_steps(user: UserLink, p_w: float) -> int:
-    """Upper lattice step count worth considering at power p_w (ceil of the
-    continuous bandwidth optimum; the true lattice argmax is this or one less)."""
-    point = core.solve_continuous(user.pd_hz(p_w), user.cb, user.fading)
-    return max(1, math.ceil(point.w_hz / user.cb.bc_hz - 1e-9))
+def _cap_steps(user: UserLink, p_w):
+    """Upper lattice step count worth considering at power p_w, a float or an
+    array: the ceil of the continuous bandwidth optimum pd/rho*, in the
+    operations of solve_continuous. The true lattice argmax is this or one less."""
+    pd = user.gain_hz_per_watt * np.asarray(p_w, dtype=float)
+    # two reductions: NaN fails both tests, and an empty array has no minimum
+    if pd.size and not (pd.min() > 0.0 and math.isfinite(pd.max())):
+        raise ValueError(f"Pr/N0 must be positive and finite, got {pd!r}")
+    rho = core._solve_rho_on_curve(user.cb.lc, user.fading)[0]
+    return np.maximum(1, np.ceil(pd / rho / user.cb.bc_hz - 1e-9)).astype(int)
 
 
 def _power_offsets(step: float, hi_db: float) -> np.ndarray:
@@ -126,12 +138,21 @@ def _power_offsets(step: float, hi_db: float) -> np.ndarray:
     return np.unique(np.concatenate([grid, [0.0, hi_db]]))
 
 
-def _segment(lo: int, hi: int, max_points: int) -> np.ndarray:
-    if hi <= lo:
-        return np.array([max(1, lo)], dtype=int)
-    if hi - lo + 1 <= max_points:
-        return np.arange(lo, hi + 1)
-    return np.unique(np.linspace(lo, hi, max_points).round().astype(int))
+def _segment(lo: np.ndarray, hi: np.ndarray, max_points: int):
+    """Lattice steps from lo >= 1 to hi, one row per element of lo and hi:
+    every step when there are at most max_points, else
+    np.linspace(lo, hi, max_points).round(), and lo alone when hi <= lo.
+
+    Returns (steps, mask) of shape (rows, max_points); mask marks the steps
+    that exist, ascending along each row.
+    """
+    j = np.arange(max_points)
+    lo, span = lo[:, None], (hi - lo)[:, None]
+    # linspace's operations, j * step + lo. Its last point misses hi by a few
+    # ulps where linspace sets hi itself, which round() removes. The steps lie
+    # more than one apart, so rounding leaves no duplicate to drop.
+    spread = (j * (span / (max_points - 1)) + lo).round().astype(int)
+    return np.where(span < max_points, lo + j, spread), j <= np.maximum(span, 0)
 
 
 def _objective_values(r_weak, r_strong, objective: str):
@@ -149,49 +170,41 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
 
     Candidates are (p_weak, w_weak, p_strong, w_strong) with both bandwidths
     on their lattices, w_strong taking what the budget leaves up to its own
-    beneficial maximum. All candidates are scored in one vectorized pass.
+    beneficial maximum. They are built in one array pass over (offset,
+    strong cap, weak step), in that order, and scored in one vectorized pass.
     """
     bc_w, bc_s = weak.cb.bc_hz, strong.cb.bc_hz
-    p_w_rows: List[np.ndarray] = []
-    w_w_rows: List[np.ndarray] = []
-    w_s_rows: List[np.ndarray] = []
+    # one scalar power per offset: numpy's array power can differ in the last bit
+    p_w = np.array([weak.pt_w * 10.0 ** (off / 10.0) for off in offsets_db])
+    p_w = p_w[p_budget - p_w > 0.0]
+    cap_w = _cap_steps(weak, p_w)
+    cap_s = _cap_steps(strong, p_budget - p_w)
+    m_hi = np.minimum(cap_w, int((w_budget - bc_s) // bc_w))
+    keep = m_hi >= 1
+    p_w, cap_w, cap_s, m_hi = p_w[keep], cap_w[keep], cap_s[keep], m_hi[keep]
 
-    for off in offsets_db:
-        p_w = weak.pt_w * 10.0 ** (off / 10.0)
-        p_s = p_budget - p_w
-        if p_s <= 0.0:
-            continue
-        cap_w = _cap_steps(weak, p_w)
-        cap_s = _cap_steps(strong, p_s)
-        m_hi = min(cap_w, int((w_budget - bc_s) // bc_w))
-        if m_hi < 1:
-            continue
-        if cap_w * bc_w + cap_s * bc_s <= w_budget:
-            ms = np.unique(np.array([max(1, cap_w - 1), min(cap_w, m_hi)]))
-        elif m_center is None:
-            ms = _segment(1, m_hi, 24)
-        else:
-            # unit-stride polish window around the incumbent split
-            ms = _segment(max(1, m_center - 12), min(m_hi, m_center + 12), 25)
-        w_w = ms * bc_w
-        avail = ((w_budget - w_w) // bc_s).astype(int)
-        # the strong user's lattice argmax is cap_s or cap_s - 1; try both
-        for cap in (cap_s - 1, cap_s):
-            if cap < 1:
-                continue
-            n_s = np.minimum(cap, avail)
-            valid = n_s >= 1
-            if not valid.any():
-                continue
-            w_w_rows.append(w_w[valid].astype(float))
-            w_s_rows.append(n_s[valid] * bc_s)
-            p_w_rows.append(np.full(int(valid.sum()), p_w))
+    if m_center is None:
+        lo, hi, k = 1, m_hi, 24
+    else:
+        # unit-stride polish window around the incumbent split
+        lo, hi, k = max(1, m_center - 12), np.minimum(m_hi, m_center + 12), 25
+    # where both caps fit the budget, only cap_w - 1 and cap_w are tried; m_hi
+    # is then cap_w, or cap_w - 1 where the budget test rounds the other way
+    fits = cap_w * bc_w + cap_s * bc_s <= w_budget
+    ms, mask = _segment(np.where(fits, np.maximum(1, cap_w - 1), lo), np.where(fits, m_hi, hi), k)
 
-    if not p_w_rows:
+    w_w = ms * bc_w
+    avail = ((w_budget - w_w) // bc_s).astype(int)
+    # the strong user's lattice argmax is cap_s or cap_s - 1; try both, lower first
+    caps = cap_s[:, None, None] - np.array([[1], [0]])
+    n_s = np.minimum(caps, avail[:, None, :])
+    valid = (caps >= 1) & (n_s >= 1) & mask[:, None, :]
+    row, _, col = np.nonzero(valid)
+    if not row.size:
         return None
-    p_w_all = np.concatenate(p_w_rows)
-    w_w_all = np.concatenate(w_w_rows)
-    w_s_all = np.concatenate(w_s_rows)
+    p_w_all = p_w[row]
+    w_w_all = w_w[row, col]
+    w_s_all = n_s[valid] * bc_s
     p_s_all = p_budget - p_w_all
 
     r_w = _rates_flat(weak, p_w_all, w_w_all)
@@ -300,9 +313,9 @@ def _group_objective(users, entries, objective: str) -> float:
     rates = [e.rate_bps for e in entries]
     gains = [u.gain_hz_per_watt for u in users]
     if objective == MAX_WEAK:
-        return rates[int(np.argmin(gains))]
+        return rates[gains.index(min(gains))]
     if objective == MAX_STRONG:
-        return rates[int(np.argmax(gains))]
+        return rates[gains.index(max(gains))]
     return float(sum(rates))
 
 

@@ -343,7 +343,8 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
 
     The search for callers that see a coherence length once or a few times:
     rate_fixed_bandwidth, exhaustive_search and _pilot_guide. The allocation
-    candidate pass, which sees one length many times, uses _guided_pilots.
+    layer, which sees one length many times, uses _guided_pilots for its
+    candidate pass and its scalar re-scores alike.
 
     Golden-section search on the pilot ratio, one new rate per iteration.
     The rate is log-concave in alpha at fixed W, so the search cannot miss
@@ -396,18 +397,38 @@ def _pilot_guide(lc: float, fading: FadingModel):
 
 
 def _guided_pilots(rho, w, lc: float, fading: FadingModel):
-    """_best_pilots for 1-d arrays rho and w of one length, started from the guide.
+    """_best_pilots for floats, or for 1-d arrays rho and w of one length,
+    started from the guide.
 
-    The guide is interpolated at each rho and rounded to a count n; n - 1, n
-    and n + 1 are scored at once and the best kept, ties going to the lower
-    count. Where an end wins, the search walks one pilot at a time in that
+    The allocation layer's search: its candidate pass passes arrays and its
+    re-scores (allocate.fixed_bandwidth_rate) pass floats. The guide is
+    interpolated at each rho and rounded to a count n. An array scores n - 1,
+    n and n + 1 at once and keeps the best, ties going to the lower count;
+    where an end wins, the search walks one pilot at a time in that
     direction, on those elements only, until the next count no longer wins.
-    The rate is log-concave in alpha at fixed W, so it is unimodal over the
-    integer counts and a local maximum is the global one: the guide only
-    saves rate evaluations and cannot change the answer.
+    A float scores n on the scalar path, walks down while the next count
+    does at least as well and, if it did not move, up while the next count
+    does better: the same ties, in scalar evaluations. The rate is
+    log-concave in alpha at fixed W, so it is unimodal over the integer
+    counts and a local maximum is the global one: the guide only saves rate
+    evaluations and cannot change the answer.
     """
     log_rho, guide = _pilot_guide(lc, fading)
     n_hi = _max_pilots(lc)
+    if not isinstance(rho, np.ndarray):
+        x = math.log10(rho) if rho > 0.0 else -math.inf
+        n = float(round(np.interp(x, log_rho, guide)))
+        best = _rates(rho, w, n / lc, lc, fading)
+        for step in (-1.0, 1.0):
+            start = n
+            while 1.0 <= n + step <= n_hi:
+                r = _rates(rho, w, (n + step) / lc, lc, fading)
+                if not (r >= best if step < 0 else r > best):
+                    break
+                n, best = n + step, r
+            if n != start:
+                break
+        return int(n), float(best)
     n = np.interp(np.log10(rho), log_rho, guide).round()
     trial = np.clip(n[:, None] + np.array([-1.0, 0.0, 1.0]), 1.0, n_hi)
     rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
@@ -542,8 +563,15 @@ def rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, fading: FadingMode
 
     The pilot search is exact on the integer lattice (see _best_pilots).
     """
+    return _fixed_bandwidth_point(pd, w_hz, cb, fading, _best_pilots)
+
+
+def _fixed_bandwidth_point(pd, w_hz: float, cb: CoherenceBlock, fading: FadingModel,
+                           search) -> OperatingPoint:
+    """rate_fixed_bandwidth with the exact pilot search passed in: _best_pilots
+    or _guided_pilots, which return the same count and rate bits on floats."""
     pd_hz = _pd_hz(pd)
     if not w_hz > 0.0:
         raise ValueError(f"bandwidth must be positive, got {w_hz}")
-    n, rate_bps = _best_pilots(pd_hz / w_hz, w_hz, cb.lc, fading)
+    n, rate_bps = search(pd_hz / w_hz, w_hz, cb.lc, fading)
     return _lattice_point(pd_hz, w_hz, n, cb.lc, rate_bps)

@@ -188,6 +188,105 @@ def test_guided_candidate_pass_keeps_group_allocations(monkeypatch):
     assert guided == golden
 
 
+def _loop_candidates(weak, strong, p_budget, w_budget, offsets_db, m_center, branches):
+    """The candidate vectors (p_weak, w_weak, w_strong), built one power
+    offset at a time: the reference for the array pass of _best_over_offsets.
+    branches collects the paths taken."""
+    bc_w, bc_s = weak.cb.bc_hz, strong.cb.bc_hz
+
+    def cap_steps(user, p):
+        point = core.solve_continuous(user.pd_hz(p), user.cb, user.fading)
+        return max(1, math.ceil(point.w_hz / user.cb.bc_hz - 1e-9))
+
+    def segment(lo, hi, max_points):
+        if hi <= lo:
+            branches.add("single")
+            return np.array([max(1, lo)], dtype=int)
+        if hi - lo + 1 <= max_points:
+            branches.add("dense")
+            return np.arange(lo, hi + 1)
+        branches.add("spread")
+        return np.unique(np.linspace(lo, hi, max_points).round().astype(int))
+
+    p_w_rows, w_w_rows, w_s_rows = [], [], []
+    for off in offsets_db:
+        p_w = weak.pt_w * 10.0 ** (off / 10.0)
+        p_s = p_budget - p_w
+        if p_s <= 0.0:
+            branches.add("no power left")
+            continue
+        cap_w = cap_steps(weak, p_w)
+        cap_s = cap_steps(strong, p_s)
+        m_hi = min(cap_w, int((w_budget - bc_s) // bc_w))
+        if m_hi < 1:
+            branches.add("no bandwidth left")
+            continue
+        if cap_w * bc_w + cap_s * bc_s <= w_budget:
+            branches.add("both caps fit")
+            ms = np.unique(np.array([max(1, cap_w - 1), min(cap_w, m_hi)]))
+        elif m_center is None:
+            ms = segment(1, m_hi, 24)
+        else:
+            branches.add("window")
+            ms = segment(max(1, m_center - 12), min(m_hi, m_center + 12), 25)
+        w_w = ms * bc_w
+        avail = ((w_budget - w_w) // bc_s).astype(int)
+        for cap in (cap_s - 1, cap_s):
+            if cap < 1:
+                continue
+            n_s = np.minimum(cap, avail)
+            valid = n_s >= 1
+            if not valid.any():
+                continue
+            w_w_rows.append(w_w[valid].astype(float))
+            w_s_rows.append(n_s[valid] * bc_s)
+            p_w_rows.append(np.full(int(valid.sum()), p_w))
+    if not p_w_rows:
+        return None
+    return tuple(np.concatenate(rows) for rows in (p_w_rows, w_w_rows, w_s_rows))
+
+
+def test_candidate_pass_builds_the_loop_candidates_to_the_byte(monkeypatch):
+    # the top-4 pick sorts with an unstable argsort, so the candidate vectors
+    # must match in value and order, not just as sets
+    seen = []
+    monkeypatch.setattr(allocate, "_rates_flat",
+                        lambda user, p, w: seen.append((p, w)) or np.zeros(p.size))
+    rng = np.random.default_rng(909)
+    laws = [RAY, FadingModel.deterministic()]
+    tiles = [CB, CoherenceBlock.from_tc_bc(tc_s=4e-4, bc_hz=1e6),
+             CoherenceBlock.from_tc_bc(tc_s=1e-3, bc_hz=20e6)]
+    branches = set()
+    for i in range(90):
+        cb, fading = tiles[i % 3], laws[(i // 3) % 2]
+        # every tenth pair pools less than two lattice steps: none for the weak user
+        steps = [int(rng.integers(1, 200)) if i % 10 else 0.7 for _ in range(2)]
+        weak, strong = sorted(
+            (UserLink(gain_hz_per_watt=10.0 ** rng.uniform(6.0, 9.0),
+                      pt_w=10.0 ** rng.uniform(-1.0, 1.0), w0_hz=cb.bc_hz * k, cb=cb,
+                      fading=fading) for k in steps),
+            key=lambda u: u.gain_hz_per_watt)
+        p_budget, w_budget = weak.pt_w + strong.pt_w, weak.w0_hz + strong.w0_hz
+        hi_db = 10.0 * math.log10(p_budget / weak.pt_w)
+        m_center = int(rng.integers(1, 60)) if i % 4 == 3 else None
+        # past the full-budget corner too, where no power is left to the strong user
+        offsets = allocate._power_offsets(rng.choice([1.0, 0.1]), hi_db + 1.0)
+        seen.clear()
+        # zero rates meet no positive baseline, so nothing is picked
+        assert allocate._best_over_offsets(weak, strong, p_budget, w_budget, 1.0, 1.0, "sum",
+                                           offsets, m_center) is None
+        want = _loop_candidates(weak, strong, p_budget, w_budget, offsets, m_center, branches)
+        if want is None:
+            assert seen == []
+            continue
+        (p_w, w_w), (p_s, w_s) = seen
+        for got, ref in ((p_w, want[0]), (w_w, want[1]), (w_s, want[2])):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), i
+        assert p_s.tobytes() == (p_budget - want[0]).tobytes()
+    assert branches == {"no power left", "no bandwidth left", "both caps fit", "single",
+                        "dense", "spread", "window"}
+
+
 def test_group_solves_each_pair_budget_once(monkeypatch):
     solves = []
     original = allocate._allocate_pair_budget
@@ -232,6 +331,23 @@ def test_cap_steps_brackets_continuous_optimum():
     w_cont = core.solve_continuous(u.pd_hz(1.0), CB, RAY).w_hz
     assert cap == math.ceil(w_cont / CB.bc_hz - 1e-9)
     assert cap >= 1
+
+
+def test_cap_steps_on_arrays_match_the_scalar_form():
+    u = _user(80.0)
+    p = 10.0 ** np.linspace(-4.0, 2.0, 61)
+    caps = allocate._cap_steps(u, p)
+    want = [max(1, math.ceil(core.solve_continuous(u.pd_hz(float(x)), CB, RAY).w_hz
+                             / CB.bc_hz - 1e-9)) for x in p]
+    assert caps.tolist() == want
+    assert min(want) == 1 and max(want) > 1000
+
+
+@pytest.mark.parametrize("p_w", [math.inf, math.nan, 0.0, np.array([1.0, math.nan]),
+                                 np.array([math.inf, 1.0])])
+def test_cap_steps_rejects_a_bad_power_density(p_w):
+    with pytest.raises(ValueError, match="Pr/N0"):
+        allocate._cap_steps(_user(80.0), p_w)
 
 
 def test_synthetic_gains_deterministic():

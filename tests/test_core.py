@@ -397,6 +397,48 @@ def test_guided_pilots_are_exact_from_a_wrong_guide(monkeypatch, guess):
         assert np.array_equal(n, core._best_pilots(rho, w, lc, fading)[0]), fading.kind
 
 
+@pytest.mark.parametrize("lc", [2.0, 2.5, 17.3, 2500.0, 1e6])
+def test_guided_pilots_on_floats_match_golden_search(lc):
+    # the scalar re-score path: same count and the same rate bits as the
+    # golden search, for rho on and off the guide (1e-10..1e10)
+    rng = np.random.default_rng(int(lc * 10) + 2)
+    for fading in _three_laws(rng):
+        for _ in range(100):
+            rho = float(10.0 ** rng.uniform(-10.0, 10.0))
+            w = float(10.0 ** rng.uniform(5.0, 9.0))
+            got = core._guided_pilots(rho, w, lc, fading)
+            assert got == core._best_pilots(rho, w, lc, fading), (fading.kind, rho)
+            assert type(got[0]) is int and type(got[1]) is float
+
+
+@pytest.mark.parametrize("lc", [2.0, 2.5, 17.3, 2500.0])
+def test_guided_pilots_on_floats_match_brute_force(lc):
+    rng = np.random.default_rng(int(lc * 10) + 3)
+    n_all = np.arange(1.0, core._max_pilots(lc) + 1.0)
+    for fading in _three_laws(rng):
+        for _ in range(30):
+            rho = float(10.0 ** rng.uniform(-10.0, 10.0))
+            w = float(10.0 ** rng.uniform(5.0, 9.0))
+            n, _ = core._guided_pilots(rho, w, lc, fading)
+            brute = core._rates(rho, w, n_all / lc, lc, fading)
+            assert n == n_all[np.argmax(brute)], (fading.kind, rho)
+
+
+@pytest.mark.parametrize("guess", ["lowest", "highest"])
+def test_guided_pilots_on_floats_are_exact_from_a_wrong_guide(monkeypatch, guess):
+    lc = 700.0
+    log_rho = np.linspace(-8.0, 8.0, 3)
+    start = 1.0 if guess == "lowest" else float(core._max_pilots(lc))
+    monkeypatch.setattr(core, "_pilot_guide", lambda lc, fading: (log_rho, np.full(3, start)))
+    rng = np.random.default_rng(12)
+    for fading in _three_laws(rng):
+        for _ in range(30):
+            rho = float(10.0 ** rng.uniform(-4.0, 4.0))
+            w = float(10.0 ** rng.uniform(5.0, 9.0))
+            got = core._guided_pilots(rho, w, lc, fading)
+            assert got == core._best_pilots(rho, w, lc, fading), (fading.kind, rho)
+
+
 def _count_kernel_calls(monkeypatch):
     """Count every fading-kernel evaluation: the two public expectations and
     the Rayleigh scalar and array kernels that the joint one calls directly."""
