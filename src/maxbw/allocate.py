@@ -17,7 +17,6 @@ bits of core.rate_fixed_bandwidth.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import core
 from .core import CoherenceBlock
-from .errors import ConfigError
+from .errors import ConfigError, read_numeric_rows
 from .fading import FadingModel
 
 MAX_WEAK = "max-weak"
@@ -399,28 +398,16 @@ def load_users_csv(path, cb: CoherenceBlock, fading: FadingModel) -> List[UserLi
 
     gain_dB is the combined channel gain over noise density in dB(Hz/W).
     """
-    users = []
-    header_allowed = True
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            try:
-                gain_db, pt_dbm, w0_hz = (float(x) for x in row[:3])
-            except ValueError:
-                # only the leading row may be non-numeric (column header)
-                if header_allowed:
-                    header_allowed = False
-                    continue
-                raise ConfigError(f"{path}:{lineno}: bad user row {row!r}") from None
-            header_allowed = False
-            users.append(UserLink(
-                gain_hz_per_watt=10.0 ** (gain_db / 10.0),
-                pt_w=10.0 ** ((pt_dbm - 30.0) / 10.0),
-                w0_hz=w0_hz,
-                cb=cb,
-                fading=fading,
-            ))
+    users = [
+        UserLink(
+            gain_hz_per_watt=10.0 ** (gain_db / 10.0),
+            pt_w=10.0 ** ((pt_dbm - 30.0) / 10.0),
+            w0_hz=w0_hz,
+            cb=cb,
+            fading=fading,
+        )
+        for gain_db, pt_dbm, w0_hz in read_numeric_rows(path, 3, "user")
+    ]
     if not users:
         raise ConfigError(f"no users parsed from {path}")
     return users

@@ -120,15 +120,19 @@ def substitute(cfg: ArrayConfig, cb: CoherenceBlock) -> SubstitutedProblem:
                               sweep_penalty=penalty)
 
 
-def _substituted_block(cb: CoherenceBlock, lc_tilde: float) -> CoherenceBlock:
-    # bandwidth lattice is a property of the channel, not of the sweep
-    return CoherenceBlock(lc=lc_tilde, bc_hz=cb.bc_hz)
-
-
 def _check_pair(gain: float, sweep_penalty: float, lc: float) -> float:
     if gain <= 0.0 or sweep_penalty < 1.0:
         raise ConfigError(f"bad gain pair ({gain}, {sweep_penalty})")
     return _lc_tilde(lc, sweep_penalty)
+
+
+def _substituted(pd, cb: CoherenceBlock, gain: float,
+                 sweep_penalty: float) -> Tuple[float, CoherenceBlock]:
+    """The scalar problem's inputs under a checked gain pair: the density
+    pd*gain in hertz and the block of length lc/(Kt*G2)."""
+    lc_tilde = _check_pair(gain, sweep_penalty, cb.lc)
+    # bandwidth lattice is a property of the channel, not of the sweep
+    return core._pd_hz(pd) * gain, CoherenceBlock(lc=lc_tilde, bc_hz=cb.bc_hz)
 
 
 def solve_with_gains(pd, cb: CoherenceBlock, gain: float, sweep_penalty: float,
@@ -139,18 +143,15 @@ def solve_with_gains(pd, cb: CoherenceBlock, gain: float, sweep_penalty: float,
     shortened by the sweep penalty, and reports rho back in pre-gain units.
     Budgets that already fold the array gain into pd pass gain = 1.
     """
-    lc_tilde = _check_pair(gain, sweep_penalty, cb.lc)
-    pd_hz = core._pd_hz(pd)
-    point = core.solve_continuous(pd_hz * gain, _substituted_block(cb, lc_tilde), fading)
+    point = core.solve_continuous(*_substituted(pd, cb, gain, sweep_penalty), fading)
     return replace(point, rho=point.rho / gain)
 
 
 def fixed_bandwidth_with_gains(pd, w_hz: float, cb: CoherenceBlock, gain: float,
                                sweep_penalty: float, fading: FadingModel) -> OperatingPoint:
     """Pilot-only optimization at pinned bandwidth under an explicit gain pair."""
-    lc_tilde = _check_pair(gain, sweep_penalty, cb.lc)
-    point = core.rate_fixed_bandwidth(core._pd_hz(pd) * gain, w_hz,
-                                      _substituted_block(cb, lc_tilde), fading)
+    pd_sub, sub_cb = _substituted(pd, cb, gain, sweep_penalty)
+    point = core.rate_fixed_bandwidth(pd_sub, w_hz, sub_cb, fading)
     return replace(point, rho=point.rho / gain)
 
 
@@ -169,8 +170,8 @@ def mimo_rate(pd, w_hz: float, alpha: float, cb: CoherenceBlock, cfg: ArrayConfi
               fading: FadingModel) -> float:
     """Rate of an array link at an explicit (bandwidth, pilot ratio) choice."""
     sub = substitute(cfg, cb)
-    return core.rate(core._pd_hz(pd) * sub.gain, w_hz, alpha,
-                     _substituted_block(cb, sub.lc_tilde), fading)
+    pd_sub, sub_cb = _substituted(pd, cb, sub.gain, sub.sweep_penalty)
+    return core.rate(pd_sub, w_hz, alpha, sub_cb, fading)
 
 
 def mimo_rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, cfg: ArrayConfig,

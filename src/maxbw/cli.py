@@ -67,20 +67,19 @@ def _solve_row(res: scenario.Resolved) -> Tuple[core.OperatingPoint, Dict[str, o
     point = beamform.solve_with_gains(res.pd, res.cb, res.gain, res.sweep_penalty, res.fading)
     fixed = beamform.fixed_bandwidth_with_gains(
         res.pd, FIXED_REFERENCE_HZ, res.cb, res.gain, res.sweep_penalty, res.fading)
-    lc_tilde = res.cb.lc / res.sweep_penalty
-    pd_beamformed = res.pd.pr_over_n0_hz * res.gain
+    pd_sub, sub_cb = beamform._substituted(res.pd, res.cb, res.gain, res.sweep_penalty)
     return point, {
         "w_opt_hz": point.w_hz,
         "alpha_opt": point.alpha,
-        "pilots": max(1, round(point.alpha * lc_tilde)),
+        "pilots": max(1, round(point.alpha * sub_cb.lc)),
         "rho_opt": point.rho,
         "g_rho_db": 10.0 * math.log10(point.rho * res.gain),
         "rate_bps": point.rate_bps,
         "rate_fixed_1ghz_bps": fixed.rate_bps,
-        "rate_csir_bps": baselines.csir_rate(core.PowerDensity(pd_beamformed)),
-        "rate_fsk_bps": baselines.peaky_fsk_rate(core.PowerDensity(pd_beamformed), lc_tilde),
+        "rate_csir_bps": baselines.csir_rate(core.PowerDensity(pd_sub)),
+        "rate_fsk_bps": baselines.peaky_fsk_rate(core.PowerDensity(pd_sub), sub_cb.lc),
         "rate_mi_bps": baselines.non_peaky_mi_rate(
-            core.PowerDensity(pd_beamformed), lc_tilde, res.fading),
+            core.PowerDensity(pd_sub), sub_cb.lc, res.fading),
     }
 
 
@@ -95,20 +94,18 @@ def cmd_optimize(args) -> int:
     mapping = _load_mapping(args)
     res = scenario.resolve(mapping)
     point, row = _solve_row(res)
-    lc_tilde = res.cb.lc / res.sweep_penalty
+    pd_sub, sub_cb = beamform._substituted(res.pd, res.cb, res.gain, res.sweep_penalty)
 
     report: Dict[str, object] = {
         "pd_dbhz": 10.0 * math.log10(res.pd.pr_over_n0_hz),
         "gain_db": 10.0 * math.log10(res.gain),
         "sweep_penalty": res.sweep_penalty,
         "lc": res.cb.lc,
-        "lc_tilde": lc_tilde,
+        "lc_tilde": sub_cb.lc,
     }
     report.update(row)
 
     if res.cb.bc_hz is not None:
-        sub_cb = core.CoherenceBlock(lc=lc_tilde, bc_hz=res.cb.bc_hz)
-        pd_sub = res.pd.pr_over_n0_hz * res.gain
         # the lattice reports its own flags, not the continuous solve's
         lattice = core.discretize(replace(point, flags=()), sub_cb, pd_sub, res.fading)
         report["lattice_w_hz"] = lattice.w_hz

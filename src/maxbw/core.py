@@ -343,43 +343,34 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
 
     The search for callers that see a coherence length once or a few times:
     rate_fixed_bandwidth, exhaustive_search and _pilot_guide. The allocation
-    layer, which sees one length many times, uses _guided_pilots for its
-    candidate pass and its scalar re-scores alike.
+    layer, which sees one length many times, uses _guided_pilots.
 
-    Golden-section search on the pilot ratio, one new rate per iteration.
-    The rate is log-concave in alpha at fixed W, so the search cannot miss
-    the basin, and after ceil(ln Lc / ln phi) + 1 iterations the bracket
-    [a, b] is narrower than one pilot: the integer argmax is then among
-    floor(a*Lc) .. floor(a*Lc) + 2. rho and w are scalars or arrays of
-    one shape, each element searched on its own. The branches are blends
-    s*u + (1-s)*v with s in {0, 1}, exact for finite values, so scalars
-    stay Python floats throughout and never become 0-d arrays.
+    A golden-section search on the pilot ratio narrows [a, b] to about one
+    pilot, and _walk_pilots finishes exactly from floor(a*Lc) + 1. rho and w
+    are broadcastable arrays, or floats, which stay Python floats: the
+    bracket updates are blends s*u + (1-s)*v with s in {0, 1}, exact for
+    finite values.
     """
-    scalar = not (isinstance(rho, np.ndarray) or isinstance(w, np.ndarray))
-    a = 1e-9 if scalar else np.full(np.broadcast(rho, w).shape, 1e-9)
+    shape = None
+    if isinstance(rho, np.ndarray) or isinstance(w, np.ndarray):
+        rho, w = np.broadcast_arrays(rho, w)
+        shape, rho, w = rho.shape, rho.ravel(), w.ravel()
+    a = 1e-9 if shape is None else np.full(rho.size, 1e-9)
     b = 1.0 - a
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = _rates(rho, w, c, lc, fading), _rates(rho, w, d, lc, fading)
-    for _ in range(math.ceil(math.log(lc) / -math.log(_INV_PHI)) + 1):
+    for _ in range(math.ceil(math.log(lc) / -math.log(_INV_PHI))):
         s = (fc > fd) * 1.0  # 1 where the maximum lies in [a, d], else in [c, b]
         t = 1.0 - s
         a, b = s * a + t * c, s * d + t * b
         x = s * (b - _INV_PHI * (b - a)) + t * (a + _INV_PHI * (b - a))
         fx = _rates(rho, w, x, lc, fading)
         c, d, fc, fd = s * x + t * d, s * c + t * x, s * fx + t * fd, s * fc + t * fx
-    best_n, best_r = 0.0, -1.0  # every rate is >= 0, so the first candidate replaces this
     n_hi = _max_pilots(lc)
-    for k in range(3):
-        if scalar:
-            n = float(min(max(math.floor(a * lc) + k, 1), n_hi))
-        else:
-            n = np.minimum(np.maximum(np.floor(a * lc) + k, 1.0), n_hi)
-        r = _rates(rho, w, n / lc, lc, fading)
-        s = (r > best_r) * 1.0
-        best_n, best_r = s * n + (1.0 - s) * best_n, s * r + (1.0 - s) * best_r
-    if scalar:
-        return int(best_n), float(best_r)
-    return best_n.astype(int), best_r
+    if shape is None:
+        return _walk_pilots(rho, w, lc, fading, float(min(math.floor(a * lc) + 1, n_hi)))
+    n, best = _walk_pilots(rho, w, lc, fading, np.minimum(np.floor(a * lc) + 1.0, n_hi))
+    return n.reshape(shape), best.reshape(shape)
 
 
 @lru_cache(maxsize=256)
@@ -397,27 +388,32 @@ def _pilot_guide(lc: float, fading: FadingModel):
 
 
 def _guided_pilots(rho, w, lc: float, fading: FadingModel):
-    """_best_pilots for floats, or for 1-d arrays rho and w of one length,
-    started from the guide.
-
-    The allocation layer's search: its candidate pass passes arrays and its
-    re-scores (allocate.fixed_bandwidth_rate) pass floats. The guide is
-    interpolated at each rho and rounded to a count n. An array scores n - 1,
-    n and n + 1 at once and keeps the best, ties going to the lower count;
-    where an end wins, the search walks one pilot at a time in that
-    direction, on those elements only, until the next count no longer wins.
-    A float scores n on the scalar path, walks down while the next count
-    does at least as well and, if it did not move, up while the next count
-    does better: the same ties, in scalar evaluations. The rate is
-    log-concave in alpha at fixed W, so it is unimodal over the integer
-    counts and a local maximum is the global one: the guide only saves rate
-    evaluations and cannot change the answer.
-    """
+    """_best_pilots for floats, or 1-d arrays of one length, walked from the
+    count the guide gives at each rho: the allocation layer's search, on
+    arrays in its candidate pass and on floats in its re-scores. The guide
+    only saves rate evaluations and cannot change the answer."""
     log_rho, guide = _pilot_guide(lc, fading)
-    n_hi = _max_pilots(lc)
-    if not isinstance(rho, np.ndarray):
+    if isinstance(rho, np.ndarray):
+        n = np.interp(np.log10(rho), log_rho, guide).round()
+    else:
         x = math.log10(rho) if rho > 0.0 else -math.inf
         n = float(round(np.interp(x, log_rho, guide)))
+    return _walk_pilots(rho, w, lc, fading, n)
+
+
+def _walk_pilots(rho, w, lc: float, fading: FadingModel, n):
+    """The integer pilot argmax and its rate, walking from count n.
+
+    rho, w and n are floats, or 1-d arrays of one length. An array scores
+    n - 1, n and n + 1 at once, then walks one pilot at a time where an end
+    won, on those elements only, while the next count wins. A float walks
+    down from n while the next count does at least as well and, if it did
+    not move, up while the next count does better. Ties go to the lower
+    count either way. The rate is log-concave in alpha at fixed W, so a
+    local maximum over the counts is the global one, whatever the start.
+    """
+    n_hi = _max_pilots(lc)
+    if not isinstance(rho, np.ndarray):
         best = _rates(rho, w, n / lc, lc, fading)
         for step in (-1.0, 1.0):
             start = n
@@ -429,7 +425,6 @@ def _guided_pilots(rho, w, lc: float, fading: FadingModel):
             if n != start:
                 break
         return int(n), float(best)
-    n = np.interp(np.log10(rho), log_rho, guide).round()
     trial = np.clip(n[:, None] + np.array([-1.0, 0.0, 1.0]), 1.0, n_hi)
     rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
     k = rates.argmax(axis=1)
@@ -448,16 +443,14 @@ def _guided_pilots(rho, w, lc: float, fading: FadingModel):
     return n.astype(int), best
 
 
-def _best_neighbor(pd_hz: float, best, cb: CoherenceBlock, fading: FadingModel,
-                   m_max: Optional[int] = None):
+def _best_neighbor(pd_hz: float, best, cb: CoherenceBlock, fading: FadingModel):
     """Best 3x3 lattice neighbor of best = (rate, m, n) beating its rate, or None.
 
-    A neighbor must win by more than 1e-12 relative; m stays within m_max.
+    A neighbor must win by more than 1e-12 relative.
     """
     rate_bps, m0, n0 = best
-    m_hi = m0 + 1 if m_max is None else min(m_max, m0 + 1)
     top = None
-    for m in range(max(1, m0 - 1), m_hi + 1):
+    for m in range(max(1, m0 - 1), m0 + 2):
         for n in range(max(1, n0 - 1), min(_max_pilots(cb.lc), n0 + 1) + 1):
             if (m, n) == (m0, n0):
                 continue
@@ -468,29 +461,18 @@ def _best_neighbor(pd_hz: float, best, cb: CoherenceBlock, fading: FadingModel,
     return top
 
 
-def _polish(pd_hz: float, best, cb: CoherenceBlock, fading: FadingModel,
-            m_max: Optional[int] = None):
-    """Greedy ascent through 3x3 neighbors from best = (rate, m, n) to a
-    lattice local maximum. Every step raises the rate by more than 1e-12
-    relative and no lattice rate exceeds the continuous optimum, so the walk
-    ends."""
-    while True:
-        step = _best_neighbor(pd_hz, best, cb, fading, m_max)
-        if step is None:
-            return best
-        best = step
-
-
 def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) -> OperatingPoint:
     """Round a continuous optimum onto the (W = m*Bc, integer pilots) lattice.
 
     Evaluates the rate at all floor/ceil combinations of the two coordinates,
-    keeps the best, then climbs through 3x3 lattice neighbors until none wins
-    by more than 1e-12 relative: on a flat peak the discrete argmax can sit
-    outside the rounding cell, on wide links hundreds of Bc steps away. If Bc
-    already exceeds the beneficial bandwidth the floor W = Bc is returned
-    with a "bandwidth_floor" flag: the relaxation's interior optimum does
-    not exist on the lattice.
+    keeps the best, then climbs to the best 3x3 lattice neighbor until none
+    wins by more than 1e-12 relative: on a flat peak the discrete argmax can
+    sit outside the rounding cell, on wide links hundreds of Bc steps away.
+    The continuous optimum bounds every lattice rate, so the climb ends, at
+    a 3x3 local maximum that exhaustive_search can beat elsewhere on the
+    lattice. If Bc already exceeds the beneficial bandwidth the floor W = Bc
+    is returned with a "bandwidth_floor" flag: the relaxation's interior
+    optimum does not exist on the lattice.
     """
     if cb.bc_hz is None:
         raise ValueError("discretize needs a coherence block with bc_hz set")
@@ -517,7 +499,9 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
             r = _rates(pd_hz / w, w, n / cb.lc, cb.lc, fading)
             if best is None or r > best[0]:
                 best = (r, m, n)
-    rate_bps, m, n = _polish(pd_hz, best, cb, fading)
+    while (step := _best_neighbor(pd_hz, best, cb, fading)) is not None:
+        best = step
+    rate_bps, m, n = best
     return _lattice_point(pd_hz, m * cb.bc_hz, n, cb.lc, rate_bps, flags)
 
 
@@ -526,9 +510,10 @@ def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -
 
     The pilot dimension is scanned in full when the coherence length is small
     enough; otherwise the exact pilot search of rate_fixed_bandwidth runs at
-    every bandwidth at once. The winner is certified against its 3x3 lattice
-    neighborhood. A "maximum_at_edge" flag marks a rate still increasing at
-    m_max, meaning the bracket was too small.
+    every bandwidth at once. Either way every bandwidth contributes its exact
+    best pilot count, so the winner is the maximum over the whole box and no
+    lattice neighbor inside it can beat it. A "maximum_at_edge" flag marks a
+    rate still increasing at m_max, meaning the bracket was too small.
     """
     if cb.bc_hz is None:
         raise ValueError("exhaustive_search needs a coherence block with bc_hz set")
@@ -553,7 +538,7 @@ def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -
         if rates[i, j] > best[0]:
             best = (float(rates[i, j]), m0 + int(i), int(np.broadcast_to(n, rates.shape)[i, j]))
 
-    rate_bps, m, n = _polish(pd_hz, best, cb, fading, m_max)
+    rate_bps, m, n = best
     flags = ("maximum_at_edge",) if m == m_max and m_max > 1 else ()
     return _lattice_point(pd_hz, m * cb.bc_hz, n, lc, rate_bps, flags)
 

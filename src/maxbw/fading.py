@@ -16,12 +16,13 @@ array, which gives the bits of their array path.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import read_numeric_rows
 
 RAYLEIGH = "rayleigh"
 DETERMINISTIC = "deterministic"
@@ -64,16 +65,22 @@ def _scalar_scale(s) -> float:
     return s
 
 
+def _exp_e1_series(x, exp, log):
+    """e^x E1(x) = e^x (Ein(x) - gamma - ln x) for x < 2, on a float with
+    math's exp and log or on an array with numpy's."""
+    ein = 0.0
+    for c in _EIN:
+        ein = (ein + c) * x
+    return exp(x) * (ein - _EULER_GAMMA - log(x))
+
+
 def _rayleigh(s: float):
     """(E[ln(1 + s X)], E[1/(1 + s X)]) for X ~ Exp(1) and a float s >= 0."""
     if s < _TINY:
         return s, 1.0 - s
     x = 1.0 / s
     if s > _SERIES_ABOVE:
-        ein = 0.0
-        for c in _EIN:
-            ein = (ein + c) * x
-        g = math.exp(x) * (ein - _EULER_GAMMA - math.log(x))
+        g = _exp_e1_series(x, math.exp, math.log)
     else:
         depth = 5 + math.ceil(100.0 / x)
         f = x + (2 * depth - 1)
@@ -121,11 +128,7 @@ def _rayleigh_array(s):
         return (flat * h).reshape(s.shape), h.reshape(s.shape)
     g, h = np.empty_like(flat), np.empty_like(flat)
     x = 1.0 / flat[series]
-    ein = np.zeros_like(x)
-    for c in _EIN:
-        ein += c
-        ein *= x
-    gx = np.exp(x) * (ein - _EULER_GAMMA - np.log(x))
+    gx = _exp_e1_series(x, np.exp, np.log)
     g[series], h[series] = gx, x * gx
     rest = ~series
     h[rest] = hr = _laguerre_inv1p(flat[rest])
@@ -207,18 +210,7 @@ class FadingModel:
     @classmethod
     def from_csv(cls, path) -> "FadingModel":
         """Load a tabulated model from two-column CSV (value, weight); header optional."""
-        pairs = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip():
-                    continue
-                try:
-                    pairs.append((float(row[0]), float(row[1])))
-                except ValueError:
-                    if pairs:
-                        raise
-                    continue  # header line
-        return cls.tabulated(pairs)
+        return cls.tabulated(read_numeric_rows(path, 2, "fading atom"))
 
     def mean_power(self) -> float:
         """E[X] as the expectation machinery actually sees it (unit-mean check)."""

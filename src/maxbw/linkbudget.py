@@ -6,7 +6,6 @@ only ever sees the linear Pr/N0 in hertz plus the array gain pair.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ import numpy as np
 
 from .beamform import RICH_SCATTERING, ArrayConfig
 from .core import PowerDensity
-from .errors import ConfigError
+from .errors import ConfigError, read_numeric_rows
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -38,12 +37,6 @@ _BLOCKAGE_EXCESS_DB = 25.0
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if not x > 0.0:
-        raise ValueError(f"cannot take dB of non-positive value {x}")
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -91,18 +84,7 @@ class PathLossModel:
     @classmethod
     def from_csv(cls, path) -> "PathLossModel":
         """Two-column CSV (distance_m, loss_db); header optional."""
-        points = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip():
-                    continue
-                try:
-                    points.append((float(row[0]), float(row[1])))
-                except ValueError:
-                    if points:
-                        raise
-                    continue
-        return cls.custom_table(points)
+        return cls.custom_table(read_numeric_rows(path, 2, "path loss"))
 
 
 def path_loss_db(model: PathLossModel, fc_hz: float, d_m: float) -> float:

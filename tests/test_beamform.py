@@ -214,7 +214,8 @@ def test_bandwidth_lattice_survives_substitution():
     cb = CoherenceBlock.from_tc_bc(tc_s=5e-3, bc_hz=1e7)
     cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
     sub = beamform.substitute(cfg, cb)
-    block = beamform._substituted_block(cb, sub.lc_tilde)
+    pd_sub, block = beamform._substituted(1e8, cb, sub.gain, sub.sweep_penalty)
+    assert pd_sub == 1e8 * sub.gain
     assert block.bc_hz == cb.bc_hz
     assert block.lc == pytest.approx(cb.lc / 64.0)
 

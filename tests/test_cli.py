@@ -187,6 +187,22 @@ def test_duplicate_scenario_key(tmp_path, capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("keys,table", [
+    ("pr_n0_dbhz = 80\nfading = tabulated\nfading_csv = {csv}\n", "value\n1.0\n"),
+    ("fc_ghz = 28\ndistance_m = 100\neirp_dbm = 52\npathloss = custom\n"
+     "pathloss_csv = {csv}\n", "d,loss\n10\n"),
+], ids=["fading_csv", "pathloss_csv"])
+def test_one_column_table_row_is_a_config_error(tmp_path, capsys, keys, table):
+    # the row used to escape as an IndexError traceback
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text(table)
+    scn = tmp_path / "t.scn"
+    scn.write_text("tc_ms = 1\nbc_mhz = 10\n" + keys.format(csv=csv_path))
+    code, out, err = run(capsys, "optimize", "--scenario", str(scn))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "table.csv:2: " in err
+
+
 def test_bad_argument_exits_one_not_two(capsys):
     # argparse would exit 2; the contract reserves 2 for solver failures
     code, _, err = run(capsys, "optimize", "--format", "yaml")

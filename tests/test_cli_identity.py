@@ -1,0 +1,33 @@
+"""Smoke test of tools/cli_identity.py on a few of its commands."""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location(
+        "cli_identity", os.path.join(ROOT, "tools", "cli_identity.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_identity_finds_no_difference_between_a_tree_and_itself(tmp_path):
+    tool = _tool()
+    cmds = tool.commands()
+    assert len(cmds) == 160
+    tool.write_inputs(str(tmp_path))
+    for argv in cmds:  # every file a command names was written
+        for arg in argv:
+            if arg.endswith((".csv", ".scn")):
+                assert (tmp_path / arg).is_file(), arg
+    few = [["presets", "list"],
+           ["optimize", "--scenario", "tabulated.scn", "--verify"],
+           ["allocate", "--scenario", "tabulated_channel.scn", "--users", "users3.csv",
+            "--objective", "sum", "--format", "json"]]
+    assert all(argv in cmds for argv in few)
+    code, out, err = tool.run(ROOT, few[1], str(tmp_path))
+    assert (code, err) == (0, b"") and b"verified_local_max = true" in out
+    assert tool.differing(ROOT, ROOT, few, str(tmp_path)) == []

@@ -355,6 +355,23 @@ def _three_laws(rng):
     return [RAY, DET, FadingModel.tabulated([(v / atoms.mean(), 1.0 / 64) for v in atoms])]
 
 
+@pytest.mark.parametrize("lc", [5000.0, 2e4])
+def test_best_pilots_on_arrays_match_brute_force_above_the_full_scan(lc):
+    # exhaustive_search takes this search at every bandwidth once Lc - 1 > 4096;
+    # a column of points, as exhaustive_search passes, keeps its shape
+    rng = np.random.default_rng(int(lc) + 4)
+    n_all = np.arange(1.0, core._max_pilots(lc) + 1.0)
+    rho = np.geomspace(1e-6, 1e4, 31)
+    for fading in _three_laws(rng):
+        w = 10.0 ** rng.uniform(5.0, 9.0, rho.size)
+        n, r = core._best_pilots(rho[:, None], w[:, None], lc, fading)
+        assert n.shape == r.shape == (rho.size, 1)
+        for j in range(rho.size):
+            brute = core._rates(rho[j], w[j], n_all / lc, lc, fading)
+            assert n[j, 0] == n_all[np.argmax(brute)], (fading.kind, rho[j])
+            assert r[j, 0] == pytest.approx(brute.max(), rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("lc", [2.0, 2.5, 17.3, 2500.0, 1e6])
 def test_guided_pilots_match_golden_search(lc):
     # rho spans 1e-10..1e10, so a fifth of the points lie outside the guide

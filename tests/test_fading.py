@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxbw
+from maxbw.errors import ConfigError
 from maxbw.fading import FadingModel
 
 
@@ -132,15 +133,44 @@ TAB_PINS = [
 ]
 
 
+# Rayleigh's scalar and array kernels differ in the last bits, so its rows
+# are (s, log1p, inv1p, array log1p, array inv1p); the scales straddle
+# s = 1/2, where both switch to the series for E1(1/s).
+RAY_PINS = [
+    (0.05, 0.047718545495960836, 0.9543709099192167, 0.04771854549596084, 0.9543709099192168),
+    (0.1, 0.09156333393978808, 0.9156333393978808, 0.09156333393978806, 0.9156333393978806),
+    (0.17, 0.14783010253921097, 0.8695888384659468, 0.14783010253921094, 0.8695888384659467),
+    (0.25, 0.20634564990105583, 0.8253825996042233, 0.2063456499010558, 0.8253825996042232),
+    (0.31, 0.246949759846256, 0.7966121285363097, 0.246949759846256, 0.7966121285363097),
+    (0.38, 0.2913583645554853, 0.7667325383039088, 0.29135836455548525, 0.7667325383039085),
+    (0.43, 0.321379691864259, 0.7473946322424628, 0.32137969186425897, 0.7473946322424627),
+    (0.47, 0.3444874409473296, 0.7329520020155949, 0.34448744094732936, 0.7329520020155944),
+    (0.49, 0.35575975091307116, 0.7260403079858595, 0.35575975091307077, 0.7260403079858587),
+    (0.5, 0.36132861688822254, 0.7226572337764451, 0.3613286168882221, 0.7226572337764442),
+    (0.5000000000000001, 0.36132861688822404, 0.722657233776448, 0.36132861688822404, 0.722657233776448),
+    (0.51, 0.36685373235590013, 0.7193210438350983, 0.36685373235590013, 0.7193210438350983),
+    (0.53, 0.37777588827879804, 0.7127846948656567, 0.37777588827879804, 0.7127846948656567),
+    (0.57, 0.39912885096244505, 0.7002260543200791, 0.399128850962445, 0.700226054320079),
+    (0.65, 0.44002006711977243, 0.6769539494150344, 0.44002006711977243, 0.6769539494150344),
+    (0.8, 0.5110328836740476, 0.6387911045925596, 0.5110328836740476, 0.6387911045925596),
+    (1.3, 0.7089275381093549, 0.5453288754687345, 0.7089275381093549, 0.5453288754687345),
+    (7.0, 1.7379694590665815, 0.2482813512952259, 1.7379694590665815, 0.2482813512952259),
+    (120.0, 4.253893902847778, 0.03544911585706481, 4.253893902847778, 0.03544911585706481),
+    (33000.0, 9.827375273086455, 0.0002977992506995895, 9.827375273086455, 0.0002977992506995895),
+]
+
+
 @pytest.mark.parametrize("model,pins", [(FadingModel.deterministic(), DET_PINS),
-                                        (FadingModel.tabulated(TAB_ATOMS), TAB_PINS)],
-                         ids=["deterministic", "tabulated"])
+                                        (FadingModel.tabulated(TAB_ATOMS), TAB_PINS),
+                                        (FadingModel.rayleigh(), RAY_PINS)],
+                         ids=["deterministic", "tabulated", "rayleigh"])
 def test_scalar_path_keeps_pinned_bits(model, pins):
-    for s, log1p, inv1p in pins:
+    for s, log1p, inv1p, *array in pins:
+        array_log1p, array_inv1p = array or (log1p, inv1p)
         assert model.expected_log1p(s) == log1p
         assert model.expected_inv1p(s) == inv1p
-        assert model.expected_log1p(np.array([s]))[0] == log1p
-        assert model.expected_inv1p(np.array([s]))[0] == inv1p
+        assert model.expected_log1p(np.array([s]))[0] == array_log1p
+        assert model.expected_inv1p(np.array([s]))[0] == array_inv1p
 
 
 def test_import_loads_no_test_oracles():
@@ -225,6 +255,18 @@ def test_tabulated_from_csv(tmp_path):
     tab = FadingModel.from_csv(path)
     ref = FadingModel.tabulated([(0.5, 0.5), (1.5, 0.5)])
     assert tab.expected_log1p(0.3) == ref.expected_log1p(0.3)
+
+
+@pytest.mark.parametrize("text,line", [("value\n1.0\n", 2),
+                                       ("a,b\n# note\nc,d\n1.0,1.0\n", 2)],
+                         ids=["one-column-row", "junk-rows"])
+def test_tabulated_from_csv_rejects_bad_rows(tmp_path, text, line):
+    # a short row used to raise IndexError, and any run of leading
+    # non-numeric rows was skipped; only the first row may be a header
+    path = tmp_path / "atoms.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"atoms.csv:{line}: "):
+        FadingModel.from_csv(path)
 
 
 def test_models_are_hashable_and_comparable():

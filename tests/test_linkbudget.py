@@ -87,6 +87,27 @@ def test_custom_table_from_csv(tmp_path):
     assert model.table == ((10.0, 80.0), (1000.0, 120.0))
 
 
+@pytest.mark.parametrize("text", ["d,loss\n10,80\n1000,120.5\n300,101\n",
+                                  "10,80\n1000,120.5\n300,101\n",
+                                  "\nd,loss\n\n10,80\n  \n1000,120.5,extra\n,\n300,101\n\n"],
+                         ids=["header", "no-header", "blank-rows"])
+def test_custom_table_from_csv_matches_custom_table(tmp_path, text):
+    p = tmp_path / "loss.csv"
+    p.write_text(text)
+    ref = PathLossModel.custom_table([(10, 80), (1000, 120.5), (300, 101)])
+    assert PathLossModel.from_csv(p) == ref
+
+
+@pytest.mark.parametrize("text,line", [("d,loss\n10\n", 2), ("d,loss\n10,80\nx,y\n", 3),
+                                       ("a,b\n# note\n10,80\n1000,120\n", 2)],
+                         ids=["one-column-row", "late-junk-row", "junk-rows"])
+def test_custom_table_from_csv_rejects_bad_rows(tmp_path, text, line):
+    p = tmp_path / "loss.csv"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=f"loss.csv:{line}: "):
+        PathLossModel.from_csv(p)
+
+
 # -------------------------------------------------------------- power density
 
 

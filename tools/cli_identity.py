@@ -1,0 +1,125 @@
+"""Check that two source trees give byte-identical `maxbw` CLI output.
+
+    python3 tools/cli_identity.py PARENT_DIR CHANGE_DIR
+
+Each directory is a checkout of this repository. The script writes its input
+files (user tables, a 64-atom fading table and a few scenarios) to a
+temporary directory, runs every command of COMMANDS as
+`python -m maxbw.cli ...` against each tree's `src`, with no bytecode
+written, and prints each command whose stdout, stderr or exit code differs.
+It exits 1 if any does, else 0.
+
+The 160 commands: `optimize` in three formats with and without `--verify`,
+and `baselines` in three formats, on all 7 presets; `sweep` in csv and json
+on fig2, fig6a and fig6b; `presets list` and `presets verify`; `allocate` on
+2-, 3- and 4-user tables over Rayleigh, deterministic and tabulated
+channels, for every objective and format; `optimize --verify` and
+`baselines` on a tabulated, a Rayleigh and a wide-link scenario; and
+`sweep --format json` on a tabulated and a deterministic scenario.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+PRESETS = ("abstract-28ghz", "abstract-39ghz", "fcc-28ghz", "fig2", "fig4-left",
+           "fig6a", "fig6b")
+FORMATS = ("text", "json", "csv")
+OBJECTIVES = ("max-weak", "max-strong", "sum")
+USERS = {
+    "users2.csv": "gain_dB,Pt_dBm,W0_Hz\n68,30,100e6\n80,30,100e6\n",
+    "users3.csv": "gain_dB,Pt_dBm,W0_Hz\n66,30,100e6\n74.5,27,150e6\n83,30,80e6\n",
+    "users4.csv": "64,30,100e6\n71,30,100e6\n77,33,200e6\n85,30,100e6\n",
+}
+CHANNELS = ("rayleigh", "deterministic", "tabulated")
+SCENARIOS = {
+    "tabulated.scn": "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nfading = tabulated\n"
+                     "fading_csv = atoms.csv\n",
+    "rayleigh.scn": "pr_n0_dbhz = 75\ntc_ms = 2\nbc_mhz = 5\nfading = rayleigh\n",
+    # W*/Bc is about 84 600: the lattice maximum lies far from the rounding cell
+    "wide.scn": "pr_n0_dbhz = 90\nlc = 1000\nbc_mhz = 0.1\nfading = rayleigh\n",
+    "sweep_tabulated.scn": "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nfading = tabulated\n"
+                           "fading_csv = atoms.csv\nsweep = tc_ms\nsweep_start = 0.1\n"
+                           "sweep_stop = 10\nsweep_points = 5\nsweep_spacing = log\n",
+    "sweep_deterministic.scn": "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\n"
+                               "fading = deterministic\nsweep = pr_n0_dbhz\n"
+                               "sweep_start = 60\nsweep_stop = 100\nsweep_points = 5\n",
+}
+
+
+def write_inputs(folder: str) -> None:
+    """Write every input file that COMMANDS names into folder."""
+    rng = random.Random(20171)
+    values = sorted(rng.gammavariate(1.5, 1.0) for _ in range(64))
+    mean = sum(values) / len(values)
+    files = dict(USERS, **SCENARIOS)
+    files["atoms.csv"] = "value,weight\n" + "".join(f"{v / mean!r},{1 / 64!r}\n" for v in values)
+    for kind in CHANNELS:
+        files[f"{kind}_channel.scn"] = "tc_ms = 1\nbc_mhz = 2.5\nfading = " + kind + (
+            "\nfading_csv = atoms.csv\n" if kind == "tabulated" else "\n")
+    for name, text in files.items():
+        with open(os.path.join(folder, name), "w") as fh:
+            fh.write(text)
+
+
+def commands():
+    """The argument lists, relative to the folder write_inputs filled."""
+    cmds = []
+    for preset in PRESETS:
+        for fmt in FORMATS:
+            cmds.append(["optimize", "--preset", preset, "--format", fmt])
+            cmds.append(["optimize", "--preset", preset, "--format", fmt, "--verify"])
+            cmds.append(["baselines", "--preset", preset, "--format", fmt])
+    for preset in ("fig2", "fig6a", "fig6b"):
+        for fmt in ("csv", "json"):
+            cmds.append(["sweep", "--preset", preset, "--format", fmt])
+    cmds += [["presets", "list"], ["presets", "verify"]]
+    for users in USERS:
+        for kind in CHANNELS:
+            for objective in OBJECTIVES:
+                for fmt in FORMATS:
+                    cmds.append(["allocate", "--scenario", f"{kind}_channel.scn", "--users",
+                                 users, "--objective", objective, "--format", fmt])
+    for scn in ("tabulated.scn", "rayleigh.scn", "wide.scn"):
+        cmds.append(["optimize", "--scenario", scn, "--verify"])
+        cmds.append(["baselines", "--scenario", scn])
+    for scn in ("sweep_tabulated.scn", "sweep_deterministic.scn"):
+        cmds.append(["sweep", "--scenario", scn, "--format", "json"])
+    return cmds
+
+
+def run(tree: str, argv, folder: str):
+    """(exit code, stdout, stderr) of one CLI command against tree's src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-m", "maxbw.cli", *argv], cwd=folder, env=env,
+                         capture_output=True, timeout=600)
+    return out.returncode, out.stdout, out.stderr
+
+
+def differing(parent: str, change: str, cmds, folder: str):
+    """The commands of cmds whose output differs between the two trees."""
+    return [argv for argv in cmds if run(parent, argv, folder) != run(change, argv, folder)]
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    cmds = commands()
+    with tempfile.TemporaryDirectory() as folder:
+        write_inputs(folder)
+        bad = differing(args[0], args[1], cmds, folder)
+    for argv in bad:
+        print("differs: maxbw " + " ".join(argv))
+    print(f"{len(cmds) - len(bad)} of {len(cmds)} commands identical")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
