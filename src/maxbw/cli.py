@@ -11,7 +11,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import allocate as allocate_mod
 from . import baselines, beamform, core, scenario
@@ -63,7 +63,8 @@ def _load_mapping(args) -> Dict[str, str]:
     raise ConfigError("need --scenario FILE or --preset NAME")
 
 
-def _solve_row(res: scenario.Resolved) -> Tuple[core.OperatingPoint, Dict[str, object]]:
+def _solve_row(res: scenario.Resolved):
+    """The continuous optimum, its report row, and the substituted (Pr/N0, block)."""
     point = beamform.solve_with_gains(res.pd, res.cb, res.gain, res.sweep_penalty, res.fading)
     fixed = beamform.fixed_bandwidth_with_gains(
         res.pd, FIXED_REFERENCE_HZ, res.cb, res.gain, res.sweep_penalty, res.fading)
@@ -76,11 +77,10 @@ def _solve_row(res: scenario.Resolved) -> Tuple[core.OperatingPoint, Dict[str, o
         "g_rho_db": 10.0 * math.log10(point.rho * res.gain),
         "rate_bps": point.rate_bps,
         "rate_fixed_1ghz_bps": fixed.rate_bps,
-        "rate_csir_bps": baselines.csir_rate(core.PowerDensity(pd_sub)),
-        "rate_fsk_bps": baselines.peaky_fsk_rate(core.PowerDensity(pd_sub), sub_cb.lc),
-        "rate_mi_bps": baselines.non_peaky_mi_rate(
-            core.PowerDensity(pd_sub), sub_cb.lc, res.fading),
-    }
+        "rate_csir_bps": baselines.csir_rate(pd_sub),
+        "rate_fsk_bps": baselines.peaky_fsk_rate(pd_sub, sub_cb.lc),
+        "rate_mi_bps": baselines.non_peaky_mi_rate(pd_sub, sub_cb.lc, res.fading),
+    }, (pd_sub, sub_cb)
 
 
 def _csv(rows: List[Dict[str, object]], columns: List[str]) -> str:
@@ -93,8 +93,7 @@ def _csv(rows: List[Dict[str, object]], columns: List[str]) -> str:
 def cmd_optimize(args) -> int:
     mapping = _load_mapping(args)
     res = scenario.resolve(mapping)
-    point, row = _solve_row(res)
-    pd_sub, sub_cb = beamform._substituted(res.pd, res.cb, res.gain, res.sweep_penalty)
+    point, row, (pd_sub, sub_cb) = _solve_row(res)
 
     report: Dict[str, object] = {
         "pd_dbhz": 10.0 * math.log10(res.pd.pr_over_n0_hz),
@@ -114,9 +113,11 @@ def cmd_optimize(args) -> int:
         if lattice.flags:
             report["lattice_flags"] = ";".join(lattice.flags)
         if args.verify:
-            m = max(1, round(lattice.w_hz / sub_cb.bc_hz))
-            ok = core._best_neighbor(pd_sub, (lattice.rate_bps, m, lattice.pilot_count),
-                                     sub_cb, res.fading) is None
+            m, n = max(1, round(lattice.w_hz / sub_cb.bc_hz)), lattice.pilot_count
+            ok = all(core.rate(pd_sub, i * sub_cb.bc_hz, j / sub_cb.lc, sub_cb, res.fading)
+                     <= lattice.rate_bps * (1 + 1e-12)  # no 3x3 neighbor wins by more
+                     for i in range(max(1, m - 1), m + 2)
+                     for j in range(max(1, n - 1), min(n + 2, math.ceil(sub_cb.lc))))
             report["verified_local_max"] = ok
             if not ok:
                 raise SolverError("lattice certificate failed: a neighbor beats the "

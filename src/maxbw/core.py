@@ -10,8 +10,8 @@ per-symbol SNR rho = pd/W, so the achievable rate
     R(W, alpha) = (1 - alpha) * W * E[log2(1 + rho_eff * X)]
 
 has an interior maximum in W. This module evaluates R, exposes the two
-stationarity residuals, solves for the optimum, and rounds it onto the
-(W = m*Bc, pilots = n) lattice.
+stationarity residuals, solves for the optimum, and finds the maximum on
+the (W = m*Bc, pilots = n) lattice.
 
 All SNR-like quantities are linear (not dB). pd is always Pr/N0 in hertz.
 """
@@ -189,13 +189,17 @@ def condition_residuals(rho: float, alpha: float, lc: float, fading: FadingModel
     r_alpha: pilot condition, the polynomial rho*(alpha^2*Lc + 2*alpha - 1) - (1 - 3*alpha).
     """
     _check_point(rho, alpha, lc)
-    al = alpha * lc
+    r_w = _bandwidth_residual(rho, alpha * lc, fading)
+    r_alpha = rho * (alpha * alpha * lc + 2.0 * alpha - 1.0) - (1.0 - 3.0 * alpha)
+    return r_w, r_alpha
+
+
+def _bandwidth_residual(rho: float, al: float, fading: FadingModel) -> float:
+    """condition_residuals' r_w, which sees the pilots only through al = alpha*Lc."""
     denom = 1.0 + (1.0 + al) * rho
     snr = al * rho * rho / denom
     log1p, inv1p = _log1p_inv1p(fading, snr)
-    r_w = log1p - (1.0 + denom) / denom * (1.0 - inv1p)
-    r_alpha = rho * (alpha * alpha * lc + 2.0 * alpha - 1.0) - (1.0 - 3.0 * alpha)
-    return r_w, r_alpha
+    return log1p - (1.0 + denom) / denom * (1.0 - inv1p)
 
 
 def alpha_given_rho(rho: float, lc: float) -> float:
@@ -255,7 +259,7 @@ def _solve_rho_on_curve(lc: float, fading: FadingModel):
     is pinned to 1/2 instead.
     """
     if lc == 2.0:
-        rho = _solve_rho_fixed_alpha(0.5, 2.0, fading)
+        rho = _solve_rho_fixed_pilots(1, fading)[0]  # alpha*Lc = 0.5*2.0
         alpha, flags = 0.5, ("lattice_only",)
     else:
         rho = _bisect_root(lambda r: condition_residuals(r, alpha_given_rho(r, lc), lc, fading)[0],
@@ -271,10 +275,14 @@ def _solve_rho_on_curve(lc: float, fading: FadingModel):
 
 
 @lru_cache(maxsize=4096)
-def _solve_rho_fixed_alpha(alpha: float, lc: float, fading: FadingModel) -> float:
-    """Root of the bandwidth residual in rho with the pilot ratio pinned."""
-    return _bisect_root(lambda r: condition_residuals(r, alpha, lc, fading)[0],
-                        f"the fixed-overhead bandwidth optimum (lc={lc})")
+def _solve_rho_fixed_pilots(n: int, fading: FadingModel):
+    """(rho_n, E[ln(1 + rho_eff X)] at rho_n), the bandwidth optimum with n pilots
+    per tile. The residual sees the pilots only through alpha*Lc = n, so rho_n
+    depends on n and the fading law alone, not on Lc or Pr/N0."""
+    al = float(n)
+    rho = _bisect_root(lambda r: _bandwidth_residual(r, al, fading),
+                       f"the fixed-pilot bandwidth optimum (n={n})")
+    return rho, fading.expected_log1p(_rho_eff(rho, al, 1.0))
 
 
 def solve_continuous(pd, cb: CoherenceBlock, fading: FadingModel) -> OperatingPoint:
@@ -342,8 +350,8 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
     """Rate-maximizing integer pilot count at fixed bandwidth, and its rate.
 
     The search for callers that see a coherence length once or a few times:
-    rate_fixed_bandwidth, exhaustive_search and _pilot_guide. The allocation
-    layer, which sees one length many times, uses _guided_pilots.
+    rate_fixed_bandwidth, discretize, exhaustive_search and _pilot_guide. The
+    allocation layer, which sees one length many times, uses _guided_pilots.
 
     A golden-section search on the pilot ratio narrows [a, b] to about one
     pilot, and _walk_pilots finishes exactly from floor(a*Lc) + 1. rho and w
@@ -443,66 +451,48 @@ def _walk_pilots(rho, w, lc: float, fading: FadingModel, n):
     return n.astype(int), best
 
 
-def _best_neighbor(pd_hz: float, best, cb: CoherenceBlock, fading: FadingModel):
-    """Best 3x3 lattice neighbor of best = (rate, m, n) beating its rate, or None.
-
-    A neighbor must win by more than 1e-12 relative.
-    """
-    rate_bps, m0, n0 = best
-    top = None
-    for m in range(max(1, m0 - 1), m0 + 2):
-        for n in range(max(1, n0 - 1), min(_max_pilots(cb.lc), n0 + 1) + 1):
-            if (m, n) == (m0, n0):
-                continue
-            w = m * cb.bc_hz
-            r = _rates(pd_hz / w, w, n / cb.lc, cb.lc, fading)
-            if r > rate_bps * (1 + 1e-12) and (top is None or r > top[0]):
-                top = (r, m, n)
-    return top
-
-
 def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) -> OperatingPoint:
-    """Round a continuous optimum onto the (W = m*Bc, integer pilots) lattice.
+    """The rate maximum over the (W = m*Bc, integer pilots) lattice.
 
-    Evaluates the rate at all floor/ceil combinations of the two coordinates,
-    keeps the best, then climbs to the best 3x3 lattice neighbor until none
-    wins by more than 1e-12 relative: on a flat peak the discrete argmax can
-    sit outside the rounding cell, on wide links hundreds of Bc steps away.
-    The continuous optimum bounds every lattice rate, so the climb ends, at
-    a 3x3 local maximum that exhaustive_search can beat elsewhere on the
-    lattice. If Bc already exceeds the beneficial bandwidth the floor W = Bc
-    is returned with a "bandwidth_floor" flag: the relaxation's interior
-    optimum does not exist on the lattice.
+    With n pilots the rate is unimodal in W and peaks at W_n = pd/rho_n, where
+    rho_n depends on n and the fading law alone (_solve_rho_fixed_pilots). So
+    count n's best step is floor or ceil of W_n/Bc; one more each way covers
+    the root's 1e-10 error. Its lattice rates are at most the rate at W_n,
+    R(n) = (1 - n/Lc) * W_n * E[log2(1 + rho_eff X)], or at W = Bc when
+    W_n < Bc. That bound is unimodal in n, so the scan walks both ways from
+    its peak and stops a side once the bound falls below the best lattice
+    rate found: no count beyond can win. The peak is at floor(alpha*Lc) or
+    the next count; if Bc exceeds the continuous optimum's bandwidth it is the
+    best count at W = Bc, and the result carries a "bandwidth_floor" flag: the
+    relaxation's interior optimum does not exist on the lattice.
     """
     if cb.bc_hz is None:
         raise ValueError("discretize needs a coherence block with bc_hz set")
-    pd_hz = _pd_hz(pd)
-    n_hi = _max_pilots(cb.lc)
+    pd_hz, lc, bc = _pd_hz(pd), cb.lc, cb.bc_hz
+    n_hi = _max_pilots(lc)
     flags = tuple(op.flags)
-
-    m_star = op.w_hz / cb.bc_hz
-    if m_star < 1.0:
-        m_candidates = [1]
+    if op.w_hz / bc < 1.0:
         if "bandwidth_floor" not in flags:
             flags = flags + ("bandwidth_floor",)
+        n0 = _best_pilots(pd_hz / bc, bc, lc, fading)[0]  # the bound peaks on W = Bc
     else:
-        m_candidates = sorted({math.floor(m_star), math.ceil(m_star)})
-    n_star = op.alpha * cb.lc
-    n_candidates = sorted(
-        {min(max(math.floor(n_star), 1), n_hi), min(max(math.ceil(n_star), 1), n_hi)}
-    )
+        n0 = min(max(math.floor(op.alpha * lc), 1), n_hi)
 
-    best = None
-    for m in m_candidates:
-        for n in n_candidates:
-            w = m * cb.bc_hz
-            r = _rates(pd_hz / w, w, n / cb.lc, cb.lc, fading)
-            if best is None or r > best[0]:
-                best = (r, m, n)
-    while (step := _best_neighbor(pd_hz, best, cb, fading)) is not None:
-        best = step
+    best = (-math.inf, 1, 1)
+    for n, step in ((n0, -1), (n0 + 1, 1)):
+        while 1 <= n <= n_hi:
+            rho_n, e_log1p = _solve_rho_fixed_pilots(n, fading)
+            w_n = pd_hz / rho_n
+            rates = [(_rates(pd_hz / (m * bc), m * bc, n / lc, lc, fading), m, n)
+                     for m in range(max(1, math.floor(w_n / bc) - 1), math.ceil(w_n / bc) + 2)]
+            best = max(best, *rates, key=lambda t: t[0])  # ties keep the first
+            # when W_n < Bc the scored steps are m = 1, 2 and the rate falls in W
+            bound = rates[0][0] if w_n < bc else (1.0 - n / lc) * w_n * e_log1p * LOG2E
+            if bound * (1.0 + 1e-12) < best[0]:
+                break
+            n += step
     rate_bps, m, n = best
-    return _lattice_point(pd_hz, m * cb.bc_hz, n, cb.lc, rate_bps, flags)
+    return _lattice_point(pd_hz, m * bc, n, lc, rate_bps, flags)
 
 
 def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -> OperatingPoint:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -82,7 +83,8 @@ def test_optimize_verify_passes(capsys):
 
 def test_optimize_verify_polishes_flat_peak(capsys):
     # plain floor/ceil rounding of fig4-left's optimum misses the lattice
-    # local max by one bandwidth step; the polish must find it and certify.
+    # maximum by one bandwidth step; discretize must find it and --verify
+    # certify it.
     code, out, _ = run(capsys, "optimize", "--preset", "fig4-left",
                        "--format", "json", "--verify")
     assert code == 0
@@ -105,9 +107,8 @@ def test_optimize_verify_polishes_flat_peak(capsys):
 
 
 def test_optimize_verify_walks_to_distant_lattice_maximum(tmp_path, capsys):
-    # W*/Bc is about 84 600 here, and the lattice maximum for the rounded
-    # pilot count sits 192 Bc steps beyond the best point a 64-step walk
-    # from the rounding cell reaches
+    # W*/Bc is about 84 600 here, and the lattice maximum lies hundreds of
+    # Bc steps from the rounding cell of the continuous optimum
     scn = tmp_path / "wide.scn"
     scn.write_text("pr_n0_dbhz = 90\nlc = 1000\nbc_mhz = 0.1\nfading = rayleigh\n")
     code, out, err = run(capsys, "optimize", "--scenario", str(scn), "--format", "json",
@@ -116,6 +117,23 @@ def test_optimize_verify_walks_to_distant_lattice_maximum(tmp_path, capsys):
     report = json.loads(out)
     assert report["verified_local_max"] is True
     assert (round(report["lattice_w_hz"] / 1e5), report["lattice_pilots"]) == (84819, 85)
+
+
+def test_optimize_verify_rejects_a_point_off_the_lattice_maximum(capsys, monkeypatch):
+    # --verify checks the neighbors itself, so a point one Bc step off the
+    # maximum fails, whatever discretize reports
+    discretize = core.discretize
+
+    def one_step_wide(op, cb, pd, fading):
+        best = discretize(op, cb, pd, fading)
+        w = best.w_hz + cb.bc_hz
+        return replace(best, w_hz=w, rate_bps=core.rate(pd, w, best.alpha, cb, fading))
+
+    monkeypatch.setattr(core, "discretize", one_step_wide)
+    code, out, err = run(capsys, "optimize", "--preset", "abstract-28ghz",
+                         "--format", "json", "--verify")
+    assert (code, out) == (2, "")
+    assert "lattice certificate failed" in err
 
 
 def test_optimize_verify_needs_lattice(tmp_path, capsys):

@@ -276,6 +276,68 @@ def test_discretize_returns_lattice_local_maximum():
             assert core.rate(pd, m * cb.bc_hz, n / cb.lc, cb, RAY) <= lat.rate_bps * (1 + 1e-12)
 
 
+# (fading, Lc, Bc in Hz, Pr/N0 in Hz) where a 3x3 climb from the rounding cell
+# stopped at a local maximum that exhaustive_search beats
+CLIMB_TRAPS = [
+    ("rayleigh", 779.3169181237083, 419673.81458478596, 133761.05437338704),
+    ("rayleigh", 217862.6206052734, 6914597.696415249, 166515.0212128162),
+    ("deterministic", 254.37946218522276, 41183833.051064536, 3943003167.1742544),
+]
+
+
+def _lattice_mn(point, cb):
+    return round(point.w_hz / cb.bc_hz), point.pilot_count
+
+
+@pytest.mark.parametrize("kind,lc,bc,pd", CLIMB_TRAPS)
+def test_discretize_finds_exhaustive_maximum_past_local_maxima(kind, lc, bc, pd):
+    fading, cb = FadingModel(kind), CoherenceBlock(lc=lc, bc_hz=bc)
+    op = core.solve_continuous(pd, cb, fading)
+    lattice = core.discretize(op, cb, pd, fading)
+    ex = core.exhaustive_search(pd, cb, fading, max(4, 2 * math.ceil(op.w_hz / bc)))
+    assert _lattice_mn(lattice, cb) == _lattice_mn(ex, cb)
+    assert lattice.rate_bps == pytest.approx(ex.rate_bps, rel=1e-14)
+
+
+def test_discretize_lands_on_maximum_of_a_very_wide_lattice():
+    # W*/Bc is about 3.2e6; a climb that needs each step to win by 1e-12
+    # stopped 26 steps short, at m = 3 014 413
+    cb = CoherenceBlock(lc=8.0, bc_hz=10.3e3)
+    pd = 2.76e10
+    lattice = core.discretize(core.solve_continuous(pd, cb, RAY), cb, pd, RAY)
+    assert _lattice_mn(lattice, cb) == (3014387, 2)
+
+
+def test_discretize_matches_exhaustive_search_on_random_links():
+    rng = np.random.default_rng(20171)
+    atoms = np.sort(rng.gamma(1.5, 1.0, 32))
+    models = [DET, RAY, FadingModel.tabulated([(v / atoms.mean(), 1.0 / 32) for v in atoms])]
+    floors = 0
+    for i in range(60):
+        fading = models[i % 3]
+        # Lc on both sides of 4096, where exhaustive_search stops scanning
+        # every pilot count; W*/Bc from 0.3, below the lattice, up to 2
+        lc = float(np.exp(rng.uniform(math.log(2.5), math.log(2e4))))
+        pd = float(10.0 ** rng.uniform(5.0, 10.0))
+        w_star = core.solve_continuous(pd, CoherenceBlock(lc=lc), fading).w_hz
+        cb = CoherenceBlock(lc=lc, bc_hz=w_star / rng.uniform(0.3, 2.0))
+        op = core.solve_continuous(pd, cb, fading)
+        lattice = core.discretize(op, cb, pd, fading)
+        ex = core.exhaustive_search(pd, cb, fading, max(4, 2 * math.ceil(op.w_hz / cb.bc_hz)))
+        assert _lattice_mn(lattice, cb) == _lattice_mn(ex, cb), (fading.kind, lc, cb.bc_hz, pd)
+        floors += "bandwidth_floor" in lattice.flags
+    assert floors >= 10
+
+
+@pytest.mark.parametrize("fading", [DET, RAY], ids=["deterministic", "rayleigh"])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+def test_fixed_pilot_optimum_does_not_depend_on_lc(fading, n):
+    rho_n, _ = core._solve_rho_fixed_pilots(n, fading)
+    for lc in (n + 1.0, 3.7 * n + 2.0, 1e3 * n, 1e7):
+        r_w, _ = core.condition_residuals(rho_n, n / lc, lc, fading)
+        assert abs(r_w) <= core.R_W_TOL, lc
+
+
 def test_exhaustive_search_flags_edge_maximum():
     cb = CoherenceBlock(lc=1e3, bc_hz=1e6)
     ex = core.exhaustive_search(PowerDensity(1e8), cb, RAY, m_max=50)

@@ -9,13 +9,15 @@ temporary directory, runs every command of COMMANDS as
 written, and prints each command whose stdout, stderr or exit code differs.
 It exits 1 if any does, else 0.
 
-The 160 commands: `optimize` in three formats with and without `--verify`,
+The 164 commands: `optimize` in three formats with and without `--verify`,
 and `baselines` in three formats, on all 7 presets; `sweep` in csv and json
 on fig2, fig6a and fig6b; `presets list` and `presets verify`; `allocate` on
 2-, 3- and 4-user tables over Rayleigh, deterministic and tabulated
 channels, for every objective and format; `optimize --verify` and
-`baselines` on a tabulated, a Rayleigh and a wide-link scenario; and
-`sweep --format json` on a tabulated and a deterministic scenario.
+`baselines` on a tabulated, a Rayleigh and a wide-link scenario;
+`sweep --format json` on a tabulated and a deterministic scenario; and
+`optimize --verify --format json` on four links whose lattice maximum a
+local climb misses.
 """
 
 from __future__ import annotations
@@ -42,6 +44,18 @@ SCENARIOS = {
     "rayleigh.scn": "pr_n0_dbhz = 75\ntc_ms = 2\nbc_mhz = 5\nfading = rayleigh\n",
     # W*/Bc is about 84 600: the lattice maximum lies far from the rounding cell
     "wide.scn": "pr_n0_dbhz = 90\nlc = 1000\nbc_mhz = 0.1\nfading = rayleigh\n",
+    # links where a 3x3 climb from the rounding cell stops at a local maximum
+    # of the lattice, (m, n) = (2, 65), (1, 2968) and (352, 29), below the
+    # maxima (3, 77), (2, 4172) and (345, 28); on the fourth, W*/Bc is about
+    # 3.2e6 and the climb stops at m = 3 014 413, short of m = 3 014 387
+    "trap_lc779.scn": "pr_n0_dbhz = 51.26329683440778\nlc = 779.3169181237083\n"
+                      "bc_mhz = 0.419673814584786\nfading = rayleigh\n",
+    "trap_lc217862.scn": "pr_n0_dbhz = 52.21453417035026\nlc = 217862.6206052734\n"
+                         "bc_mhz = 6.91459769641525\nfading = rayleigh\n",
+    "trap_lc254.scn": "pr_n0_dbhz = 95.95827125915665\nlc = 254.37946218522276\n"
+                      "bc_mhz = 41.18383305106454\nfading = deterministic\n",
+    "trap_lc8.scn": "pr_n0_dbhz = 104.40909082065218\nlc = 8\nbc_mhz = 0.0103\n"
+                    "fading = rayleigh\n",
     "sweep_tabulated.scn": "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nfading = tabulated\n"
                            "fading_csv = atoms.csv\nsweep = tc_ms\nsweep_start = 0.1\n"
                            "sweep_stop = 10\nsweep_points = 5\nsweep_spacing = log\n",
@@ -89,6 +103,8 @@ def commands():
         cmds.append(["baselines", "--scenario", scn])
     for scn in ("sweep_tabulated.scn", "sweep_deterministic.scn"):
         cmds.append(["sweep", "--scenario", scn, "--format", "json"])
+    for scn in ("trap_lc779.scn", "trap_lc217862.scn", "trap_lc254.scn", "trap_lc8.scn"):
+        cmds.append(["optimize", "--scenario", scn, "--verify", "--format", "json"])
     return cmds
 
 
