@@ -36,6 +36,8 @@ OBJECTIVES = (MAX_WEAK, MAX_STRONG, SUM_RATE)
 
 _REL_IMPROVE = 1e-6
 _OFFSET_LO_DB = -20.0
+# lattice step counts stay exact floats and fit an int
+_MAX_STEPS = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,15 @@ class UserLink:
     fading: FadingModel
 
     def __post_init__(self):
-        if not self.gain_hz_per_watt > 0.0:
-            raise ValueError(f"gain must be positive, got {self.gain_hz_per_watt}")
-        if not self.pt_w > 0.0:
-            raise ValueError(f"baseline power must be positive, got {self.pt_w}")
-        if not self.w0_hz > 0.0:
-            raise ValueError(f"baseline bandwidth must be positive, got {self.w0_hz}")
+        for name, value in (("gain", self.gain_hz_per_watt), ("baseline power", self.pt_w),
+                            ("baseline bandwidth", self.w0_hz)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.cb.bc_hz is None:
             raise ValueError("allocation needs coherence blocks with bc_hz set")
+        if not self.w0_hz / self.cb.bc_hz <= _MAX_STEPS:
+            raise ValueError(f"baseline bandwidth must be at most 2**53 coherence bandwidths "
+                             f"of {self.cb.bc_hz} Hz, got {self.w0_hz}")
 
     def pd_hz(self, p_w: float) -> float:
         return self.gain_hz_per_watt * p_w
@@ -122,13 +125,14 @@ def _rates_flat(user: UserLink, p_vec: np.ndarray, w_vec: np.ndarray) -> np.ndar
 def _cap_steps(user: UserLink, p_w):
     """Upper lattice step count worth considering at power p_w, a float or an
     array: the ceil of the continuous bandwidth optimum pd/rho*, in the
-    operations of solve_continuous. The true lattice argmax is this or one less."""
+    operations of solve_continuous. The true lattice argmax is this or one less.
+    Clipped to 2**53 before the int cast: a larger cap exceeds every budget."""
     pd = user.gain_hz_per_watt * np.asarray(p_w, dtype=float)
     # two reductions: NaN fails both tests, and an empty array has no minimum
     if pd.size and not (pd.min() > 0.0 and math.isfinite(pd.max())):
         raise ValueError(f"Pr/N0 must be positive and finite, got {pd!r}")
     rho = core._solve_rho_on_curve(user.cb.lc, user.fading)[0]
-    return np.maximum(1, np.ceil(pd / rho / user.cb.bc_hz - 1e-9)).astype(int)
+    return np.clip(np.ceil(pd / rho / user.cb.bc_hz - 1e-9), 1, _MAX_STEPS).astype(int)
 
 
 def _power_offsets(step: float, hi_db: float) -> np.ndarray:
@@ -178,7 +182,9 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     p_w = p_w[p_budget - p_w > 0.0]
     cap_w = _cap_steps(weak, p_w)
     cap_s = _cap_steps(strong, p_budget - p_w)
-    m_hi = np.minimum(cap_w, int((w_budget - bc_s) // bc_w))
+    # each W0 is at most 2**53 of its own user's Bc, but the pair budget in
+    # the other user's steps need not be: clip it like the caps
+    m_hi = np.minimum(cap_w, int(min((w_budget - bc_s) // bc_w, _MAX_STEPS)))
     keep = m_hi >= 1
     p_w, cap_w, cap_s, m_hi = p_w[keep], cap_w[keep], cap_s[keep], m_hi[keep]
 
@@ -193,7 +199,7 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     ms, mask = _segment(np.where(fits, np.maximum(1, cap_w - 1), lo), np.where(fits, m_hi, hi), k)
 
     w_w = ms * bc_w
-    avail = ((w_budget - w_w) // bc_s).astype(int)
+    avail = np.minimum((w_budget - w_w) // bc_s, _MAX_STEPS).astype(int)
     # the strong user's lattice argmax is cap_s or cap_s - 1; try both, lower first
     caps = cap_s[:, None, None] - np.array([[1], [0]])
     n_s = np.minimum(caps, avail[:, None, :])
@@ -236,12 +242,17 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
         return AllocationEntry(p_w=p, w_hz=w, rate_bps=point.rate_bps,
                                pilot_count=point.pilot_count, baseline_bps=base)
 
+    def incumbent_db():
+        return 10.0 * math.log10(best_weak.p_w / weak.pt_w)
+
     best_val = _objective_values(best_weak.rate_bps, best_strong.rate_bps, objective)
 
     hi_db = 10.0 * math.log10(p_budget / weak.pt_w)
 
-    def consider(candidates):
+    def consider(offsets_db, m_center=None):
         nonlocal best_val, best_weak, best_strong
+        candidates = _best_over_offsets(weak, strong, p_budget, w_budget, base_weak, base_strong,
+                                        objective, offsets_db, m_center)
         for val, p_w, w_w, p_s, w_s in candidates or []:
             if val <= best_val * (1.0 - 1e-9):
                 continue
@@ -254,29 +265,20 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
                 best_val = val_exact
                 best_weak, best_strong = cand_weak, cand_strong
 
-    consider(_best_over_offsets(weak, strong, p_budget, w_budget,
-                                base_weak, base_strong, objective,
-                                _power_offsets(1.0, hi_db)))
+    consider(_power_offsets(1.0, hi_db))
 
     # refine the power split to 0.1 dB around the incumbent, still scanning
     # the full bandwidth segment: the best split can sit on the feasibility
     # boundary far from the coarse winner's bandwidth
-    around = 10.0 * math.log10(best_weak.p_w / weak.pt_w)
-    fine = np.unique(np.clip(around + np.arange(-1.0, 1.0 + 1e-12, 0.1),
-                             _OFFSET_LO_DB, hi_db))
-    consider(_best_over_offsets(weak, strong, p_budget, w_budget,
-                                base_weak, base_strong, objective, fine))
+    consider(np.unique(np.clip(incumbent_db() + np.arange(-1.0, 1.0 + 1e-12, 0.1),
+                               _OFFSET_LO_DB, hi_db)))
 
     # unit-stride bandwidth polish at the winning power split
-    winner = np.array([10.0 * math.log10(best_weak.p_w / weak.pt_w)])
-    m_center = max(1, round(best_weak.w_hz / weak.cb.bc_hz))
-    consider(_best_over_offsets(weak, strong, p_budget, w_budget,
-                                base_weak, base_strong, objective,
-                                winner, m_center=m_center))
+    consider(np.array([incumbent_db()]), m_center=max(1, round(best_weak.w_hz / weak.cb.bc_hz)))
 
     flags: Tuple[str, ...] = ()
     if best_weak.p_w != weak.pt_w or best_weak.w_hz != weak.w0_hz:
-        off_db = 10.0 * math.log10(best_weak.p_w / weak.pt_w)
+        off_db = incumbent_db()
         if off_db <= _OFFSET_LO_DB + 0.05 or off_db >= hi_db - 0.05:
             flags = flags + ("power_grid_edge",)
 

@@ -11,15 +11,12 @@ import math
 import warnings
 
 from . import core
-from .core import LOG2E, CoherenceBlock
+from .core import LOG2E
 from .fading import FadingModel
 
 CSIR_INFINITE_BW = "csir-infinite-bw"
-CSIR_FINITE_BW = "csir-finite-bw"
 PEAKY_FSK = "peaky-fsk"
 NON_PEAKY_MI = "non-peaky-mi"
-MI_LOWER_BOUND = "mi-lower-bound"
-PILOT_POWER_BOOST = "pilot-power-boost"
 
 
 def csir_rate(pd, w_hz=None, fading: FadingModel = None) -> float:
@@ -128,12 +125,7 @@ def pilot_power_boost_se(rho: float, alpha: float, lc: float, fading: FadingMode
     equal-power scheme is negligible; at high SNR with heavy overhead it is
     strictly positive.
     """
-    if not lc >= 2.0:
-        raise ValueError(f"coherence length must be >= 2, got {lc}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"pilot ratio must lie in (0,1), got {alpha}")
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    core._check_point(rho, alpha, lc)
     rho_pilot = alpha * lc * rho
     rho_data = (1.0 - alpha) * rho * lc / (lc - 1.0)
     est_share = rho_pilot / (1.0 + rho_pilot)

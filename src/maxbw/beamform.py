@@ -13,7 +13,6 @@ so every result from `core` carries over; this module owns the bookkeeping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Tuple
 
@@ -120,17 +119,13 @@ def substitute(cfg: ArrayConfig, cb: CoherenceBlock) -> SubstitutedProblem:
                               sweep_penalty=penalty)
 
 
-def _check_pair(gain: float, sweep_penalty: float, lc: float) -> float:
-    if gain <= 0.0 or sweep_penalty < 1.0:
-        raise ConfigError(f"bad gain pair ({gain}, {sweep_penalty})")
-    return _lc_tilde(lc, sweep_penalty)
-
-
 def _substituted(pd, cb: CoherenceBlock, gain: float,
                  sweep_penalty: float) -> Tuple[float, CoherenceBlock]:
     """The scalar problem's inputs under a checked gain pair: the density
     pd*gain in hertz and the block of length lc/(Kt*G2)."""
-    lc_tilde = _check_pair(gain, sweep_penalty, cb.lc)
+    if gain <= 0.0 or sweep_penalty < 1.0:
+        raise ConfigError(f"bad gain pair ({gain}, {sweep_penalty})")
+    lc_tilde = _lc_tilde(cb.lc, sweep_penalty)
     # bandwidth lattice is a property of the channel, not of the sweep
     return core._pd_hz(pd) * gain, CoherenceBlock(lc=lc_tilde, bc_hz=cb.bc_hz)
 

@@ -38,6 +38,10 @@ LOG2E = 1.0 / math.log(2.0)
 R_W_TOL = 1e-9
 R_ALPHA_TOL = 1e-12
 
+# Above 2**53 symbols, n + 1.0 == n for a float pilot count n, and the pilot
+# walks would never end.
+_MAX_LC = 2.0 ** 53
+
 _BISECT_MAX_ITER = 200
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 10.0
@@ -67,7 +71,8 @@ class CoherenceBlock:
     """Coherence tile: length lc = tc_s * bc_hz symbols.
 
     bc_hz / tc_s may be omitted when only the length matters; lattice
-    operations (discretize, exhaustive_search) require bc_hz.
+    operations (discretize, exhaustive_search) require bc_hz. 2 <= lc <= 2**53,
+    and bc_hz and tc_s are positive and finite.
     """
 
     lc: float
@@ -75,12 +80,16 @@ class CoherenceBlock:
     tc_s: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.lc >= 2.0 and math.isfinite(self.lc)):
+        if not self.lc >= 2.0:
             raise ValueError(f"coherence length must be >= 2 (one pilot plus one data symbol), got {self.lc}")
-        if self.bc_hz is not None and not self.bc_hz > 0.0:
-            raise ValueError("coherence bandwidth must be positive")
-        if self.tc_s is not None and not self.tc_s > 0.0:
-            raise ValueError("coherence time must be positive")
+        # before the upper bound on lc, which an infinite tc_s or bc_hz would
+        # trip under the wrong name
+        for name, value in (("bandwidth", self.bc_hz), ("time", self.tc_s)):
+            if value is not None and not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"coherence {name} must be positive and finite, got {value}")
+        if not self.lc <= _MAX_LC:
+            raise ValueError(f"coherence length must be at most 2**53, where pilot counts "
+                             f"still step by one, got {self.lc}")
         if self.bc_hz is not None and self.tc_s is not None:
             product = self.bc_hz * self.tc_s
             if abs(product - self.lc) > 1e-9 * self.lc:
@@ -91,10 +100,6 @@ class CoherenceBlock:
     @classmethod
     def from_tc_bc(cls, tc_s: float, bc_hz: float) -> "CoherenceBlock":
         return cls(lc=tc_s * bc_hz, bc_hz=bc_hz, tc_s=tc_s)
-
-    @classmethod
-    def from_length(cls, lc: float, bc_hz: Optional[float] = None) -> "CoherenceBlock":
-        return cls(lc=lc, bc_hz=bc_hz)
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,8 @@ def _solve_rho_on_curve(lc: float, fading: FadingModel):
         rho = _solve_rho_fixed_pilots(1, fading)[0]  # alpha*Lc = 0.5*2.0
         alpha, flags = 0.5, ("lattice_only",)
     else:
-        rho = _bisect_root(lambda r: condition_residuals(r, alpha_given_rho(r, lc), lc, fading)[0],
+        # condition_residuals' r_w, without its point check and its r_alpha
+        rho = _bisect_root(lambda r: _bandwidth_residual(r, alpha_given_rho(r, lc) * lc, fading),
                            f"the bandwidth optimum (lc={lc})")
         alpha, flags = alpha_given_rho(rho, lc), ()
         r_w, r_alpha = condition_residuals(rho, alpha, lc, fading)

@@ -51,18 +51,23 @@ _BLOCK = 4096
 
 
 def _require_scale(s):
-    arr = np.asarray(s, dtype=float)
-    # two reductions: NaN fails both tests, and an empty array has no minimum
-    if arr.size and not (arr.min() >= 0.0 and math.isfinite(arr.max())):
-        raise ValueError(f"expectation scale must be finite and >= 0, got {s!r}")
-    return arr
+    """s as a float, or an ndarray as a float array, checked finite and >= 0.
 
-
-def _scalar_scale(s) -> float:
-    s = float(s)
-    if not (math.isfinite(s) and s >= 0.0):
+    A checked scale is one or the other, so `type(s) is float` picks the
+    scalar path of each expectation.
+    """
+    if type(s) is float and 0.0 <= s < math.inf:
+        return s  # the solvers' scalar calls, accepted without a conversion
+    if isinstance(s, np.ndarray):
+        checked = np.asarray(s, dtype=float)
+        # two reductions: NaN fails both tests, and an empty array has no minimum
+        ok = not checked.size or (checked.min() >= 0.0 and math.isfinite(checked.max()))
+    else:
+        s = checked = float(s)
+        ok = 0.0 <= s < math.inf
+    if not ok:
         raise ValueError(f"expectation scale must be finite and >= 0, got {s!r}")
-    return s
+    return checked
 
 
 def _exp_e1_series(x, exp, log):
@@ -145,9 +150,8 @@ def _log1p_inv1p(model, s):
     """
     if model.kind != RAYLEIGH:
         return model.expected_log1p(s), model.expected_inv1p(s)
-    if isinstance(s, np.ndarray):
-        return _rayleigh_array(_require_scale(s))
-    return _rayleigh(_scalar_scale(s))
+    s = _require_scale(s)
+    return _rayleigh(s) if type(s) is float else _rayleigh_array(s)
 
 
 @dataclass(frozen=True)
@@ -216,37 +220,32 @@ class FadingModel:
         """E[X] as the expectation machinery actually sees it (unit-mean check)."""
         return self._moments[0]
 
+    def _scaled_atoms(self, s):
+        """s times each atom value: a vector for a float s, and for an array s
+        the outer product, with the atoms on a new last axis."""
+        return s * self._values if type(s) is float else np.multiply.outer(s, self._values)
+
     def expected_log1p(self, s):
         """E[ln(1 + s X)] in nats; accepts a scalar or ndarray scale s >= 0."""
-        if isinstance(s, np.ndarray):
-            s = _require_scale(s)
-            if self.kind == RAYLEIGH:
-                return _rayleigh_array(s)[0]
-            if self.kind == DETERMINISTIC:
-                return np.log1p(s)
-            return np.log1p(np.multiply.outer(s, self._values)) @ self._weights
-        s = _scalar_scale(s)
+        s = _require_scale(s)
         if self.kind == RAYLEIGH:
-            return _rayleigh(s)[0]
+            return (_rayleigh(s) if type(s) is float else _rayleigh_array(s))[0]
         if self.kind == DETERMINISTIC:
-            return float(np.log1p(s))
-        return float(np.log1p(s * self._values) @ self._weights)
+            out = np.log1p(s)
+        else:
+            out = np.log1p(self._scaled_atoms(s)) @ self._weights
+        return float(out) if type(s) is float else out
 
     def expected_inv1p(self, s):
         """E[1/(1 + s X)]; same conventions as expected_log1p."""
-        if isinstance(s, np.ndarray):
-            s = _require_scale(s)
-            if self.kind == RAYLEIGH:
-                return _rayleigh_array(s)[1]
-            if self.kind == DETERMINISTIC:
-                return 1.0 / (1.0 + s)
-            return (1.0 / (1.0 + np.multiply.outer(s, self._values))) @ self._weights
-        s = _scalar_scale(s)
+        s = _require_scale(s)
         if self.kind == RAYLEIGH:
-            return _rayleigh(s)[1]
+            return (_rayleigh(s) if type(s) is float else _rayleigh_array(s))[1]
         if self.kind == DETERMINISTIC:
-            return 1.0 / (1.0 + s)
-        return float((1.0 / (1.0 + s * self._values)) @ self._weights)
+            out = 1.0 / (1.0 + s)
+        else:
+            out = (1.0 / (1.0 + self._scaled_atoms(s))) @ self._weights
+        return float(out) if type(s) is float else out
 
     def kurtosis(self) -> float:
         """E[X^2] / E[X]^2, always >= 1."""

@@ -130,20 +130,13 @@ def _array(v: Dict[str, object]) -> ArrayConfig:
     nt = v.get("nt", 1)
     nr = v.get("nr", 1)
     model = v.get("gain_model", EXPLICIT)
-    if model == "ideal":
-        model = IDEAL_DIRECTIONAL
-    if model == "rich":
-        model = RICH_SCATTERING
-    if model == IDEAL_DIRECTIONAL:
-        for key in ("kt", "g1", "g2"):
-            if key in v:
-                raise ConfigError(f"gain_model = ideal derives {key}; do not set it")
-        return ArrayConfig.ideal_directional(nt, nr)
-    if model == RICH_SCATTERING:
-        for key in ("kt", "g1", "g2"):
-            if key in v:
-                raise ConfigError(f"gain_model = rich derives {key}; do not set it")
-        return ArrayConfig.rich_scattering(nt, nr)
+    for short, full, build in (("ideal", IDEAL_DIRECTIONAL, ArrayConfig.ideal_directional),
+                               ("rich", RICH_SCATTERING, ArrayConfig.rich_scattering)):
+        if model in (short, full):
+            for key in ("kt", "g1", "g2"):
+                if key in v:
+                    raise ConfigError(f"gain_model = {short} derives {key}; do not set it")
+            return build(nt, nr)
     if model == EXPLICIT:
         return ArrayConfig(nt=nt, nr=nr,
                            kt=v.get("kt", 1),

@@ -1,6 +1,7 @@
 """Reallocation must conserve budgets, never harm anyone, and beat doing nothing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,44 @@ def test_userlink_validation():
         # no bandwidth lattice, no allocation
         UserLink(gain_hz_per_watt=1e7, pt_w=1.0, w0_hz=1e8,
                  cb=CoherenceBlock(lc=2500.0), fading=RAY)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gain_hz_per_watt", math.inf), ("pt_w", math.inf), ("w0_hz", math.inf),
+    # 4e293 lattice steps of 2.5 MHz: no int holds the step count
+    ("w0_hz", 1e300),
+])
+def test_userlink_rejects_infinite_rows_and_unsteppable_bandwidths(field, value):
+    row = dict(gain_hz_per_watt=1e7, pt_w=1.0, w0_hz=1e8, cb=CB, fading=RAY)
+    row[field] = value
+    with pytest.raises(ValueError):
+        UserLink(**row)
+
+
+def test_pair_with_a_300_db_user_reallocates_without_a_cast_warning():
+    # the strong user's cap is about 5e24 lattice steps, beyond every budget
+    weak, strong = _user(68.0), _user(300.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alloc = allocate.allocate_pair(weak, strong, "max-weak")
+    allocate.check_allocation([weak, strong], alloc)
+    assert alloc.objective_value > alloc.baseline_value * 1.05
+
+
+@pytest.mark.parametrize("weak_bc, strong_bc", [(1.0, 1e6), (1e6, 1.0)])
+def test_pair_budget_beyond_an_int_of_the_other_users_steps(weak_bc, strong_bc):
+    # the 1 MHz user's W0 is 2**52 of its own steps but 4.5e21 of the 1 Hz
+    # user's, past any int64
+    def user(gain, bc):
+        return UserLink(gain_hz_per_watt=gain, pt_w=1.0, w0_hz=2.0 ** 52 * bc if bc > 1.0 else 100.0,
+                        cb=CoherenceBlock.from_tc_bc(tc_s=1e3 / bc, bc_hz=bc), fading=RAY)
+
+    weak, strong = user(1e7, weak_bc), user(1e9, strong_bc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alloc = allocate.allocate_pair(weak, strong, "sum")
+    allocate.check_allocation([weak, strong], alloc)
+    assert alloc.objective_value > alloc.baseline_value
 
 
 def test_power_offsets_hit_exact_endpoints():

@@ -353,6 +353,19 @@ def test_allocate_needs_two_users(tmp_path, capsys):
     assert "two users" in err
 
 
+def test_allocate_refuses_an_unsteppable_baseline_bandwidth(tmp_path, capsys):
+    scn = tmp_path / "chan.scn"
+    scn.write_text(ALLOC_SCENARIO)
+    users = tmp_path / "users.csv"
+    users.write_text("68,30,100e6\n80,30,1e300\n")
+    code, out, err = run(capsys, "allocate", "--scenario", str(scn),
+                         "--users", str(users))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "baseline bandwidth" in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- presets
 
 

@@ -155,6 +155,33 @@ def test_solver_rejects_bad_coherence():
     assert cb.lc == 5e4
 
 
+@pytest.mark.parametrize("kwargs", [{"lc": 1e300}, {"lc": 1000.0, "bc_hz": math.inf}])
+def test_coherence_block_rejects_a_huge_length_and_an_infinite_bandwidth(kwargs):
+    # past 2**53 symbols a float pilot count n has n + 1 == n, and the pilot
+    # walk of rate_fixed_bandwidth would never end
+    with pytest.raises(ValueError, match="coherence (length|bandwidth)"):
+        CoherenceBlock(**kwargs)
+
+
+def test_coherence_block_names_the_infinite_field():
+    with pytest.raises(ValueError, match="coherence time must be positive and finite"):
+        CoherenceBlock.from_tc_bc(tc_s=math.inf, bc_hz=1e7)
+    with pytest.raises(ValueError, match="coherence bandwidth must be positive and finite"):
+        CoherenceBlock.from_tc_bc(tc_s=1e-3, bc_hz=math.inf)
+
+
+@pytest.mark.parametrize("fading", [RAY, DET], ids=["rayleigh", "deterministic"])
+def test_coherence_length_stops_where_pilot_counts_still_step(fading):
+    with pytest.raises(ValueError, match="coherence length must be at most 2\\*\\*53"):
+        CoherenceBlock(lc=np.nextafter(2.0 ** 53, math.inf))
+    # at the bound itself the pilot walk still ends, from rho = 1e-8 to 1e8
+    cb = CoherenceBlock(lc=2.0 ** 53)
+    for rho in 10.0 ** np.arange(-8.0, 9.0):
+        point = core.rate_fixed_bandwidth(1e9 * rho, 1e9, cb, fading)
+        assert 1 <= point.pilot_count <= 2 ** 53 - 1
+        assert point.rate_bps > 0.0
+
+
 def test_power_density_validation():
     with pytest.raises(ValueError):
         PowerDensity(-1.0)
@@ -559,13 +586,13 @@ def test_solve_continuous_cache_hit_makes_no_kernel_call(monkeypatch, lc):
 
 def test_cold_rayleigh_solve_evaluates_the_kernel_once_per_residual(monkeypatch):
     residuals = []
-    original = core.condition_residuals
+    original = core._bandwidth_residual
 
     def counted(*args):
         residuals.append(args)
         return original(*args)
 
-    monkeypatch.setattr(core, "condition_residuals", counted)
+    monkeypatch.setattr(core, "_bandwidth_residual", counted)
     calls = _count_kernel_calls(monkeypatch)
     core._solve_rho_on_curve.cache_clear()
     core.solve_continuous(1e8, CoherenceBlock(lc=12345.678), RAY)
