@@ -27,6 +27,7 @@ from . import core
 from .core import CoherenceBlock
 from .errors import ConfigError, read_numeric_rows
 from .fading import FadingModel
+from .linkbudget import db_to_linear
 
 MAX_WEAK = "max-weak"
 MAX_STRONG = "max-strong"
@@ -98,17 +99,20 @@ def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.Operat
                                        core._guided_pilots)
 
 
+def _entry(user: UserLink, p_w: float, w_hz: float,
+           baseline_bps: Optional[float] = None) -> AllocationEntry:
+    """The user's entry at (p_w, w_hz); with no baseline_bps, its own rate is the baseline."""
+    point = fixed_bandwidth_rate(user, p_w, w_hz)
+    return AllocationEntry(p_w=p_w, w_hz=w_hz, rate_bps=point.rate_bps,
+                           pilot_count=point.pilot_count,
+                           baseline_bps=point.rate_bps if baseline_bps is None else baseline_bps)
+
+
 def _baseline_entries(users: Sequence[UserLink]) -> List[AllocationEntry]:
     """Each user at its own (Pt, W0) with only the pilots optimized."""
     if not users:
         raise ValueError("need at least one user")
-    entries = []
-    for u in users:
-        point = fixed_bandwidth_rate(u, u.pt_w, u.w0_hz)
-        entries.append(AllocationEntry(p_w=u.pt_w, w_hz=u.w0_hz, rate_bps=point.rate_bps,
-                                       pilot_count=point.pilot_count,
-                                       baseline_bps=point.rate_bps))
-    return entries
+    return [_entry(u, u.pt_w, u.w0_hz) for u in users]
 
 
 def baseline_rates(users: Sequence[UserLink]) -> List[float]:
@@ -178,7 +182,7 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     """
     bc_w, bc_s = weak.cb.bc_hz, strong.cb.bc_hz
     # one scalar power per offset: numpy's array power can differ in the last bit
-    p_w = np.array([weak.pt_w * 10.0 ** (off / 10.0) for off in offsets_db])
+    p_w = np.array([weak.pt_w * db_to_linear(off) for off in offsets_db])
     p_w = p_w[p_budget - p_w > 0.0]
     cap_w = _cap_steps(weak, p_w)
     cap_s = _cap_steps(strong, p_budget - p_w)
@@ -237,11 +241,6 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
     best_weak, best_strong = (seed1, seed2) if weak_first else (seed2, seed1)
     base_weak, base_strong = best_weak.baseline_bps, best_strong.baseline_bps
 
-    def scalar_entry(user, p, w, base):
-        point = fixed_bandwidth_rate(user, p, w)
-        return AllocationEntry(p_w=p, w_hz=w, rate_bps=point.rate_bps,
-                               pilot_count=point.pilot_count, baseline_bps=base)
-
     def incumbent_db():
         return 10.0 * math.log10(best_weak.p_w / weak.pt_w)
 
@@ -256,8 +255,8 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
         for val, p_w, w_w, p_s, w_s in candidates or []:
             if val <= best_val * (1.0 - 1e-9):
                 continue
-            cand_weak = scalar_entry(weak, p_w, w_w, base_weak)
-            cand_strong = scalar_entry(strong, p_s, w_s, base_strong)
+            cand_weak = _entry(weak, p_w, w_w, base_weak)
+            cand_strong = _entry(strong, p_s, w_s, base_strong)
             if cand_weak.rate_bps < base_weak or cand_strong.rate_bps < base_strong:
                 continue  # vectorized pass was optimistic at the tolerance edge
             val_exact = _objective_values(cand_weak.rate_bps, cand_strong.rate_bps, objective)
@@ -289,23 +288,31 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
 def allocate_pair(u1: UserLink, u2: UserLink, objective: str) -> Allocation:
     """Two-user reallocation of pooled power and bandwidth.
 
-    Maximizes the chosen objective over a power grid (0.1 dB after
-    refinement) times the bandwidth lattice, keeping both users at or above
-    their baseline rates. The baseline itself is always a candidate, so the
+    Searches a power grid (1 dB, then 0.1 dB around the winner) times the
+    bandwidth lattice for the chosen objective, keeping both users at or
+    above their baseline rates. The search is not exhaustive (see
+    allocate_group), but the baseline itself is always a candidate, so the
     result can never be worse than no reallocation.
     """
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
+    _check_objective(objective)
     seeds = _baseline_entries([u1, u2])
     p_budget = u1.pt_w + u2.pt_w
     w_budget = u1.w0_hz + u2.w0_hz
-    e1, e2, flags = _allocate_pair_budget(u1, u2, p_budget, w_budget, *seeds, objective)
-    entries = (e1, e2)
+    *entries, flags = _allocate_pair_budget(u1, u2, p_budget, w_budget, *seeds, objective)
+    return _allocation([u1, u2], entries, seeds, objective, flags)
+
+
+def _check_objective(objective: str) -> None:
+    if objective not in OBJECTIVES:
+        raise ConfigError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
+
+
+def _allocation(users, entries, seeds, objective: str, flags) -> Allocation:
     return Allocation(
-        entries=entries,
+        entries=tuple(entries),
         objective=objective,
-        objective_value=_group_objective([u1, u2], entries, objective),
-        baseline_value=_group_objective([u1, u2], seeds, objective),
+        objective_value=_group_objective(users, entries, objective),
+        baseline_value=_group_objective(users, seeds, objective),
         flags=flags,
     )
 
@@ -326,17 +333,19 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     Repeatedly re-solves two-user subproblems over the pair's currently held
     resources (fairness always judged against the original baselines) and
     accepts a pair move only when the group objective improves by more than
-    1e-6 relative. A heuristic: only k = 2 is exhaustive.
+    1e-6 relative. A heuristic, and allocate_pair is not exhaustive either:
+    it can leave part of the pooled bandwidth unused, and a second round
+    re-solved on that smaller budget gets a different grid, so for k = 2 this
+    function can beat allocate_pair by a fraction of a percent.
     """
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
+    _check_objective(objective)
     users = list(users)
     if len(users) < 2:
         raise ValueError("group allocation needs at least two users")
     seeds = _baseline_entries(users)
     entries = list(seeds)
     flags: Tuple[str, ...] = ()
-    baseline = current = _group_objective(users, entries, objective)
+    current = _group_objective(users, entries, objective)
     # a pair's solve depends only on the pair and its budgets: a repeat is
     # looked up, not solved again
     solved = {}
@@ -365,13 +374,7 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
         if not improved:
             break
 
-    return Allocation(
-        entries=tuple(entries),
-        objective=objective,
-        objective_value=current,
-        baseline_value=baseline,
-        flags=flags,
-    )
+    return _allocation(users, entries, seeds, objective, flags)
 
 
 def check_allocation(users: Sequence[UserLink], alloc: Allocation) -> None:
@@ -392,7 +395,7 @@ def check_allocation(users: Sequence[UserLink], alloc: Allocation) -> None:
 def synthetic_gains(k: int, median_db: float, sigma_db: float, seed: int) -> List[float]:
     """Log-normal demo gains in Hz/W; synthetic, not drawn from any deployment data."""
     rng = np.random.default_rng(seed)
-    return [10.0 ** ((median_db + sigma_db * z) / 10.0) for z in rng.standard_normal(k)]
+    return [db_to_linear(median_db + sigma_db * z) for z in rng.standard_normal(k)]
 
 
 def load_users_csv(path, cb: CoherenceBlock, fading: FadingModel) -> List[UserLink]:
@@ -402,8 +405,8 @@ def load_users_csv(path, cb: CoherenceBlock, fading: FadingModel) -> List[UserLi
     """
     users = [
         UserLink(
-            gain_hz_per_watt=10.0 ** (gain_db / 10.0),
-            pt_w=10.0 ** ((pt_dbm - 30.0) / 10.0),
+            gain_hz_per_watt=db_to_linear(gain_db),
+            pt_w=db_to_linear(pt_dbm - 30.0),
             w0_hz=w0_hz,
             cb=cb,
             fading=fading,

@@ -53,6 +53,19 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _write(args, data, rows, columns, text_lines=()) -> None:
+    """One command's output in args.format: data as JSON, rows as CSV under
+    columns, or text_lines as text; to args.out when given, else stdout."""
+    if args.format == "json":
+        text = json.dumps(data, indent=2)
+    elif args.format == "csv":
+        text = "\n".join([",".join(columns)]
+                         + [",".join(_fmt(row[col]) for col in columns) for row in rows])
+    else:
+        text = "\n".join(text_lines)
+    _emit(text, args.out)
+
+
 def _load_mapping(args) -> Dict[str, str]:
     if args.preset and args.scenario:
         raise ConfigError("give --scenario or --preset, not both")
@@ -81,13 +94,6 @@ def _solve_row(res: scenario.Resolved):
         "rate_fsk_bps": baselines.peaky_fsk_rate(pd_sub, sub_cb.lc),
         "rate_mi_bps": baselines.non_peaky_mi_rate(pd_sub, sub_cb.lc, res.fading),
     }, (pd_sub, sub_cb)
-
-
-def _csv(rows: List[Dict[str, object]], columns: List[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[col]) for col in columns))
-    return "\n".join(lines)
 
 
 def cmd_optimize(args) -> int:
@@ -125,12 +131,8 @@ def cmd_optimize(args) -> int:
     elif args.verify:
         raise ConfigError("--verify needs a bandwidth lattice; set bc_mhz")
 
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.out)
-    elif args.format == "csv":
-        _emit(_csv([report], list(report.keys())), args.out)
-    else:
-        _emit("\n".join(f"{key} = {_fmt(value)}" for key, value in report.items()), args.out)
+    _write(args, report, [report], list(report),
+           [f"{key} = {_fmt(value)}" for key, value in report.items()])
     return 0
 
 
@@ -149,11 +151,7 @@ def cmd_sweep(args) -> int:
         return row
 
     rows = [one(x) for x in grid]
-
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2), args.out)
-    else:
-        _emit(_csv(rows, SWEEP_COLUMNS), args.out)
+    _write(args, rows, rows, SWEEP_COLUMNS)
     return 0
 
 
@@ -172,15 +170,10 @@ def cmd_baselines(args) -> int:
          "fraction_of_csir": rate / row["rate_csir_bps"]}
         for name, rate in schemes
     ]
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2), args.out)
-    elif args.format == "csv":
-        _emit(_csv(rows, ["scheme", "rate_bps", "fraction_of_csir"]), args.out)
-    else:
-        width = max(len(r["scheme"]) for r in rows)
-        lines = [f"{r['scheme']:<{width}}  {_fmt(r['rate_bps'])} bps  "
-                 f"({_fmt(r['fraction_of_csir'])} of csir)" for r in rows]
-        _emit("\n".join(lines), args.out)
+    width = max(len(r["scheme"]) for r in rows)
+    _write(args, rows, rows, ["scheme", "rate_bps", "fraction_of_csir"],
+           [f"{r['scheme']:<{width}}  {_fmt(r['rate_bps'])} bps  "
+            f"({_fmt(r['fraction_of_csir'])} of csir)" for r in rows])
     return 0
 
 
@@ -208,30 +201,23 @@ def cmd_allocate(args) -> int:
         }
         for i, (u, e) in enumerate(zip(users, alloc.entries))
     ]
-    if args.format == "json":
-        _emit(json.dumps({
-            "objective": alloc.objective,
-            "objective_value": alloc.objective_value,
-            "baseline_value": alloc.baseline_value,
-            "flags": list(alloc.flags),
-            "users": user_rows,
-        }, indent=2), args.out)
-    elif args.format == "csv":
-        _emit(_csv(user_rows, ["user", "gain_db", "p_w", "w_hz", "pilots",
-                               "rate_bps", "baseline_bps"]), args.out)
-    else:
-        lines = [f"objective {alloc.objective}: {_fmt(alloc.objective_value)} bps "
-                 f"(baseline {_fmt(alloc.baseline_value)} bps)"]
-        for r in user_rows:
-            lines.append(
-                f"user {r['user']}: gain {_fmt(r['gain_db'])} dB, "
-                f"p {_fmt(r['p_w'])} W, w {_fmt(r['w_hz'])} Hz, "
-                f"pilots {r['pilots']}, rate {_fmt(r['rate_bps'])} bps "
-                f"(baseline {_fmt(r['baseline_bps'])})"
-            )
-        if alloc.flags:
-            lines.append("flags: " + ";".join(alloc.flags))
-        _emit("\n".join(lines), args.out)
+    data = {
+        "objective": alloc.objective,
+        "objective_value": alloc.objective_value,
+        "baseline_value": alloc.baseline_value,
+        "flags": list(alloc.flags),
+        "users": user_rows,
+    }
+    lines = [f"objective {alloc.objective}: {_fmt(alloc.objective_value)} bps "
+             f"(baseline {_fmt(alloc.baseline_value)} bps)"]
+    lines += [f"user {r['user']}: gain {_fmt(r['gain_db'])} dB, "
+              f"p {_fmt(r['p_w'])} W, w {_fmt(r['w_hz'])} Hz, "
+              f"pilots {r['pilots']}, rate {_fmt(r['rate_bps'])} bps "
+              f"(baseline {_fmt(r['baseline_bps'])})" for r in user_rows]
+    if alloc.flags:
+        lines.append("flags: " + ";".join(alloc.flags))
+    _write(args, data, user_rows, ["user", "gain_db", "p_w", "w_hz", "pilots",
+                                   "rate_bps", "baseline_bps"], lines)
     return 0
 
 

@@ -80,13 +80,13 @@ class CoherenceBlock:
     tc_s: Optional[float] = None
 
     def __post_init__(self):
-        if not self.lc >= 2.0:
-            raise ValueError(f"coherence length must be >= 2 (one pilot plus one data symbol), got {self.lc}")
-        # before the upper bound on lc, which an infinite tc_s or bc_hz would
+        # before the bounds on lc, which a NaN or infinite tc_s or bc_hz would
         # trip under the wrong name
         for name, value in (("bandwidth", self.bc_hz), ("time", self.tc_s)):
             if value is not None and not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"coherence {name} must be positive and finite, got {value}")
+        if not self.lc >= 2.0:
+            raise ValueError(f"coherence length must be >= 2 (one pilot plus one data symbol), got {self.lc}")
         if not self.lc <= _MAX_LC:
             raise ValueError(f"coherence length must be at most 2**53, where pilot counts "
                              f"still step by one, got {self.lc}")

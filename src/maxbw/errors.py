@@ -21,23 +21,28 @@ def read_numeric_rows(path, width: int, what: str):
 
     Blank rows are skipped and the first non-blank row may be a header, that
     is, a row whose leading fields are not all numbers. Every other row must
-    start with `width` numbers; extra fields are ignored. A bad row raises
+    start with `width` numbers; extra fields are ignored. A bad row, or one
+    the CSV reader refuses (say, a field past its size limit), raises
     ConfigError("path:line: ...").
     """
     rows, seen = [], False
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not any(field.strip() for field in row):
-                continue
-            first, seen = not seen, True
-            try:
-                values = tuple(float(x) for x in row[:width])
-            except ValueError:
-                if first:
+        reader = csv.reader(fh)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not any(field.strip() for field in row):
                     continue
-                values = ()
-            if len(values) < width:
-                raise ConfigError(f"{path}:{lineno}: bad {what} row {row!r}, "
-                                  f"need {width} numbers")
-            rows.append(values)
+                first, seen = not seen, True
+                try:
+                    values = tuple(float(x) for x in row[:width])
+                except ValueError:
+                    if first:
+                        continue
+                    values = ()
+                if len(values) < width:
+                    raise ConfigError(f"{path}:{lineno}: bad {what} row {row!r}, "
+                                      f"need {width} numbers")
+                rows.append(values)
+        except csv.Error as exc:
+            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     return rows

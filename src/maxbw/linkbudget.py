@@ -36,7 +36,11 @@ _BLOCKAGE_EXCESS_DB = 25.0
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10 ** (db / 10); ValueError where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db} dB is too large for a float") from None
 
 
 @dataclass(frozen=True)

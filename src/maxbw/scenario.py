@@ -183,7 +183,7 @@ def resolve(mapping: Dict[str, str], overrides: Optional[Dict[str, float]] = Non
             f"pr_n0_dbhz conflicts with link budget keys {budget_keys}; give one or the other"
         )
     if direct:
-        pd = PowerDensity(10.0 ** (v["pr_n0_dbhz"] / 10.0))
+        pd = PowerDensity(linkbudget.db_to_linear(v["pr_n0_dbhz"]))
         # density is taken as already beamformed; only the sweep penalty remains
         return Resolved(pd=pd, cb=cb, cfg=cfg, fading=fading,
                         gain=1.0, sweep_penalty=cfg.kt * cfg.g2, budget=None)
@@ -202,16 +202,10 @@ def resolve(mapping: Dict[str, str], overrides: Optional[Dict[str, float]] = Non
     else:
         gr = v.get("gr_element_dbi", 0.0)
 
-    if powers[0] == "eirp_dbm":
-        mode = linkbudget.EIRP
-        pt_element, eirp = None, v["eirp_dbm"]
-    else:
-        mode = linkbudget.ELEMENT_POWER
-        eirp = None
-        if powers[0] == "pt_total_dbm":
-            pt_element = v["pt_total_dbm"] - 10.0 * np.log10(cfg.nt)
-        else:
-            pt_element = v["pt_element_dbm"]
+    eirp = v.get("eirp_dbm")
+    pt_element = (v["pt_total_dbm"] - 10.0 * np.log10(cfg.nt) if "pt_total_dbm" in v
+                  else v.get("pt_element_dbm"))
+    mode = linkbudget.ELEMENT_POWER if eirp is None else linkbudget.EIRP
 
     lb = linkbudget.LinkBudget(
         fc_hz=v["fc_ghz"] * 1e9,

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -155,6 +158,33 @@ def test_optimize_scenario_file(tmp_path, capsys):
     assert report["lc"] == 10000.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--preset", "fig4-left", "--format", "text"],
+    ["optimize", "--preset", "fig4-left", "--format", "json"],
+    ["optimize", "--preset", "fig4-left", "--format", "csv"],
+    ["baselines", "--preset", "fig4-left", "--format", "text"],
+    ["baselines", "--preset", "fig4-left", "--format", "json"],
+    ["baselines", "--preset", "fig4-left", "--format", "csv"],
+    ["sweep", "--scenario", "{sweep}", "--format", "csv"],
+    ["sweep", "--scenario", "{sweep}", "--format", "json"],
+    ["allocate", "--scenario", "{chan}", "--users", "{users}", "--format", "text"],
+    ["allocate", "--scenario", "{chan}", "--users", "{users}", "--format", "json"],
+    ["allocate", "--scenario", "{chan}", "--users", "{users}", "--format", "csv"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_out_file_holds_the_bytes_stdout_prints(tmp_path, capsys, argv):
+    files = {"sweep": SWEEP_SCENARIO, "chan": ALLOC_SCENARIO, "users": USERS_CSV}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: tmp_path / name for name in files}) for arg in argv]
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0 and printed
+    dest = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(dest))
+    assert (code, out, err) == (0, "", "")
+    with open(dest, newline="") as fh:
+        assert fh.read() == printed
+
+
 def test_optimize_out_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run(capsys, "optimize", "--preset", "abstract-28ghz",
@@ -219,6 +249,38 @@ def test_one_column_table_row_is_a_config_error(tmp_path, capsys, keys, table):
     code, out, err = run(capsys, "optimize", "--scenario", str(scn))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "table.csv:2: " in err
+
+
+LINK_BUDGET = "fc_ghz = 28\ndistance_m = 100\ntc_ms = 1\nbc_mhz = 10\n"
+HUGE_FIELD = "9" * 200_000  # past the CSV reader's 131 072-character field limit
+
+
+@pytest.mark.parametrize("command,scenario,table", [
+    ("optimize", "pr_n0_dbhz = 1e5\ntc_ms = 1\nbc_mhz = 10\n", None),
+    ("sweep", "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nsweep = pr_n0_dbhz\n"
+              "sweep_start = 80\nsweep_stop = 1e5\nsweep_points = 2\n", None),
+    ("optimize", LINK_BUDGET + "eirp_dbm = 4000\n", None),
+    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n4000,30,100e6\n"),
+    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n80,4000,100e6\n"),
+    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n80,30," + HUGE_FIELD + "\n"),
+    ("optimize", "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nfading = tabulated\n"
+                 "fading_csv = {table}\n", "1.0," + HUGE_FIELD + "\n"),
+], ids=["pr_n0_dbhz", "sweep_pr_n0_dbhz", "eirp_dbm", "users_gain_dB", "users_Pt_dBm",
+        "users_huge_field", "atoms_huge_field"])
+def test_out_of_range_input_exits_one_without_a_traceback(tmp_path, command, scenario, table):
+    # each used to escape as an OverflowError or csv.Error traceback
+    scn, csv_path = tmp_path / "s.scn", tmp_path / "table.csv"
+    scn.write_text(scenario.format(table=csv_path))
+    argv = [command, "--scenario", str(scn)]
+    if table is not None:
+        csv_path.write_text(table)
+        if command == "allocate":
+            argv += ["--users", str(csv_path)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "maxbw.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_bad_argument_exits_one_not_two(capsys):

@@ -17,7 +17,7 @@ def _tool():
 def test_cli_identity_finds_no_difference_between_a_tree_and_itself(tmp_path):
     tool = _tool()
     cmds = tool.commands()
-    assert len(cmds) == 164
+    assert len(cmds) == 174
     tool.write_inputs(str(tmp_path))
     for argv in cmds:  # every file a command names was written
         for arg in argv:
@@ -26,8 +26,11 @@ def test_cli_identity_finds_no_difference_between_a_tree_and_itself(tmp_path):
     few = [["presets", "list"],
            ["optimize", "--scenario", "tabulated.scn", "--verify"],
            ["allocate", "--scenario", "tabulated_channel.scn", "--users", "users3.csv",
-            "--objective", "sum", "--format", "json"]]
+            "--objective", "sum", "--format", "json"],
+           ["optimize", "--scenario", "overflow_pd.scn"]]
     assert all(argv in cmds for argv in few)
     code, out, err = tool.run(ROOT, few[1], str(tmp_path))
     assert (code, err) == (0, b"") and b"verified_local_max = true" in out
-    assert tool.differing(ROOT, ROOT, few, str(tmp_path)) == []
+    code, out, err = tool.run(ROOT, few[3], str(tmp_path))
+    assert (code, out) == (1, b"") and err.startswith(b"error: ")
+    assert tool.compare(ROOT, ROOT, few, str(tmp_path)) == ([], [])

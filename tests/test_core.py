@@ -164,10 +164,11 @@ def test_coherence_block_rejects_a_huge_length_and_an_infinite_bandwidth(kwargs)
 
 
 def test_coherence_block_names_the_infinite_field():
-    with pytest.raises(ValueError, match="coherence time must be positive and finite"):
-        CoherenceBlock.from_tc_bc(tc_s=math.inf, bc_hz=1e7)
-    with pytest.raises(ValueError, match="coherence bandwidth must be positive and finite"):
-        CoherenceBlock.from_tc_bc(tc_s=1e-3, bc_hz=math.inf)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="coherence time must be positive and finite"):
+            CoherenceBlock.from_tc_bc(tc_s=bad, bc_hz=1e7)
+        with pytest.raises(ValueError, match="coherence bandwidth must be positive and finite"):
+            CoherenceBlock.from_tc_bc(tc_s=1e-3, bc_hz=bad)
 
 
 @pytest.mark.parametrize("fading", [RAY, DET], ids=["rayleigh", "deterministic"])

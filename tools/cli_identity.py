@@ -6,18 +6,22 @@ Each directory is a checkout of this repository. The script writes its input
 files (user tables, a 64-atom fading table and a few scenarios) to a
 temporary directory, runs every command of COMMANDS as
 `python -m maxbw.cli ...` against each tree's `src`, with no bytecode
-written, and prints each command whose stdout, stderr or exit code differs.
-It exits 1 if any does, else 0.
+written, and prints each command whose stdout, stderr or exit code differs,
+and each command whose stderr on CHANGE_DIR holds a Python traceback, even
+where it matches the parent's. It exits 1 if any command is printed, else 0.
 
-The 164 commands: `optimize` in three formats with and without `--verify`,
+The 174 commands: `optimize` in three formats with and without `--verify`,
 and `baselines` in three formats, on all 7 presets; `sweep` in csv and json
 on fig2, fig6a and fig6b; `presets list` and `presets verify`; `allocate` on
 2-, 3- and 4-user tables over Rayleigh, deterministic and tabulated
 channels, for every objective and format; `optimize --verify` and
 `baselines` on a tabulated, a Rayleigh and a wide-link scenario;
-`sweep --format json` on a tabulated and a deterministic scenario; and
+`sweep --format json` on a tabulated and a deterministic scenario;
 `optimize --verify --format json` on four links whose lattice maximum a
-local climb misses.
+local climb misses; and ten bad inputs that the CLI refuses with exit 1 and
+an `error:` line: dB values past a float (Pr/N0, a swept Pr/N0, an EIRP, a
+user's gain and power), a CSV field past the reader's size limit (users,
+fading atoms, path loss) and a NaN coherence time or bandwidth.
 """
 
 from __future__ import annotations
@@ -63,6 +67,27 @@ SCENARIOS = {
                                "fading = deterministic\nsweep = pr_n0_dbhz\n"
                                "sweep_start = 60\nsweep_stop = 100\nsweep_points = 5\n",
 }
+# a field past the CSV reader's limit of 131 072 characters
+_HUGE = "9" * 200_000
+# inputs the CLI refuses with exit 1 and an `error:` line
+BAD_USERS = {
+    "users_gain_overflow.csv": "68,30,100e6\n4000,30,100e6\n",
+    "users_pt_overflow.csv": "68,30,100e6\n80,4000,100e6\n",
+    "users_huge_field.csv": "68,30,100e6\n80,30," + _HUGE + "\n",
+}
+BAD_SCENARIOS = {
+    "overflow_pd.scn": "pr_n0_dbhz = 1e5\ntc_ms = 1\nbc_mhz = 10\n",
+    "overflow_sweep.scn": "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nsweep = pr_n0_dbhz\n"
+                          "sweep_start = 80\nsweep_stop = 1e5\nsweep_points = 2\n",
+    "overflow_eirp.scn": "fc_ghz = 28\ndistance_m = 100\neirp_dbm = 4000\ntc_ms = 1\n"
+                         "bc_mhz = 10\n",
+    "huge_atoms.scn": "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nfading = tabulated\n"
+                      "fading_csv = huge_table.csv\n",
+    "huge_pathloss.scn": "fc_ghz = 28\ndistance_m = 100\neirp_dbm = 52\ntc_ms = 1\n"
+                         "bc_mhz = 10\npathloss = custom\npathloss_csv = huge_table.csv\n",
+    "nan_tc.scn": "pr_n0_dbhz = 80\ntc_ms = nan\nbc_mhz = 10\n",
+    "nan_bc.scn": "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = nan\n",
+}
 
 
 def write_inputs(folder: str) -> None:
@@ -70,7 +95,8 @@ def write_inputs(folder: str) -> None:
     rng = random.Random(20171)
     values = sorted(rng.gammavariate(1.5, 1.0) for _ in range(64))
     mean = sum(values) / len(values)
-    files = dict(USERS, **SCENARIOS)
+    files = dict(USERS, **SCENARIOS, **BAD_USERS, **BAD_SCENARIOS)
+    files["huge_table.csv"] = "1.0," + _HUGE + "\n"
     files["atoms.csv"] = "value,weight\n" + "".join(f"{v / mean!r},{1 / 64!r}\n" for v in values)
     for kind in CHANNELS:
         files[f"{kind}_channel.scn"] = "tc_ms = 1\nbc_mhz = 2.5\nfading = " + kind + (
@@ -105,6 +131,10 @@ def commands():
         cmds.append(["sweep", "--scenario", scn, "--format", "json"])
     for scn in ("trap_lc779.scn", "trap_lc217862.scn", "trap_lc254.scn", "trap_lc8.scn"):
         cmds.append(["optimize", "--scenario", scn, "--verify", "--format", "json"])
+    for scn in BAD_SCENARIOS:
+        cmds.append(["sweep" if scn.endswith("sweep.scn") else "optimize", "--scenario", scn])
+    for users in BAD_USERS:
+        cmds.append(["allocate", "--scenario", "rayleigh_channel.scn", "--users", users])
     return cmds
 
 
@@ -117,9 +147,17 @@ def run(tree: str, argv, folder: str):
     return out.returncode, out.stdout, out.stderr
 
 
-def differing(parent: str, change: str, cmds, folder: str):
-    """The commands of cmds whose output differs between the two trees."""
-    return [argv for argv in cmds if run(parent, argv, folder) != run(change, argv, folder)]
+def compare(parent: str, change: str, cmds, folder: str):
+    """The commands of cmds whose output differs between the two trees, and
+    those whose stderr on change holds a traceback."""
+    differ, tracebacks = [], []
+    for argv in cmds:
+        new = run(change, argv, folder)
+        if run(parent, argv, folder) != new:
+            differ.append(argv)
+        if b"Traceback" in new[2]:
+            tracebacks.append(argv)
+    return differ, tracebacks
 
 
 def main(argv=None) -> int:
@@ -130,11 +168,14 @@ def main(argv=None) -> int:
     cmds = commands()
     with tempfile.TemporaryDirectory() as folder:
         write_inputs(folder)
-        bad = differing(args[0], args[1], cmds, folder)
-    for argv in bad:
+        differ, tracebacks = compare(args[0], args[1], cmds, folder)
+    for argv in differ:
         print("differs: maxbw " + " ".join(argv))
-    print(f"{len(cmds) - len(bad)} of {len(cmds)} commands identical")
-    return 1 if bad else 0
+    for argv in tracebacks:
+        print("traceback: maxbw " + " ".join(argv))
+    print(f"{len(cmds) - len(differ)} of {len(cmds)} commands identical, "
+          f"{len(tracebacks)} with a traceback")
+    return 1 if differ or tracebacks else 0
 
 
 if __name__ == "__main__":
