@@ -21,13 +21,14 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import core
+from ._lazy import LazyNumpy
 from .core import CoherenceBlock
 from .errors import ConfigError, read_numeric_rows
 from .fading import FadingModel
 from .linkbudget import db_to_linear
+
+np = LazyNumpy(globals())
 
 MAX_WEAK = "max-weak"
 MAX_STRONG = "max-strong"
@@ -130,11 +131,13 @@ def _cap_steps(user: UserLink, p_w):
     """Upper lattice step count worth considering at power p_w, a float or an
     array: the ceil of the continuous bandwidth optimum pd/rho*, in the
     operations of solve_continuous. The true lattice argmax is this or one less.
-    Clipped to 2**53 before the int cast: a larger cap exceeds every budget."""
+    Clipped to 2**53 before the int cast: a larger cap exceeds every budget.
+    Pr/N0 is checked as core.PowerDensity does."""
     pd = user.gain_hz_per_watt * np.asarray(p_w, dtype=float)
     # two reductions: NaN fails both tests, and an empty array has no minimum
-    if pd.size and not (pd.min() > 0.0 and math.isfinite(pd.max())):
-        raise ValueError(f"Pr/N0 must be positive and finite, got {pd!r}")
+    if pd.size and not (pd.min() > 0.0 and pd.max() <= core._MAX_PD_HZ):
+        bad = pd.max() if pd.min() > 0.0 else pd.min()
+        raise ValueError(f"Pr/N0 must be positive and at most 1e150 Hz, got {float(bad)!r}")
     rho = core._solve_rho_on_curve(user.cb.lc, user.fading)[0]
     return np.clip(np.ceil(pd / rho / user.cb.bc_hz - 1e-9), 1, _MAX_STEPS).astype(int)
 

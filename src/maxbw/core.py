@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-import numpy as np
-
+from ._lazy import LazyNumpy, is_array
 from .errors import SolverError
 from .fading import FadingModel, _log1p_inv1p
+
+np = LazyNumpy(globals())
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -47,22 +48,30 @@ _BRACKET_LO = 1e-6
 _BRACKET_HI = 10.0
 
 
+# The largest Pr/N0 accepted, 1e150 Hz or 1500 dB-Hz. The presets sit near
+# 80-110 dB-Hz; near 3000 dB-Hz the squared SNR in rho_eff overflows, and the
+# error would name the expectation's scale instead of the input.
+_MAX_PD_HZ = 1e150
+
+
 @dataclass(frozen=True)
 class PowerDensity:
-    """Received power over noise spectral density, Pr/N0, in hertz."""
+    """Received power over noise spectral density, Pr/N0, in hertz:
+    positive and at most 1e150 Hz."""
 
     pr_over_n0_hz: float
 
     def __post_init__(self):
-        if not (self.pr_over_n0_hz > 0.0 and math.isfinite(self.pr_over_n0_hz)):
-            raise ValueError(f"Pr/N0 must be positive and finite, got {self.pr_over_n0_hz}")
+        if not 0.0 < self.pr_over_n0_hz <= _MAX_PD_HZ:
+            raise ValueError(f"Pr/N0 must be positive and at most 1e150 Hz, "
+                             f"got {self.pr_over_n0_hz}")
 
 
 def _pd_hz(pd) -> float:
-    """Accept a PowerDensity or a bare float in hertz."""
+    """Accept a PowerDensity or a bare float in hertz, checked as PowerDensity does."""
     value = pd.pr_over_n0_hz if isinstance(pd, PowerDensity) else float(pd)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"Pr/N0 must be positive and finite, got {pd!r}")
+    if not 0.0 < value <= _MAX_PD_HZ:
+        raise ValueError(f"Pr/N0 must be positive and at most 1e150 Hz, got {pd!r}")
     return value
 
 
@@ -366,7 +375,7 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
     finite values.
     """
     shape = None
-    if isinstance(rho, np.ndarray) or isinstance(w, np.ndarray):
+    if is_array(rho) or is_array(w):
         rho, w = np.broadcast_arrays(rho, w)
         shape, rho, w = rho.shape, rho.ravel(), w.ravel()
     a = 1e-9 if shape is None else np.full(rho.size, 1e-9)
@@ -407,7 +416,7 @@ def _guided_pilots(rho, w, lc: float, fading: FadingModel):
     arrays in its candidate pass and on floats in its re-scores. The guide
     only saves rate evaluations and cannot change the answer."""
     log_rho, guide = _pilot_guide(lc, fading)
-    if isinstance(rho, np.ndarray):
+    if is_array(rho):
         n = np.interp(np.log10(rho), log_rho, guide).round()
     else:
         x = math.log10(rho) if rho > 0.0 else -math.inf
@@ -427,7 +436,7 @@ def _walk_pilots(rho, w, lc: float, fading: FadingModel, n):
     local maximum over the counts is the global one, whatever the start.
     """
     n_hi = _max_pilots(lc)
-    if not isinstance(rho, np.ndarray):
+    if not is_array(rho):
         best = _rates(rho, w, n / lc, lc, fading)
         for step in (-1.0, 1.0):
             start = n

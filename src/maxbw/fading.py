@@ -9,9 +9,10 @@ Rayleigh (X ~ Exp(1)) uses the exact forms, with x = 1/s (Abramowitz & Stegun
 
     E[ln(1 + s X)] = e^x E1(x),    E[1/(1 + s X)] = x e^x E1(x).
 
-A scalar scale never becomes a 0-d array: Rayleigh scalars use `math` only,
-and the other laws apply numpy's log1p to the float, or to s times the atom
-array, which gives the bits of their array path.
+A scalar scale never becomes a 0-d array. Rayleigh and deterministic scalars
+use `math` only, so they need no numpy; math.log1p can differ from numpy's
+array log1p in the last bit. Tabulated scalars apply numpy's log1p to s times
+the atom array, which gives the bits of their array path.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
+from ._lazy import LazyNumpy, is_array
 from .errors import read_numeric_rows
+
+np = LazyNumpy(globals())
 
 RAYLEIGH = "rayleigh"
 DETERMINISTIC = "deterministic"
@@ -58,7 +60,7 @@ def _require_scale(s):
     """
     if type(s) is float and 0.0 <= s < math.inf:
         return s  # the solvers' scalar calls, accepted without a conversion
-    if isinstance(s, np.ndarray):
+    if is_array(s):
         checked = np.asarray(s, dtype=float)
         # two reductions: NaN fails both tests, and an empty array has no minimum
         ok = not checked.size or (checked.min() >= 0.0 and math.isfinite(checked.max()))
@@ -226,14 +228,17 @@ class FadingModel:
         return s * self._values if type(s) is float else np.multiply.outer(s, self._values)
 
     def expected_log1p(self, s):
-        """E[ln(1 + s X)] in nats; accepts a scalar or ndarray scale s >= 0."""
+        """E[ln(1 + s X)] in nats; accepts a scalar or ndarray scale s >= 0.
+
+        A scalar gives a float. Deterministic scalars take math.log1p, which
+        can differ from the array path's numpy log1p in the last bit.
+        """
         s = _require_scale(s)
         if self.kind == RAYLEIGH:
             return (_rayleigh(s) if type(s) is float else _rayleigh_array(s))[0]
         if self.kind == DETERMINISTIC:
-            out = np.log1p(s)
-        else:
-            out = np.log1p(self._scaled_atoms(s)) @ self._weights
+            return (math if type(s) is float else np).log1p(s)
+        out = np.log1p(self._scaled_atoms(s)) @ self._weights
         return float(out) if type(s) is float else out
 
     def expected_inv1p(self, s):

@@ -11,11 +11,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import numpy as np
-
+from ._lazy import LazyNumpy
 from .beamform import RICH_SCATTERING, ArrayConfig
 from .core import PowerDensity
 from .errors import ConfigError, read_numeric_rows
+
+np = LazyNumpy(globals())
 
 SPEED_OF_LIGHT = 299_792_458.0
 

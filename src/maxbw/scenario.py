@@ -9,10 +9,9 @@ noise figure); never both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from . import linkbudget
 from .beamform import (
@@ -198,12 +197,12 @@ def resolve(mapping: Dict[str, str], overrides: Optional[Dict[str, float]] = Non
     if "gr_total_dbi" in v:
         if "gr_element_dbi" in v:
             raise ConfigError("give gr_element_dbi or gr_total_dbi, not both")
-        gr = v["gr_total_dbi"] - 10.0 * np.log10(cfg.nr)
+        gr = v["gr_total_dbi"] - 10.0 * math.log10(cfg.nr)
     else:
         gr = v.get("gr_element_dbi", 0.0)
 
     eirp = v.get("eirp_dbm")
-    pt_element = (v["pt_total_dbm"] - 10.0 * np.log10(cfg.nt) if "pt_total_dbm" in v
+    pt_element = (v["pt_total_dbm"] - 10.0 * math.log10(cfg.nt) if "pt_total_dbm" in v
                   else v.get("pt_element_dbm"))
     mode = linkbudget.ELEMENT_POWER if eirp is None else linkbudget.EIRP
 
@@ -248,15 +247,23 @@ def sweep_axis(mapping: Dict[str, str]) -> Optional[Tuple[str, List[float]]]:
     if points < 2:
         raise ConfigError("sweep_points must be at least 2")
     spacing = v.get("sweep_spacing", "log")
-    if spacing == "log":
-        if start <= 0 or stop <= 0:
-            raise ConfigError("log spacing needs positive sweep bounds")
-        grid = np.geomspace(start, stop, points)
-    elif spacing == "linear":
-        grid = np.linspace(start, stop, points)
-    else:
+    if spacing not in ("log", "linear"):
         raise ConfigError(f"unknown sweep_spacing {spacing!r}; valid: log, linear")
-    return key, [float(x) for x in grid]
+    log = spacing == "log"
+    if log and (start <= 0 or stop <= 0):
+        raise ConfigError("log spacing needs positive sweep bounds")
+    # numpy's order of operations: linspace is i*step + lo up to an exact
+    # stop, and geomspace raises 10 to the linspace of the exponents between
+    # exact end points
+    lo, hi = (math.log10(start), math.log10(stop)) if log else (start, stop)
+    step = (hi - lo) / (points - 1)
+    grid = [i * step + lo for i in range(points - 1)]
+    if log:
+        try:
+            grid = [start, *(10.0 ** y for y in grid[1:])]
+        except OverflowError:
+            raise ConfigError(f"log sweep from {start} to {stop} passes the largest float") from None
+    return key, grid + [stop]
 
 
 # Named operating points used in docs and regression checks. Expectation

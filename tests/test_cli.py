@@ -255,20 +255,26 @@ LINK_BUDGET = "fc_ghz = 28\ndistance_m = 100\ntc_ms = 1\nbc_mhz = 10\n"
 HUGE_FIELD = "9" * 200_000  # past the CSV reader's 131 072-character field limit
 
 
-@pytest.mark.parametrize("command,scenario,table", [
-    ("optimize", "pr_n0_dbhz = 1e5\ntc_ms = 1\nbc_mhz = 10\n", None),
+@pytest.mark.parametrize("command,scenario,table,named", [
+    ("optimize", "pr_n0_dbhz = 1e5\ntc_ms = 1\nbc_mhz = 10\n", None, "100000.0 dB"),
     ("sweep", "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nsweep = pr_n0_dbhz\n"
-              "sweep_start = 80\nsweep_stop = 1e5\nsweep_points = 2\n", None),
-    ("optimize", LINK_BUDGET + "eirp_dbm = 4000\n", None),
-    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n4000,30,100e6\n"),
-    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n80,4000,100e6\n"),
-    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n80,30," + HUGE_FIELD + "\n"),
+              "sweep_start = 80\nsweep_stop = 1e5\nsweep_points = 2\n", None, "100000.0 dB"),
+    ("optimize", LINK_BUDGET + "eirp_dbm = 4000\n", None, " dB is too large"),
+    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n4000,30,100e6\n", "4000.0 dB"),
+    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n80,4000,100e6\n", "3970.0 dB"),
+    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n80,30," + HUGE_FIELD + "\n", "table.csv:2: "),
     ("optimize", "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nfading = tabulated\n"
-                 "fading_csv = {table}\n", "1.0," + HUGE_FIELD + "\n"),
+                 "fading_csv = {table}\n", "1.0," + HUGE_FIELD + "\n", "table.csv:1: "),
+    ("optimize", "pr_n0_dbhz = 2800\ntc_ms = 1\nbc_mhz = 10\n", None,
+     "Pr/N0 must be positive and at most 1e150 Hz, got 1e+280"),
+    ("allocate", ALLOC_SCENARIO, "68,30,100e6\n2000,30,100e6\n",
+     "Pr/N0 must be positive and at most 1e150 Hz, got 1e+200"),
 ], ids=["pr_n0_dbhz", "sweep_pr_n0_dbhz", "eirp_dbm", "users_gain_dB", "users_Pt_dBm",
-        "users_huge_field", "atoms_huge_field"])
-def test_out_of_range_input_exits_one_without_a_traceback(tmp_path, command, scenario, table):
-    # each used to escape as an OverflowError or csv.Error traceback
+        "users_huge_field", "atoms_huge_field", "pr_n0_past_1e150", "users_gain_past_1e150"])
+def test_out_of_range_input_exits_one_without_a_traceback(tmp_path, command, scenario, table,
+                                                          named):
+    # the first seven used to escape as an OverflowError or csv.Error
+    # traceback, the last two as an error about the expectation's scale
     scn, csv_path = tmp_path / "s.scn", tmp_path / "table.csv"
     scn.write_text(scenario.format(table=csv_path))
     argv = [command, "--scenario", str(scn)]
@@ -281,6 +287,7 @@ def test_out_of_range_input_exits_one_without_a_traceback(tmp_path, command, sce
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert named in proc.stderr
 
 
 def test_bad_argument_exits_one_not_two(capsys):

@@ -34,3 +34,13 @@ def test_cli_identity_finds_no_difference_between_a_tree_and_itself(tmp_path):
     code, out, err = tool.run(ROOT, few[3], str(tmp_path))
     assert (code, out) == (1, b"") and err.startswith(b"error: ")
     assert tool.compare(ROOT, ROOT, few, str(tmp_path)) == ([], [])
+
+
+def test_changed_lines_lists_each_changed_line_of_both_outputs():
+    tool = _tool()
+    old = b'{\n  "a": 1.0,\n  "b": 0.30000000000000004,\n  "c": 3\n}\n'
+    new = b'{\n  "a": 1.0,\n  "b": 0.3,\n  "c": 3\n}\n'
+    assert tool.changed_lines(old, new) == ['-   "b": 0.30000000000000004,', '+   "b": 0.3,']
+    assert tool.changed_lines(old, old) == []
+    assert tool.changed_lines(b"x\ny\n", b"x\n") == ["- y"]
+    assert tool.changed_lines(b"", b"error\n") == ["+ error"]

@@ -184,6 +184,52 @@ def test_import_loads_no_test_oracles():
     assert out.stdout.strip() == "[]"
 
 
+NUMPY_FREE_RUN = """
+import contextlib, io, sys
+import maxbw, maxbw.cli
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert maxbw.cli.main(list(argv)) == 0, argv
+
+
+run("optimize", "--preset", "fig4-left", "--verify", "--format", "json")
+run("sweep", "--preset", "fig2")
+run("sweep", "--preset", "fig6b")
+run("baselines", "--preset", "abstract-28ghz")
+run("presets", "verify")
+print("numpy" in sys.modules)
+run("allocate", "--scenario", "channel.scn", "--users", "users.csv")
+run("optimize", "--scenario", "tabulated.scn")
+print("numpy" in sys.modules)
+"""
+
+
+def test_scalar_commands_never_import_numpy(tmp_path):
+    # numpy is imported only where arrays are built: allocation and tabulated laws
+    (tmp_path / "channel.scn").write_text("tc_ms = 1\nbc_mhz = 2.5\n")
+    (tmp_path / "users.csv").write_text("68,30,100e6\n80,30,100e6\n")
+    (tmp_path / "atoms.csv").write_text("0.5,0.5\n1.5,0.5\n")
+    (tmp_path / "tabulated.scn").write_text("pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\n"
+                                            "fading = tabulated\nfading_csv = atoms.csv\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maxbw.__file__)))
+    out = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "True"]
+
+
+def test_deterministic_scalar_log1p_is_within_2e_16_of_mpmath():
+    import mpmath as mp
+    det = FadingModel.deterministic()
+    scales = 10.0 ** np.random.default_rng(14).uniform(-12.0, 12.0, 2000)
+    with mp.workdps(40):
+        worst = max(abs(mp.mpf(det.expected_log1p(s)) / mp.log1p(mp.mpf(s)) - 1)
+                    for s in scales.tolist())
+    assert worst <= 2e-16
+
+
 def test_deterministic_is_exact():
     det = FadingModel.deterministic()
     for s in (0.0, 1e-6, 0.3, 7.0):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from maxbw import scenario
@@ -170,6 +171,47 @@ def test_sweep_axis_log_and_linear():
     assert grid == pytest.approx([1.0, 2.0, 3.0])
 
 
+def _grid(start, stop, points, spacing):
+    return scenario.sweep_axis({"pr_n0_dbhz": "80", "lc": "1000", "sweep": "lc",
+                                "sweep_start": repr(start), "sweep_stop": repr(stop),
+                                "sweep_points": str(points), "sweep_spacing": spacing})[1]
+
+
+def test_linear_sweep_grid_has_the_bits_of_numpy_linspace():
+    rng = np.random.default_rng(141)
+    cases = [(40.0, 85.0, 19)]  # fig6b
+    for _ in range(500):
+        start, stop = (rng.uniform(-1e3, 1e3) * 10.0 ** rng.integers(-6, 7, 2)).tolist()
+        cases.append((start, stop, int(rng.integers(2, 60))))
+    for start, stop, points in cases:
+        assert _grid(start, stop, points, "linear") == np.linspace(start, stop, points).tolist()
+    assert scenario.sweep_axis(scenario.preset("fig6b"))[1] == np.linspace(40, 85, 19).tolist()
+
+
+def test_log_sweep_grid_is_within_4e_15_of_the_exact_geometric_points():
+    # the grid keeps geomspace's end points and order of operations but not
+    # always its last bit; on these cases both are within 3.6e-15, since one
+    # ulp of an exponent near 8 alone moves a point by 2e-15
+    import mpmath as mp
+    rng = np.random.default_rng(142)
+    cases = [(0.1, 100.0, 25), (50.0, 1000.0, 21)]  # fig2, fig6a
+    while len(cases) < 300:
+        lo, hi = rng.uniform(-8.0, 8.0, 2).tolist()
+        if abs(hi - lo) >= 0.1:
+            cases.append((10.0 ** lo, 10.0 ** hi, int(rng.integers(2, 60))))
+    worst = 0.0
+    with mp.workdps(40):
+        for start, stop, points in cases:
+            grid = _grid(start, stop, points, "log")
+            assert (len(grid), grid[0], grid[-1]) == (points, start, stop)
+            assert all((b > a) == (stop > start) and a != b for a, b in zip(grid, grid[1:]))
+            ratio = mp.mpf(stop) / mp.mpf(start)
+            for i, x in enumerate(grid):
+                exact = mp.mpf(start) * ratio ** (mp.mpf(i) / (points - 1))
+                worst = max(worst, float(abs(x / exact - 1)))
+    assert worst <= 4e-15
+
+
 def test_sweep_axis_absent():
     assert scenario.sweep_axis({"pr_n0_dbhz": "80", "lc": "1000"}) is None
 
@@ -190,6 +232,9 @@ def test_sweep_axis_errors():
     with pytest.raises(ConfigError, match="positive sweep bounds"):
         scenario.sweep_axis({**base, "sweep": "lc", "sweep_start": "0",
                              "sweep_stop": "2", "sweep_points": "2"})
+    with pytest.raises(ConfigError, match="passes the largest float"):
+        scenario.sweep_axis({**base, "sweep": "lc", "sweep_start": "1.7976931348623157e308",
+                             "sweep_stop": "1.7976931348623157e308", "sweep_points": "3"})
     with pytest.raises(ConfigError, match="unknown sweep_spacing"):
         scenario.sweep_axis({**base, "sweep": "lc", "sweep_start": "1",
                              "sweep_stop": "2", "sweep_points": "2",

@@ -7,8 +7,10 @@ files (user tables, a 64-atom fading table and a few scenarios) to a
 temporary directory, runs every command of COMMANDS as
 `python -m maxbw.cli ...` against each tree's `src`, with no bytecode
 written, and prints each command whose stdout, stderr or exit code differs,
-and each command whose stderr on CHANGE_DIR holds a Python traceback, even
-where it matches the parent's. It exits 1 if any command is printed, else 0.
+followed by the stdout lines that changed (`-` the parent's, `+` the
+change's), and each command whose stderr on CHANGE_DIR holds a Python
+traceback, even where it matches the parent's. It exits 1 if any command is
+printed, else 0.
 
 The 174 commands: `optimize` in three formats with and without `--verify`,
 and `baselines` in three formats, on all 7 presets; `sweep` in csv and json
@@ -26,6 +28,7 @@ fading atoms, path loss) and a NaN coherence time or bandwidth.
 
 from __future__ import annotations
 
+import difflib
 import os
 import random
 import subprocess
@@ -147,14 +150,26 @@ def run(tree: str, argv, folder: str):
     return out.returncode, out.stdout, out.stderr
 
 
+def changed_lines(old: bytes, new: bytes):
+    """The lines of two outputs that differ: `- ` before each line only old
+    has, `+ ` before each line only new has, in the order of a diff."""
+    a, b = (out.decode(errors="replace").splitlines() for out in (old, new))
+    lines = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            lines += ["- " + line for line in a[i1:i2]] + ["+ " + line for line in b[j1:j2]]
+    return lines
+
+
 def compare(parent: str, change: str, cmds, folder: str):
-    """The commands of cmds whose output differs between the two trees, and
-    those whose stderr on change holds a traceback."""
+    """The commands of cmds whose output differs between the two trees, each
+    as (argv, changed stdout lines), and those whose stderr on change holds a
+    traceback."""
     differ, tracebacks = [], []
     for argv in cmds:
-        new = run(change, argv, folder)
-        if run(parent, argv, folder) != new:
-            differ.append(argv)
+        old, new = run(parent, argv, folder), run(change, argv, folder)
+        if old != new:
+            differ.append((argv, changed_lines(old[1], new[1])))
         if b"Traceback" in new[2]:
             tracebacks.append(argv)
     return differ, tracebacks
@@ -169,8 +184,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as folder:
         write_inputs(folder)
         differ, tracebacks = compare(args[0], args[1], cmds, folder)
-    for argv in differ:
+    for argv, lines in differ:
         print("differs: maxbw " + " ".join(argv))
+        for line in lines:
+            print("    " + line)
     for argv in tracebacks:
         print("traceback: maxbw " + " ".join(argv))
     print(f"{len(cmds) - len(differ)} of {len(cmds)} commands identical, "
