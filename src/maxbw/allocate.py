@@ -93,8 +93,8 @@ class Allocation:
 def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.OperatingPoint:
     """Rate at pinned power and bandwidth, integer pilot count optimized.
 
-    Equal to core.rate_fixed_bandwidth, from the pilot guide of the user's
-    coherence length instead of a golden-section search.
+    core.rate_fixed_bandwidth from the user's pilot guide, not a golden search:
+    equal up to Lc = 1e8, then within core.PILOT_RTOL of the pilot maximum.
     """
     return core._fixed_bandwidth_point(user.pd_hz(p_w), w_hz, user.cb, user.fading,
                                        core._guided_pilots)

@@ -43,6 +43,11 @@ R_ALPHA_TOL = 1e-12
 # walks would never end.
 _MAX_LC = 2.0 ** 53
 
+# Above Lc = 1e8, neighbouring pilot counts near the maximum can differ by
+# less than the rate's rounding, and a pilot walk may stop this far short of
+# it, relative (at most 2.5e-11 measured; README gives the measurement).
+PILOT_RTOL = 1e-10
+
 _BISECT_MAX_ITER = 200
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 10.0
@@ -372,7 +377,7 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
     pilot, and _walk_pilots finishes exactly from floor(a*Lc) + 1. rho and w
     are broadcastable arrays, or floats, which stay Python floats: the
     bracket updates are blends s*u + (1-s)*v with s in {0, 1}, exact for
-    finite values.
+    finite values. Exact up to Lc = 1e8, then within PILOT_RTOL.
     """
     shape = None
     if is_array(rho) or is_array(w):
@@ -414,7 +419,8 @@ def _guided_pilots(rho, w, lc: float, fading: FadingModel):
     """_best_pilots for floats, or 1-d arrays of one length, walked from the
     count the guide gives at each rho: the allocation layer's search, on
     arrays in its candidate pass and on floats in its re-scores. The guide
-    only saves rate evaluations and cannot change the answer."""
+    saves rate evaluations; above Lc = 1e8 its farther start can end the walk
+    on another count, within PILOT_RTOL of the maximum (see _walk_pilots)."""
     log_rho, guide = _pilot_guide(lc, fading)
     if is_array(rho):
         n = np.interp(np.log10(rho), log_rho, guide).round()
@@ -432,8 +438,9 @@ def _walk_pilots(rho, w, lc: float, fading: FadingModel, n):
     won, on those elements only, while the next count wins. A float walks
     down from n while the next count does at least as well and, if it did
     not move, up while the next count does better. Ties go to the lower
-    count either way. The rate is log-concave in alpha at fixed W, so a
-    local maximum over the counts is the global one, whatever the start.
+    count either way. The rate is log-concave in alpha at fixed W, so in exact
+    arithmetic a local maximum over the counts is the global one; in floats,
+    above Lc = 1e8, a walk can stop up to PILOT_RTOL short of it.
     """
     n_hi = _max_pilots(lc)
     if not is_array(rho):
@@ -513,53 +520,43 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
 def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -> OperatingPoint:
     """Global lattice maximizer over W in {Bc..m_max*Bc} and every pilot count.
 
-    The pilot dimension is scanned in full when the coherence length is small
-    enough; otherwise the exact pilot search of rate_fixed_bandwidth runs at
-    every bandwidth at once. Either way every bandwidth contributes its exact
-    best pilot count, so the winner is the maximum over the whole box and no
-    lattice neighbor inside it can beat it. A "maximum_at_edge" flag marks a
-    rate still increasing at m_max, meaning the bracket was too small.
+    Every bandwidth takes its best pilot count from the search of
+    rate_fixed_bandwidth, run on 2**14 bandwidths at a time, and the first
+    bandwidth with the largest rate wins: the maximum over the whole box, so
+    no lattice neighbor inside it can beat it. A "maximum_at_edge" flag marks
+    a rate still increasing at m_max, meaning the bracket was too small.
     """
     if cb.bc_hz is None:
         raise ValueError("exhaustive_search needs a coherence block with bc_hz set")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     pd_hz = _pd_hz(pd)
-    lc = cb.lc
-    n_hi = _max_pilots(lc)
-    full = n_hi <= 4096
-
-    # chunks bound the (bandwidths x pilots x quadrature nodes) temporaries
     best = (-1.0, 1, 1)
-    chunk = int(4e6 // n_hi) if full else 1 << 14
+    chunk = 1 << 14  # bounds the (bandwidths x quadrature nodes) temporaries
     for m0 in range(1, m_max + 1, chunk):
-        w = np.arange(m0, min(m0 + chunk, m_max + 1))[:, None] * cb.bc_hz
-        if full:
-            n = np.arange(1, n_hi + 1)[None, :]
-            rates = _rates(pd_hz / w, w, n / lc, lc, fading)
-        else:
-            n, rates = _best_pilots(pd_hz / w, w, lc, fading)
-        i, j = np.unravel_index(np.argmax(rates), rates.shape)
-        if rates[i, j] > best[0]:
-            best = (float(rates[i, j]), m0 + int(i), int(np.broadcast_to(n, rates.shape)[i, j]))
+        w = np.arange(m0, min(m0 + chunk, m_max + 1)) * cb.bc_hz
+        n, rates = _best_pilots(pd_hz / w, w, cb.lc, fading)
+        i = int(np.argmax(rates))
+        if rates[i] > best[0]:
+            best = (float(rates[i]), m0 + i, int(n[i]))
 
     rate_bps, m, n = best
     flags = ("maximum_at_edge",) if m == m_max and m_max > 1 else ()
-    return _lattice_point(pd_hz, m * cb.bc_hz, n, lc, rate_bps, flags)
+    return _lattice_point(pd_hz, m * cb.bc_hz, n, cb.lc, rate_bps, flags)
 
 
 def rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, fading: FadingModel) -> OperatingPoint:
     """Best rate at a pinned bandwidth, optimizing only the integer pilot count.
 
-    The pilot search is exact on the integer lattice (see _best_pilots).
+    Exact on the pilot lattice up to Lc = 1e8, then within PILOT_RTOL.
     """
     return _fixed_bandwidth_point(pd, w_hz, cb, fading, _best_pilots)
 
 
 def _fixed_bandwidth_point(pd, w_hz: float, cb: CoherenceBlock, fading: FadingModel,
                            search) -> OperatingPoint:
-    """rate_fixed_bandwidth with the exact pilot search passed in: _best_pilots
-    or _guided_pilots, which return the same count and rate bits on floats."""
+    """rate_fixed_bandwidth with the pilot search passed in: _best_pilots or
+    _guided_pilots, equal on floats up to Lc = 1e8, within PILOT_RTOL above."""
     pd_hz = _pd_hz(pd)
     if not w_hz > 0.0:
         raise ValueError(f"bandwidth must be positive, got {w_hz}")

@@ -285,8 +285,8 @@ def test_rate_fixed_bandwidth_pilots_match_brute_force():
 
 
 def test_exhaustive_search_long_coherence_reaches_lattice_point():
-    # Lc - 1 > 4096 takes the per-bandwidth pilot search instead of the full
-    # pilot scan; a coarse pilot grid used to stop 3.7e-8 below discretize here
+    # a long coherence length, where a coarse pilot grid once stopped 3.7e-8
+    # below discretize
     cb = CoherenceBlock(lc=8620.854826605364, bc_hz=1568246.5935462452)
     pd = 592817415.6481733
     lattice = core.discretize(core.solve_continuous(pd, cb, DET), cb, pd, DET)
@@ -343,8 +343,7 @@ def test_discretize_matches_exhaustive_search_on_random_links():
     floors = 0
     for i in range(60):
         fading = models[i % 3]
-        # Lc on both sides of 4096, where exhaustive_search stops scanning
-        # every pilot count; W*/Bc from 0.3, below the lattice, up to 2
+        # Lc from 2.5 to 2e4; W*/Bc from 0.3, below the lattice, up to 2
         lc = float(np.exp(rng.uniform(math.log(2.5), math.log(2e4))))
         pd = float(10.0 ** rng.uniform(5.0, 10.0))
         w_star = core.solve_continuous(pd, CoherenceBlock(lc=lc), fading).w_hz
@@ -364,6 +363,40 @@ def test_fixed_pilot_optimum_does_not_depend_on_lc(fading, n):
     for lc in (n + 1.0, 3.7 * n + 2.0, 1e3 * n, 1e7):
         r_w, _ = core.condition_residuals(rho_n, n / lc, lc, fading)
         assert abs(r_w) <= core.R_W_TOL, lc
+
+
+def _full_scan(pd, cb, fading, m_max):
+    """exhaustive_search by brute force: the rate of every (m, n) on the box,
+    the first maximum in (m, n) row-major order, and its edge flag."""
+    lc, n_hi = cb.lc, core._max_pilots(cb.lc)
+    n = np.arange(1, n_hi + 1)[None, :]
+    best = (-1.0, 1, 1)
+    rows = max(1, 2**16 // n_hi)
+    for m0 in range(1, m_max + 1, rows):
+        w = np.arange(m0, min(m0 + rows, m_max + 1))[:, None] * cb.bc_hz
+        rates = core._rates(pd / w, w, n / lc, lc, fading)
+        i, j = np.unravel_index(np.argmax(rates), rates.shape)
+        if rates[i, j] > best[0]:
+            best = (float(rates[i, j]), m0 + int(i), int(j) + 1)
+    rate_bps, m, n = best
+    return (m, n), rate_bps, ("maximum_at_edge",) if m == m_max and m_max > 1 else ()
+
+
+def test_exhaustive_search_matches_a_full_scan_on_random_links():
+    rng = np.random.default_rng(20172)
+    models = _three_laws(rng)
+    for i in range(90):
+        fading = models[i % 3]
+        lc = float(np.exp(rng.uniform(math.log(2.0), math.log(4097.0))))
+        pd = float(10.0 ** rng.uniform(5.0, 10.0))
+        w_star = core.solve_continuous(pd, CoherenceBlock(lc=lc), fading).w_hz
+        # W*/Bc from 0.3, below the lattice, up to 300
+        cb = CoherenceBlock(lc=lc, bc_hz=w_star / 10.0 ** rng.uniform(-0.5, 2.5))
+        m_max = max(4, 2 * math.ceil(w_star / cb.bc_hz))
+        ex = core.exhaustive_search(pd, cb, fading, m_max)
+        mn, rate_bps, flags = _full_scan(pd, cb, fading, m_max)
+        assert (_lattice_mn(ex, cb), ex.flags) == (mn, flags), (fading.kind, lc, cb.bc_hz, pd)
+        assert ex.rate_bps == pytest.approx(rate_bps, rel=1e-15, abs=0.0)
 
 
 def test_exhaustive_search_flags_edge_maximum():
@@ -447,8 +480,8 @@ def _three_laws(rng):
 
 @pytest.mark.parametrize("lc", [5000.0, 2e4])
 def test_best_pilots_on_arrays_match_brute_force_above_the_full_scan(lc):
-    # exhaustive_search takes this search at every bandwidth once Lc - 1 > 4096;
-    # a column of points, as exhaustive_search passes, keeps its shape
+    # exhaustive_search takes this search at every bandwidth, here at coherence
+    # lengths past 4096 pilots; a column of points keeps its shape
     rng = np.random.default_rng(int(lc) + 4)
     n_all = np.arange(1.0, core._max_pilots(lc) + 1.0)
     rho = np.geomspace(1e-6, 1e4, 31)
@@ -544,6 +577,38 @@ def test_guided_pilots_on_floats_are_exact_from_a_wrong_guide(monkeypatch, guess
             w = float(10.0 ** rng.uniform(5.0, 9.0))
             got = core._guided_pilots(rho, w, lc, fading)
             assert got == core._best_pilots(rho, w, lc, fading), (fading.kind, rho)
+
+
+def _window_max(rho, w, lc, fading, n):
+    """The largest rate over the counts n - k .. n + k, k = 2000, widened
+    fourfold until the maximum lies inside the window or on a count limit."""
+    n_hi, k = core._max_pilots(lc), 2000
+    while True:
+        counts = np.arange(max(1, n - k), min(n_hi, n + k) + 1, dtype=float)
+        rates = core._rates(rho, w, counts / lc, lc, fading)
+        j = int(np.argmax(rates))
+        if 0 < j < counts.size - 1 or counts[j] in (1.0, n_hi):
+            return rates[j]
+        k *= 4
+
+
+@pytest.mark.parametrize("law", [0, 1, 2], ids=["rayleigh", "deterministic", "tabulated"])
+@pytest.mark.parametrize("lc", [1e10, 1e12, 1e14, 2.0**53])
+def test_pilot_searches_at_huge_coherence_stay_within_their_tolerance(lc, law):
+    # near the maximum, neighbouring counts can differ by less than the rate's
+    # rounding, so each walk may stop short of it: by at most PILOT_RTOL
+    rng = np.random.default_rng([int(math.log2(lc)), law])
+    fading = _three_laws(rng)[law]
+    rho = 10.0 ** rng.uniform(-8.0, 8.0, 30)
+    w = 10.0 ** rng.uniform(5.0, 9.0, 30)
+    searches = (core._best_pilots, core._guided_pilots)
+    on_arrays = [search(rho, w, lc, fading)[1] for search in searches]
+    for j in range(rho.size):
+        r, v = float(rho[j]), float(w[j])
+        n, _ = core._best_pilots(r, v, lc, fading)
+        floor = _window_max(r, v, lc, fading, n) * (1.0 - core.PILOT_RTOL)
+        rates = [search(r, v, lc, fading)[1] for search in searches]
+        assert min(rates + [rates_j[j] for rates_j in on_arrays]) >= floor, (lc, r, v)
 
 
 def _count_kernel_calls(monkeypatch):
