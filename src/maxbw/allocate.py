@@ -6,6 +6,10 @@ bandwidth between users subject to the pooled budgets and to the rule that
 nobody ends below their baseline rate. Bandwidth lives on each user's
 coherence lattice; power is searched on a dB grid, coarse pass then refined.
 
+The weak user is the first of least gain and the strong user the last of
+greatest: of two equal gains the first user is weak and the second strong.
+Every search and every reported objective judge by that rule (_objective).
+
 Each call of the candidate pass builds all of its candidates in one array
 pass over power offsets, bandwidth caps and lattice steps, and scores them
 in one vectorized pass. Each winner is then re-scored on the scalar path,
@@ -165,14 +169,6 @@ def _segment(lo: np.ndarray, hi: np.ndarray, max_points: int):
     return np.where(span < max_points, lo + j, spread), j <= np.maximum(span, 0)
 
 
-def _objective_values(r_weak, r_strong, objective: str):
-    if objective == MAX_WEAK:
-        return r_weak
-    if objective == MAX_STRONG:
-        return r_strong
-    return r_weak + r_strong
-
-
 def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budget: float,
                        base_weak: float, base_strong: float, objective: str,
                        offsets_db: np.ndarray, m_center: Optional[int] = None):
@@ -224,7 +220,8 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     feasible = (r_w >= base_weak * (1.0 - 1e-9)) & (r_s >= base_strong * (1.0 - 1e-9))
     if not feasible.any():
         return None
-    vals = np.where(feasible, _objective_values(r_w, r_s, objective), -np.inf)
+    vals = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
+                                         [r_w, r_s], objective), -np.inf)
     order = np.argsort(vals)[::-1]
     top = order[: min(4, int(feasible.sum()))]
     return [
@@ -239,15 +236,16 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
                           ) -> Tuple[AllocationEntry, AllocationEntry, Tuple[str, ...]]:
     """seed1, seed2: the users' baseline entries; the baseline split is always
     feasible and seeds the search."""
-    weak_first = u1.gain_hz_per_watt <= u2.gain_hz_per_watt
+    weak_first = u1.gain_hz_per_watt <= u2.gain_hz_per_watt  # _objective's weak and strong
     weak, strong = (u1, u2) if weak_first else (u2, u1)
     best_weak, best_strong = (seed1, seed2) if weak_first else (seed2, seed1)
     base_weak, base_strong = best_weak.baseline_bps, best_strong.baseline_bps
+    gains = [weak.gain_hz_per_watt, strong.gain_hz_per_watt]
 
     def incumbent_db():
         return 10.0 * math.log10(best_weak.p_w / weak.pt_w)
 
-    best_val = _objective_values(best_weak.rate_bps, best_strong.rate_bps, objective)
+    best_val = _objective(gains, [best_weak.rate_bps, best_strong.rate_bps], objective)
 
     hi_db = 10.0 * math.log10(p_budget / weak.pt_w)
 
@@ -262,7 +260,7 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
             cand_strong = _entry(strong, p_s, w_s, base_strong)
             if cand_weak.rate_bps < base_weak or cand_strong.rate_bps < base_strong:
                 continue  # vectorized pass was optimistic at the tolerance edge
-            val_exact = _objective_values(cand_weak.rate_bps, cand_strong.rate_bps, objective)
+            val_exact = _objective(gains, [cand_weak.rate_bps, cand_strong.rate_bps], objective)
             if val_exact > best_val:
                 best_val = val_exact
                 best_weak, best_strong = cand_weak, cand_strong
@@ -310,24 +308,25 @@ def _check_objective(objective: str) -> None:
         raise ConfigError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
 
 
+def _objective(gains, rates, objective: str):
+    """The weak user's rate (max-weak), the strong user's (max-strong) or the
+    sum of the rates, floats or arrays; weak and strong as the module says."""
+    if objective == MAX_WEAK:
+        return rates[min(range(len(gains)), key=gains.__getitem__)]
+    if objective == MAX_STRONG:
+        return rates[max(reversed(range(len(gains))), key=gains.__getitem__)]
+    return sum(rates)
+
+
 def _allocation(users, entries, seeds, objective: str, flags) -> Allocation:
+    gains = [u.gain_hz_per_watt for u in users]
     return Allocation(
         entries=tuple(entries),
         objective=objective,
-        objective_value=_group_objective(users, entries, objective),
-        baseline_value=_group_objective(users, seeds, objective),
+        objective_value=_objective(gains, [e.rate_bps for e in entries], objective),
+        baseline_value=_objective(gains, [e.rate_bps for e in seeds], objective),
         flags=flags,
     )
-
-
-def _group_objective(users, entries, objective: str) -> float:
-    rates = [e.rate_bps for e in entries]
-    gains = [u.gain_hz_per_watt for u in users]
-    if objective == MAX_WEAK:
-        return rates[gains.index(min(gains))]
-    if objective == MAX_STRONG:
-        return rates[gains.index(max(gains))]
-    return float(sum(rates))
 
 
 def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
@@ -336,7 +335,9 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     Repeatedly re-solves two-user subproblems over the pair's currently held
     resources (fairness always judged against the original baselines) and
     accepts a pair move only when the group objective improves by more than
-    1e-6 relative. A heuristic, and allocate_pair is not exhaustive either:
+    1e-6 relative. The group's weak and strong users are the first of least
+    and the last of greatest gain, and each pair's search takes its own two
+    users the same way. A heuristic, and allocate_pair is not exhaustive either:
     it can leave part of the pooled bandwidth unused, and a second round
     re-solved on that smaller budget gets a different grid, so for k = 2 this
     function can beat allocate_pair by a fraction of a percent.
@@ -348,7 +349,8 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     seeds = _baseline_entries(users)
     entries = list(seeds)
     flags: Tuple[str, ...] = ()
-    current = _group_objective(users, entries, objective)
+    gains = [u.gain_hz_per_watt for u in users]
+    current = _objective(gains, [e.rate_bps for e in entries], objective)
     # a pair's solve depends only on the pair and its budgets: a repeat is
     # looked up, not solved again
     solved = {}
@@ -368,7 +370,7 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
                 ei, ej, pair_flags = solved[key]
                 trial = list(entries)
                 trial[i], trial[j] = ei, ej
-                value = _group_objective(users, trial, objective)
+                value = _objective(gains, [e.rate_bps for e in trial], objective)
                 if value > current * (1.0 + _REL_IMPROVE):
                     entries = trial
                     current = value

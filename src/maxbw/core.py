@@ -374,10 +374,14 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
     allocation layer, which sees one length many times, uses _guided_pilots.
 
     A golden-section search on the pilot ratio narrows [a, b] to about one
-    pilot, and _walk_pilots finishes exactly from floor(a*Lc) + 1. rho and w
-    are broadcastable arrays, or floats, which stay Python floats: the
-    bracket updates are blends s*u + (1-s)*v with s in {0, 1}, exact for
-    finite values. Exact up to Lc = 1e8, then within PILOT_RTOL.
+    pilot, and _walk_pilots finishes exactly from floor(a*Lc) + 1. Equal
+    rates at the two probes keep the lower bracket. rho and w are
+    broadcastable arrays, or floats, which stay Python floats: the bracket
+    updates are blends s*u + (1-s)*v with s in {0, 1}, exact for finite
+    values. Exact up to Lc = 1e8, then within PILOT_RTOL. Where every rate
+    rounds to 0.0 (per-symbol SNR below about 1e-160) each count ties, and
+    the search ends near the bracket's lower end, 1e-9*Lc: count 1 below
+    Lc = 1e9, and about 1e-9*Lc above.
     """
     shape = None
     if is_array(rho) or is_array(w):
@@ -388,7 +392,7 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = _rates(rho, w, c, lc, fading), _rates(rho, w, d, lc, fading)
     for _ in range(math.ceil(math.log(lc) / -math.log(_INV_PHI))):
-        s = (fc > fd) * 1.0  # 1 where the maximum lies in [a, d], else in [c, b]
+        s = (fc >= fd) * 1.0  # 1 where a maximum lies in [a, d], else in [c, b]
         t = 1.0 - s
         a, b = s * a + t * c, s * d + t * b
         x = s * (b - _INV_PHI * (b - a)) + t * (a + _INV_PHI * (b - a))
@@ -420,14 +424,24 @@ def _guided_pilots(rho, w, lc: float, fading: FadingModel):
     count the guide gives at each rho: the allocation layer's search, on
     arrays in its candidate pass and on floats in its re-scores. The guide
     saves rate evaluations; above Lc = 1e8 its farther start can end the walk
-    on another count, within PILOT_RTOL of the maximum (see _walk_pilots)."""
+    on another count, within PILOT_RTOL of the maximum (see _walk_pilots).
+    A rho outside the guide's 1e-8..1e8 takes _best_pilots, since a walk from
+    the guide's end could run toward Lc/2 one count at a time."""
     log_rho, guide = _pilot_guide(lc, fading)
-    if is_array(rho):
-        n = np.interp(np.log10(rho), log_rho, guide).round()
-    else:
+    if not is_array(rho):
         x = math.log10(rho) if rho > 0.0 else -math.inf
-        n = float(round(np.interp(x, log_rho, guide)))
-    return _walk_pilots(rho, w, lc, fading, n)
+        if not abs(x) <= log_rho[-1]:
+            return _best_pilots(rho, w, lc, fading)
+        return _walk_pilots(rho, w, lc, fading, float(round(np.interp(x, log_rho, guide))))
+    x = np.log10(rho)
+    on = np.abs(x) <= log_rho[-1]
+    if on.all():
+        return _walk_pilots(rho, w, lc, fading, np.interp(x, log_rho, guide).round())
+    n, best = np.empty(rho.size, dtype=int), np.empty(rho.size)
+    for part, search in ((on, _guided_pilots), (~on, _best_pilots)):
+        if part.any():
+            n[part], best[part] = search(rho[part], w[part], lc, fading)
+    return n, best
 
 
 def _walk_pilots(rho, w, lc: float, fading: FadingModel, n):
@@ -435,23 +449,24 @@ def _walk_pilots(rho, w, lc: float, fading: FadingModel, n):
 
     rho, w and n are floats, or 1-d arrays of one length. An array scores
     n - 1, n and n + 1 at once, then walks one pilot at a time where an end
-    won, on those elements only, while the next count wins. A float walks
-    down from n while the next count does at least as well and, if it did
-    not move, up while the next count does better. Ties go to the lower
-    count either way. The rate is log-concave in alpha at fixed W, so in exact
-    arithmetic a local maximum over the counts is the global one; in floats,
-    above Lc = 1e8, a walk can stop up to PILOT_RTOL short of it.
+    won, on those elements only. A float walks down from n and, if it did
+    not move, up. Either moves only to a strictly better count, except that
+    an equal count below is taken once and ends the walk: ties go to the
+    lower count, and no walk runs through a run of equal rates. The rate is
+    log-concave in alpha at fixed W, so in exact arithmetic a local maximum
+    over the counts is the global one; in floats, above Lc = 1e8, a walk can
+    stop up to PILOT_RTOL short of it.
     """
     n_hi = _max_pilots(lc)
     if not is_array(rho):
         best = _rates(rho, w, n / lc, lc, fading)
         for step in (-1.0, 1.0):
-            start = n
-            while 1.0 <= n + step <= n_hi:
+            start, more = n, True
+            while more and 1.0 <= n + step <= n_hi:
                 r = _rates(rho, w, (n + step) / lc, lc, fading)
-                if not (r >= best if step < 0 else r > best):
+                if not (r > best or r == best and step < 0):
                     break
-                n, best = n + step, r
+                n, best, more = n + step, r, r > best
             if n != start:
                 break
         return int(n), float(best)
@@ -460,16 +475,19 @@ def _walk_pilots(rho, w, lc: float, fading: FadingModel, n):
     k = rates.argmax(axis=1)
     rows = np.arange(k.size)
     n, best = trial[rows, k], rates[rows, k]
-    for end, step in ((0, -1.0), (2, 1.0)):
-        i = np.flatnonzero(k == end)
+    # argmax took the lowest of equal counts: n - 1 walks on only if it is better
+    for walks, step in (((k == 0) & (rates[:, 0] > rates[:, 1]), -1.0), (k == 2, 1.0)):
+        i = np.flatnonzero(walks)
         while i.size:
             m = n[i] + step
-            inside = (m >= 1.0) & (m <= n_hi)
+            inside = m >= 1.0 if step < 0 else m <= n_hi
             i, m = i[inside], m[inside]
             r = _rates(rho[i], w[i], m / lc, lc, fading)
-            wins = r >= best[i] if step < 0 else r > best[i]
-            i = i[wins]
-            n[i], best[i] = m[wins], r[wins]
+            b = best[i]
+            wins = r >= b if step < 0 else r > b
+            j = i[wins]
+            n[j], best[j] = m[wins], r[wins]
+            i = j if step > 0 else i[r > b]  # an equal count below is taken once
     return n.astype(int), best
 
 
@@ -482,8 +500,9 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
     the root's 1e-10 error. Its lattice rates are at most the rate at W_n,
     R(n) = (1 - n/Lc) * W_n * E[log2(1 + rho_eff X)], or at W = Bc when
     W_n < Bc. That bound is unimodal in n, so the scan walks both ways from
-    its peak and stops a side once the bound falls below the best lattice
-    rate found: no count beyond can win. The peak is at floor(alpha*Lc) or
+    its peak and stops a side once the bound can no longer beat the best
+    lattice rate found, equal included: no count beyond can win, and of
+    equal rates the first scored is kept. The peak is at floor(alpha*Lc) or
     the next count; if Bc exceeds the continuous optimum's bandwidth it is the
     best count at W = Bc, and the result carries a "bandwidth_floor" flag: the
     relaxation's interior optimum does not exist on the lattice.
@@ -510,7 +529,7 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
             best = max(best, *rates, key=lambda t: t[0])  # ties keep the first
             # when W_n < Bc the scored steps are m = 1, 2 and the rate falls in W
             bound = rates[0][0] if w_n < bc else (1.0 - n / lc) * w_n * e_log1p * LOG2E
-            if bound * (1.0 + 1e-12) < best[0]:
+            if bound * (1.0 + 1e-12) <= best[0]:
                 break
             n += step
     rate_bps, m, n = best

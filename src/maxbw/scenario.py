@@ -224,7 +224,16 @@ def resolve(mapping: Dict[str, str], overrides: Optional[Dict[str, float]] = Non
 
 def channel_only(mapping: Dict[str, str]) -> Tuple[CoherenceBlock, FadingModel]:
     """Coherence block and fading model alone, for flows that bring their own
-    power budgets (multi-user allocation)."""
+    power budgets (multi-user allocation).
+
+    The power and link budget keys and the sweep keys are ignored. The array
+    keys are refused: their gain and sweep penalty would change every user's
+    power and coherence length, which this view cannot carry.
+    """
+    array_keys = [k for k in ("nt", "nr", "kt", "g1", "g2", "gain_model") if k in mapping]
+    if array_keys:
+        raise ConfigError(f"allocation takes no array keys, got {array_keys}: fold the array "
+                          f"gain into each user's gain and its sweep penalty into lc")
     v = _typed(mapping)
     return _coherence(v), _fading(v)
 

@@ -101,6 +101,21 @@ def test_unknown_objective():
         allocate.allocate_group([_user(68.0), _user(80.0)], "fairness")
 
 
+@pytest.mark.parametrize("search", ["allocate_pair", "allocate_group"])
+@pytest.mark.parametrize("objective, optimized", [("max-weak", 0), ("max-strong", 1)])
+@pytest.mark.parametrize("rows", [((30.0, 100e6), (33.0, 40e6)), ((33.0, 40e6), (30.0, 100e6))],
+                         ids=["wide-first", "narrow-first"])
+def test_equal_gains_report_the_rate_the_search_optimized(search, objective, optimized, rows):
+    # of two equal gains the first user is weak and the second strong, both in
+    # the search and in the reported objective, in either row order
+    users = [_user(70.0, pt_w=10.0 ** ((pt_dbm - 30.0) / 10.0), w0_hz=w0) for pt_dbm, w0 in rows]
+    search_fn = getattr(allocate, search)
+    alloc = search_fn(*users, objective) if search == "allocate_pair" else search_fn(users, objective)
+    allocate.check_allocation(users, alloc)
+    assert alloc.objective_value == alloc.entries[optimized].rate_bps
+    assert alloc.baseline_value == alloc.entries[optimized].baseline_bps
+
+
 # ---------------------------------------------------------------- group cases
 
 

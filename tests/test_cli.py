@@ -435,6 +435,22 @@ def test_allocate_refuses_an_unsteppable_baseline_bandwidth(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("keys", [{"nt": "16", "nr": "4", "gain_model": "ideal"},
+                                  {"kt": "2"}, {"g1": "4", "g2": "2"}])
+def test_allocate_refuses_array_keys(tmp_path, capsys, keys):
+    # an array's gain and sweep penalty would change every user's power and
+    # coherence length, which allocate cannot carry: refused, not dropped
+    scn = tmp_path / "chan.scn"
+    scn.write_text("tc_ms = 5\nbc_mhz = 10\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    users = tmp_path / "users.csv"
+    users.write_text(USERS_CSV)
+    code, out, err = run(capsys, "allocate", "--scenario", str(scn), "--users", str(users))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert all(repr(key) in err for key in keys)
+
+
 # -------------------------------------------------------------------- presets
 
 

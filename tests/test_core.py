@@ -611,6 +611,59 @@ def test_pilot_searches_at_huge_coherence_stay_within_their_tolerance(lc, law):
         assert min(rates + [rates_j[j] for rates_j in on_arrays]) >= floor, (lc, r, v)
 
 
+def _count_rates(monkeypatch, budget):
+    """Count core._rates calls, failing at the first one past budget: a search
+    that walks through a run of equal rates fails at once instead of hanging."""
+    calls = [0]
+    original = core._rates
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= budget, f"more than {budget} rate evaluations"
+        return original(*args)
+
+    monkeypatch.setattr(core, "_rates", counted)
+
+
+@pytest.mark.parametrize("law", [0, 1, 2], ids=["rayleigh", "deterministic", "tabulated"])
+@pytest.mark.parametrize("pd, lc", [(1e-191, 1e7), (1e-200, 2.0**53)])
+def test_rate_fixed_bandwidth_stops_on_underflowed_rates(monkeypatch, pd, lc, law):
+    # at 1 GHz the per-symbol SNR is 1e-200 or less, so every rate rounds to
+    # 0.0 and every pilot count ties: ties go to the lower count, and no
+    # search walks through the run
+    fading = _three_laws(np.random.default_rng(7))[law]
+    _count_rates(monkeypatch, 150)
+    point = core.rate_fixed_bandwidth(pd, 1e9, CoherenceBlock(lc=lc), fading)
+    assert point.rate_bps == 0.0
+    if lc < 1e9:
+        assert point.pilot_count == 1
+
+
+def test_discretize_stops_on_underflowed_rates(monkeypatch):
+    # pr_n0_dbhz = -2900: the bound and the best lattice rate are both 0.0
+    cb = CoherenceBlock(lc=1e6, bc_hz=1e7)
+    pd = 10.0 ** (-2900.0 / 10.0)
+    op = core.solve_continuous(pd, cb, RAY)
+    _count_rates(monkeypatch, 200)
+    point = core.discretize(op, cb, pd, RAY)
+    assert (point.w_hz, point.pilot_count, point.rate_bps) == (1e7, 1, 0.0)
+    assert "bandwidth_floor" in point.flags
+
+
+@pytest.mark.parametrize("on_arrays", [False, True], ids=["float", "array"])
+def test_guided_pilots_below_the_guide_take_the_golden_search(monkeypatch, on_arrays):
+    # rho = 5e-9 lies below the guide's 1e-8, where a walk from the guide's
+    # end would run toward Lc/2 one count at a time
+    lc, rho, w = 1e8, 5e-9, 1e8
+    if on_arrays:
+        rho, w = np.array([rho]), np.array([w])
+    core._pilot_guide(lc, RAY)  # built once and shared by every caller
+    expected = core._best_pilots(rho, w, lc, RAY)
+    _count_rates(monkeypatch, 200)
+    n, r = core._guided_pilots(rho, w, lc, RAY)
+    assert np.array_equal(n, expected[0]) and np.array_equal(r, expected[1])
+
+
 def _count_kernel_calls(monkeypatch):
     """Count every fading-kernel evaluation: the two public expectations and
     the Rayleigh scalar and array kernels that the joint one calls directly."""
