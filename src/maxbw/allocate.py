@@ -15,8 +15,10 @@ pass over power offsets, bandwidth caps and lattice steps, and scores them
 in one vectorized pass. Each winner is then re-scored on the scalar path,
 fixed_bandwidth_rate. Both use the integer pilot search core._guided_pilots:
 every rate of a user shares one coherence length, so the cached argmax guide
-of that length is built once and reused, and the scalar re-score has the
-bits of core.rate_fixed_bandwidth.
+of that length is built once and reused. Each search is one five-count
+probe from the guide's count; a rate whose probe cannot certify its count
+hands off to the golden search, and ties go to the lower count. So the
+scalar re-score has the bits of core.rate_fixed_bandwidth.
 """
 
 from __future__ import annotations

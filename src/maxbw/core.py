@@ -39,13 +39,14 @@ LOG2E = 1.0 / math.log(2.0)
 R_W_TOL = 1e-9
 R_ALPHA_TOL = 1e-12
 
-# Above 2**53 symbols, n + 1.0 == n for a float pilot count n, and the pilot
-# walks would never end.
+# Above 2**53 symbols, n + 1.0 == n for a float pilot count n, so a pilot
+# search could not step from one count to the next.
 _MAX_LC = 2.0 ** 53
 
 # Above Lc = 1e8, neighbouring pilot counts near the maximum can differ by
-# less than the rate's rounding, and a pilot walk may stop this far short of
-# it, relative (at most 2.5e-11 measured; README gives the measurement).
+# less than the rate's rounding, so the five-count probe that ends every pilot
+# search can certify a count this far short of it, relative (at most 1.1e-11
+# measured; README gives the measurement).
 PILOT_RTOL = 1e-10
 
 _BISECT_MAX_ITER = 200
@@ -180,15 +181,19 @@ def _rho_eff(rho, alpha, lc):
     return al * rho * rho / (1.0 + (1.0 + al) * rho)
 
 
+def _rate_product(alpha, w, e_log1p):
+    """The one copy of the rate product, so a cached E[ln(1 + rho_eff X)] gives _rates's bits."""
+    return (1.0 - alpha) * w * e_log1p * LOG2E
+
+
 def _rates(rho, w, alpha, lc, fading: FadingModel):
     """Pilot-penalized rate (1 - alpha) * W * E[log2(1 + rho_eff X)] in bits/s.
 
-    The one copy of the rate expression. Plain arithmetic, so scalars and
-    broadcastable arrays take the same code. Lattice points pass rho = pd/W
-    and alpha = n/Lc; the continuous optimum passes its own rho, which
-    pd/(pd/rho) can miss in the last bit.
+    Plain arithmetic, so scalars and broadcastable arrays take the same code.
+    Lattice points pass rho = pd/W and alpha = n/Lc; the continuous optimum
+    passes its own rho, which pd/(pd/rho) can miss in the last bit.
     """
-    return (1.0 - alpha) * w * fading.expected_log1p(_rho_eff(rho, alpha, lc)) * LOG2E
+    return _rate_product(alpha, w, fading.expected_log1p(_rho_eff(rho, alpha, lc)))
 
 
 def rate(pd, w_hz: float, alpha: float, cb: CoherenceBlock, fading: FadingModel) -> float:
@@ -317,9 +322,8 @@ def solve_continuous(pd, cb: CoherenceBlock, fading: FadingModel) -> OperatingPo
     pd_hz = _pd_hz(pd)
     rho, alpha, flags, e_log1p = _solve_rho_on_curve(cb.lc, fading)
     w = pd_hz / rho
-    # _rates's product, in its order, on the cached expectation
     return OperatingPoint(w_hz=w, alpha=alpha, rho=rho, rho_eff=_rho_eff(rho, alpha, cb.lc),
-                          rate_bps=(1.0 - alpha) * w * e_log1p * LOG2E, flags=flags)
+                          rate_bps=_rate_product(alpha, w, e_log1p), flags=flags)
 
 
 def closed_form_first_order(lc: float) -> ClosedForm:
@@ -360,6 +364,8 @@ def _max_pilots(lc: float) -> int:
 
 def _lattice_point(pd_hz: float, w: float, n: int, lc: float, rate_bps: float,
                    flags: Tuple[str, ...] = ()) -> OperatingPoint:
+    if rate_bps == 0.0:  # every count ties, so n is the tie rule's pick, not a maximum
+        flags = flags + ("rate_underflow",)
     alpha = n / lc
     rho = pd_hz / w
     return OperatingPoint(w_hz=w, alpha=alpha, rho=rho, rho_eff=_rho_eff(rho, alpha, lc),
@@ -369,19 +375,18 @@ def _lattice_point(pd_hz: float, w: float, n: int, lc: float, rate_bps: float,
 def _best_pilots(rho, w, lc: float, fading: FadingModel):
     """Rate-maximizing integer pilot count at fixed bandwidth, and its rate.
 
-    The search for callers that see a coherence length once or a few times:
-    rate_fixed_bandwidth, discretize, exhaustive_search and _pilot_guide. The
-    allocation layer, which sees one length many times, uses _guided_pilots.
+    The search for callers that see a coherence length once or a few times,
+    and the hand-off of _guided_pilots, the allocation layer's search.
 
-    A golden-section search on the pilot ratio narrows [a, b] to about one
-    pilot, and _walk_pilots finishes exactly from floor(a*Lc) + 1. Equal
-    rates at the two probes keep the lower bracket. rho and w are
-    broadcastable arrays, or floats, which stay Python floats: the bracket
-    updates are blends s*u + (1-s)*v with s in {0, 1}, exact for finite
-    values. Exact up to Lc = 1e8, then within PILOT_RTOL. Where every rate
-    rounds to 0.0 (per-symbol SNR below about 1e-160) each count ties, and
-    the search ends near the bracket's lower end, 1e-9*Lc: count 1 below
-    Lc = 1e9, and about 1e-9*Lc above.
+    A golden-section search on the pilot ratio narrows [a, b] to at most
+    1/Lc, so the argmax lies within one count of floor(a*Lc) + 1, and one
+    _probe_pilots from there picks it. Equal rates keep the lower bracket.
+    rho and w are broadcastable arrays, or floats, which stay Python floats:
+    the bracket updates are blends s*u + (1-s)*v with s in {0, 1}, exact for
+    finite values. Exact up to Lc = 1e8, then within PILOT_RTOL. Where every
+    rate rounds to 0.0 (per-symbol SNR below about 1e-160) each count ties,
+    and the search ends on the lowest count probed near the bracket's lower
+    end, 1e-9: count 1 below Lc = 1e9, and about 1e-9*Lc above.
     """
     shape = None
     if is_array(rho) or is_array(w):
@@ -400,8 +405,8 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
         c, d, fc, fd = s * x + t * d, s * c + t * x, s * fx + t * fd, s * fc + t * fx
     n_hi = _max_pilots(lc)
     if shape is None:
-        return _walk_pilots(rho, w, lc, fading, float(min(math.floor(a * lc) + 1, n_hi)))
-    n, best = _walk_pilots(rho, w, lc, fading, np.minimum(np.floor(a * lc) + 1.0, n_hi))
+        return _probe_pilots(rho, w, lc, fading, float(min(math.floor(a * lc) + 1, n_hi)))[:2]
+    n, best, _ = _probe_pilots(rho, w, lc, fading, np.minimum(np.floor(a * lc) + 1.0, n_hi))
     return n.reshape(shape), best.reshape(shape)
 
 
@@ -420,75 +425,54 @@ def _pilot_guide(lc: float, fading: FadingModel):
 
 
 def _guided_pilots(rho, w, lc: float, fading: FadingModel):
-    """_best_pilots for floats, or 1-d arrays of one length, walked from the
-    count the guide gives at each rho: the allocation layer's search, on
-    arrays in its candidate pass and on floats in its re-scores. The guide
-    saves rate evaluations; above Lc = 1e8 its farther start can end the walk
-    on another count, within PILOT_RTOL of the maximum (see _walk_pilots).
-    A rho outside the guide's 1e-8..1e8 takes _best_pilots, since a walk from
-    the guide's end could run toward Lc/2 one count at a time."""
+    """_best_pilots for floats, or 1-d arrays of one length, from one
+    _probe_pilots at the guide's count, interpolated in log10(rho) and
+    clamped at the guide's ends: the allocation layer's search. A rho whose
+    count the probe cannot certify, where the guide missed by two counts or
+    more, is handed off to _best_pilots. Equal to _best_pilots up to
+    Lc = 1e8; above, rounding can certify another count within PILOT_RTOL."""
     log_rho, guide = _pilot_guide(lc, fading)
     if not is_array(rho):
         x = math.log10(rho) if rho > 0.0 else -math.inf
-        if not abs(x) <= log_rho[-1]:
-            return _best_pilots(rho, w, lc, fading)
-        return _walk_pilots(rho, w, lc, fading, float(round(np.interp(x, log_rho, guide))))
-    x = np.log10(rho)
-    on = np.abs(x) <= log_rho[-1]
-    if on.all():
-        return _walk_pilots(rho, w, lc, fading, np.interp(x, log_rho, guide).round())
-    n, best = np.empty(rho.size, dtype=int), np.empty(rho.size)
-    for part, search in ((on, _guided_pilots), (~on, _best_pilots)):
-        if part.any():
-            n[part], best[part] = search(rho[part], w[part], lc, fading)
+        n, best, certified = _probe_pilots(rho, w, lc, fading,
+                                           float(round(np.interp(x, log_rho, guide))))
+        return (n, best) if certified else _best_pilots(rho, w, lc, fading)
+    n, best, certified = _probe_pilots(rho, w, lc, fading,
+                                       np.interp(np.log10(rho), log_rho, guide).round())
+    if not certified.all():
+        miss = ~certified
+        n[miss], best[miss] = _best_pilots(rho[miss], w[miss], lc, fading)
     return n, best
 
 
-def _walk_pilots(rho, w, lc: float, fading: FadingModel, n):
-    """The integer pilot argmax and its rate, walking from count n.
+def _probe_pilots(rho, w, lc: float, fading: FadingModel, n):
+    """(count, rate, certified): the first best of counts n - 2 .. n + 2,
+    clipped to [1, n_hi], so ties go to the lower count. rho, w and n are
+    floats, scored in five scalar rate calls, or 1-d arrays of one length,
+    scored in one.
 
-    rho, w and n are floats, or 1-d arrays of one length. An array scores
-    n - 1, n and n + 1 at once, then walks one pilot at a time where an end
-    won, on those elements only. A float walks down from n and, if it did
-    not move, up. Either moves only to a strictly better count, except that
-    an equal count below is taken once and ends the walk: ties go to the
-    lower count, and no walk runs through a run of equal rates. The rate is
-    log-concave in alpha at fixed W, so in exact arithmetic a local maximum
-    over the counts is the global one; in floats, above Lc = 1e8, a walk can
-    stop up to PILOT_RTOL short of it.
+    A count is certified where it lies strictly inside the window, or on
+    count 1 or n_hi: it beats the count below and is not beaten by the count
+    above. The rate is log-concave in alpha at fixed W, so such a local
+    maximum is the global one; in floats, above Lc = 1e8, rounding can
+    certify a count up to PILOT_RTOL short of it.
     """
     n_hi = _max_pilots(lc)
-    if not is_array(rho):
-        best = _rates(rho, w, n / lc, lc, fading)
-        for step in (-1.0, 1.0):
-            start, more = n, True
-            while more and 1.0 <= n + step <= n_hi:
-                r = _rates(rho, w, (n + step) / lc, lc, fading)
-                if not (r > best or r == best and step < 0):
-                    break
-                n, best, more = n + step, r, r > best
-            if n != start:
-                break
-        return int(n), float(best)
-    trial = np.clip(n[:, None] + np.array([-1.0, 0.0, 1.0]), 1.0, n_hi)
-    rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
-    k = rates.argmax(axis=1)
-    rows = np.arange(k.size)
-    n, best = trial[rows, k], rates[rows, k]
-    # argmax took the lowest of equal counts: n - 1 walks on only if it is better
-    for walks, step in (((k == 0) & (rates[:, 0] > rates[:, 1]), -1.0), (k == 2, 1.0)):
-        i = np.flatnonzero(walks)
-        while i.size:
-            m = n[i] + step
-            inside = m >= 1.0 if step < 0 else m <= n_hi
-            i, m = i[inside], m[inside]
-            r = _rates(rho[i], w[i], m / lc, lc, fading)
-            b = best[i]
-            wins = r >= b if step < 0 else r > b
-            j = i[wins]
-            n[j], best[j] = m[wins], r[wins]
-            i = j if step > 0 else i[r > b]  # an equal count below is taken once
-    return n.astype(int), best
+    if is_array(rho):
+        trial = np.clip(n[:, None] + np.arange(-2.0, 3.0), 1.0, n_hi)
+        rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
+        rows = np.arange(rho.size)
+        k = rates.argmax(axis=1)  # the first, so the lowest, of equal rates
+        best_n, best, lo, hi = trial[rows, k], rates[rows, k], trial[:, 0], trial[:, -1]
+    else:
+        trial = [min(max(n + step, 1.0), n_hi) for step in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+        rates = [_rates(rho, w, m / lc, lc, fading) for m in trial]
+        k = rates.index(max(rates))
+        best_n, best, lo, hi = trial[k], rates[k], trial[0], trial[-1]
+    certified = ((best_n > lo) | (best_n == 1.0)) & ((best_n < hi) | (best_n == n_hi))
+    if is_array(rho):
+        return best_n.astype(int), best, certified
+    return int(best_n), float(best), certified
 
 
 def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) -> OperatingPoint:
@@ -499,7 +483,7 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
     count n's best step is floor or ceil of W_n/Bc; one more each way covers
     the root's 1e-10 error. Its lattice rates are at most the rate at W_n,
     R(n) = (1 - n/Lc) * W_n * E[log2(1 + rho_eff X)], or at W = Bc when
-    W_n < Bc. That bound is unimodal in n, so the scan walks both ways from
+    W_n < Bc. That bound is unimodal in n, so the scan runs both ways from
     its peak and stops a side once the bound can no longer beat the best
     lattice rate found, equal included: no count beyond can win, and of
     equal rates the first scored is kept. The peak is at floor(alpha*Lc) or
@@ -528,7 +512,7 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
                      for m in range(max(1, math.floor(w_n / bc) - 1), math.ceil(w_n / bc) + 2)]
             best = max(best, *rates, key=lambda t: t[0])  # ties keep the first
             # when W_n < Bc the scored steps are m = 1, 2 and the rate falls in W
-            bound = rates[0][0] if w_n < bc else (1.0 - n / lc) * w_n * e_log1p * LOG2E
+            bound = rates[0][0] if w_n < bc else _rate_product(n / lc, w_n, e_log1p)
             if bound * (1.0 + 1e-12) <= best[0]:
                 break
             n += step

@@ -122,6 +122,19 @@ def test_optimize_verify_walks_to_distant_lattice_maximum(tmp_path, capsys):
     assert (round(report["lattice_w_hz"] / 1e5), report["lattice_pilots"]) == (84819, 85)
 
 
+def test_optimize_flags_an_underflowed_lattice_rate(tmp_path, capsys):
+    # every lattice rate rounds to 0.0, so the reported point is the tie
+    # rule's pick among equal rates, and the report says so
+    scn = tmp_path / "underflow.scn"
+    scn.write_text("pr_n0_dbhz = -2900\nlc = 1e6\nbc_mhz = 10\nfading = rayleigh\n")
+    code, out, err = run(capsys, "optimize", "--scenario", str(scn), "--format", "json",
+                         "--verify")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["lattice_rate_bps"], report["lattice_pilots"]) == (0.0, 1)
+    assert report["lattice_flags"] == "bandwidth_floor;rate_underflow"
+
+
 def test_optimize_verify_rejects_a_point_off_the_lattice_maximum(capsys, monkeypatch):
     # --verify checks the neighbors itself, so a point one Bc step off the
     # maximum fails, whatever discretize reports

@@ -623,6 +623,7 @@ def _count_rates(monkeypatch, budget):
         return original(*args)
 
     monkeypatch.setattr(core, "_rates", counted)
+    return calls
 
 
 @pytest.mark.parametrize("law", [0, 1, 2], ids=["rayleigh", "deterministic", "tabulated"])
@@ -662,6 +663,77 @@ def test_guided_pilots_below_the_guide_take_the_golden_search(monkeypatch, on_ar
     _count_rates(monkeypatch, 200)
     n, r = core._guided_pilots(rho, w, lc, RAY)
     assert np.array_equal(n, expected[0]) and np.array_equal(r, expected[1])
+
+
+def _golden_steps(lc):
+    return math.ceil(math.log(lc) / -math.log(core._INV_PHI))
+
+
+@pytest.mark.parametrize("law", [0, 1, 2], ids=["rayleigh", "deterministic", "tabulated"])
+@pytest.mark.parametrize("lc", [2.5, 2500.0, 1e6, 1e9, 2.0**53])
+def test_best_pilots_ends_with_one_probe(monkeypatch, lc, law):
+    # the golden search's two starting rates and one per step, then the
+    # five-count probe: five scalar calls on a float, one call on an array,
+    # wherever the maximum lies relative to the golden search's start
+    fading = _three_laws(np.random.default_rng(8))[law]
+    rho = 10.0 ** np.linspace(-7.0, 7.0, 57)
+    w = np.full(rho.size, 1e9)
+    steps = 2 + _golden_steps(lc)
+    calls = _count_rates(monkeypatch, steps + 5)
+    for r in rho:
+        calls[0] = 0
+        core._best_pilots(float(r), 1e9, lc, fading)
+        assert calls[0] == steps + 5, (lc, r)
+    calls[0] = 0
+    core._best_pilots(rho, w, lc, fading)
+    assert calls[0] == steps + 1
+
+
+@pytest.mark.parametrize("on_arrays", [False, True], ids=["float", "array"])
+def test_guided_pilots_take_one_probe_and_one_golden_search(monkeypatch, on_arrays):
+    # at Lc = 1e9 the guide's interpolated count can miss the argmax by
+    # thousands of counts between its grid points; a miss hands off to the
+    # golden search instead of stepping toward the argmax
+    lc = 1e9
+    rho = 10.0 ** np.linspace(-7.3, 7.1, 9)
+    w = np.full(rho.size, 1e9)
+    core._pilot_guide(lc, RAY)  # built once and shared by every caller
+    floor = core._best_pilots(rho, w, lc, RAY)[1] * (1.0 - core.PILOT_RTOL)
+    probe = 1 if on_arrays else 5  # calls per probe; the golden search ends with one too
+    calls = _count_rates(monkeypatch, probe + 2 + _golden_steps(lc) + probe)
+    if on_arrays:
+        assert np.all(core._guided_pilots(rho, w, lc, RAY)[1] >= floor)
+        return
+    for j, r in enumerate(rho):
+        calls[0] = 0
+        assert core._guided_pilots(float(r), 1e9, lc, RAY)[1] >= floor[j], r
+
+
+def test_allocate_pair_at_a_huge_coherence_length_stays_in_a_call_budget(monkeypatch):
+    # two Rayleigh users at Lc = 1e9: every pilot search is one probe, plus
+    # one golden search where the guide misses
+    from maxbw import allocate
+
+    cb = CoherenceBlock(lc=1e9, bc_hz=1e7)
+    users = [allocate.UserLink(gain_hz_per_watt=g, pt_w=1e-3, w0_hz=1e8, cb=cb, fading=RAY)
+             for g in (1e3, 1e4)]
+    core._pilot_guide(cb.lc, RAY)
+    _count_rates(monkeypatch, 2000)
+    alloc = allocate.allocate_pair(*users, allocate.SUM_RATE)
+    assert alloc.objective_value >= alloc.baseline_value
+
+
+def test_underflowed_lattice_rates_carry_a_flag():
+    # pr_n0_dbhz = -2900: every lattice rate rounds to 0.0 and the count is
+    # the tie rule's pick, not a maximum
+    cb = CoherenceBlock(lc=1e6, bc_hz=1e7)
+    pd = 10.0 ** (-2900.0 / 10.0)
+    op = core.solve_continuous(pd, cb, RAY)
+    for point in (core.discretize(op, cb, pd, RAY), core.exhaustive_search(pd, cb, RAY, 4),
+                  core.rate_fixed_bandwidth(pd, 1e9, cb, RAY)):
+        assert point.rate_bps == 0.0 and "rate_underflow" in point.flags
+    assert op.rate_bps > 0.0 and "rate_underflow" not in op.flags
+    assert "rate_underflow" not in core.rate_fixed_bandwidth(1e9, 1e9, cb, RAY).flags
 
 
 def _count_kernel_calls(monkeypatch):

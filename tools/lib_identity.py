@@ -19,9 +19,13 @@ depend on either tree:
   `rate_fixed_bandwidth` at 1 GHz, `discretize` on the continuous optimum,
   and `exhaustive_search` with m_max = max(4, 2 ceil(W*/Bc)).
 - PAIRS `allocate_pair` calls, and GROUPS `allocate_group` calls on three
-  users each, cycling through the three laws and objectives, with Lc in 1e2-1e4, Bc in
-  0.1-3 MHz, each user's baseline bandwidth 5-200 Bc, Pt = 1 W and gains
-  log-normal around 75 dB(Hz/W) with sigma 8 dB.
+  users each, cycling through the three laws and objectives, with Lc in
+  1e2-1e4, Bc in 0.1-3 MHz, each user's baseline bandwidth 5-200 Bc,
+  Pt = 1 W and gains log-normal around 75 dB(Hz/W) with sigma 8 dB. A third
+  of the pairs, one in each law and each objective per nine, take Lc in
+  1e5-1e7 instead: there the pilot guide misses by two counts or more on
+  part of the rho axis, and the guided search hands those rates off to the
+  golden search.
 
 A point is what a call chose: the bandwidth and pilot ratio of the
 continuous optimum, the pilot count at a fixed bandwidth, the (m, n) step
@@ -96,7 +100,9 @@ def panel(links, pairs, groups):
     rng = random.Random(1601)
     for i in range(pairs + groups):
         name, size = ("allocate_pair", 2) if i < pairs else ("allocate_group", 3)
-        lc, bc = _log_uniform(rng, 1e2, 1e4), _log_uniform(rng, 1e5, 3e6)
+        large = i < pairs and (i + i // 3) % 3 == 0
+        lc = _log_uniform(rng, 1e5, 1e7) if large else _log_uniform(rng, 1e2, 1e4)
+        bc = _log_uniform(rng, 1e5, 3e6)
         cb, fading = core.CoherenceBlock(lc=lc, bc_hz=bc), models[LAWS[i % 3]]
         users = [allocate.UserLink(gain_hz_per_watt=10.0 ** ((75.0 + rng.gauss(0.0, 8.0)) / 10.0),
                                    pt_w=1.0, w0_hz=_log_uniform(rng, 5.0, 200.0) * bc, cb=cb,
