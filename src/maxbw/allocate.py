@@ -6,6 +6,9 @@ bandwidth between users subject to the pooled budgets and to the rule that
 nobody ends below their baseline rate. Bandwidth lives on each user's
 coherence lattice; power is searched on a dB grid, coarse pass then refined.
 
+One pairwise greedy, allocate_group, serves every user count k >= 2, and
+allocate_pair is it on two users.
+
 The weak user is the first of least gain and the strong user the last of
 greatest: of two equal gains the first user is weak and the second strong.
 Every search and every reported objective judge by that rule (_objective).
@@ -136,7 +139,10 @@ def _rates_flat(user: UserLink, p_vec: np.ndarray, w_vec: np.ndarray) -> np.ndar
 def _cap_steps(user: UserLink, p_w):
     """Upper lattice step count worth considering at power p_w, a float or an
     array: the ceil of the continuous bandwidth optimum pd/rho*, in the
-    operations of solve_continuous. The true lattice argmax is this or one less.
+    operations of solve_continuous. The candidate pass gives the strong user
+    this or one less, clipped to the budget, which is near its lattice argmax
+    but not always on it: at 90 dB-Hz, Lc = 1000 and Bc = 0.1 MHz the cap is
+    84,563 steps and the argmax 84,819, with a rate 7e-7 higher.
     Clipped to 2**53 before the int cast: a larger cap exceeds every budget.
     Pr/N0 is checked as core.PowerDensity does."""
     pd = user.gain_hz_per_watt * np.asarray(p_w, dtype=float)
@@ -205,7 +211,7 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
 
     w_w = ms * bc_w
     avail = np.minimum((w_budget - w_w) // bc_s, _MAX_STEPS).astype(int)
-    # the strong user's lattice argmax is cap_s or cap_s - 1; try both, lower first
+    # the strong user takes cap_s - 1 or cap_s, lower first (see _cap_steps)
     caps = cap_s[:, None, None] - np.array([[1], [0]])
     n_s = np.minimum(caps, avail[:, None, :])
     valid = (caps >= 1) & (n_s >= 1) & mask[:, None, :]
@@ -289,20 +295,8 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
 
 
 def allocate_pair(u1: UserLink, u2: UserLink, objective: str) -> Allocation:
-    """Two-user reallocation of pooled power and bandwidth.
-
-    Searches a power grid (1 dB, then 0.1 dB around the winner) times the
-    bandwidth lattice for the chosen objective, keeping both users at or
-    above their baseline rates. The search is not exhaustive (see
-    allocate_group), but the baseline itself is always a candidate, so the
-    result can never be worse than no reallocation.
-    """
-    _check_objective(objective)
-    seeds = _baseline_entries([u1, u2])
-    p_budget = u1.pt_w + u2.pt_w
-    w_budget = u1.w0_hz + u2.w0_hz
-    *entries, flags = _allocate_pair_budget(u1, u2, p_budget, w_budget, *seeds, objective)
-    return _allocation([u1, u2], entries, seeds, objective, flags)
+    """Two-user reallocation of pooled power and bandwidth: allocate_group([u1, u2])."""
+    return allocate_group([u1, u2], objective)
 
 
 def _check_objective(objective: str) -> None:
@@ -332,52 +326,56 @@ def _allocation(users, entries, seeds, objective: str, flags) -> Allocation:
 
 
 def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
-    """Greedy pairwise reallocation for k >= 2 users.
+    """Greedy pairwise reallocation for k >= 2 users, and for two (allocate_pair).
 
-    Repeatedly re-solves two-user subproblems over the pair's currently held
-    resources (fairness always judged against the original baselines) and
-    accepts a pair move only when the group objective improves by more than
-    1e-6 relative. The group's weak and strong users are the first of least
-    and the last of greatest gain, and each pair's search takes its own two
-    users the same way. A heuristic, and allocate_pair is not exhaustive either:
-    it can leave part of the pooled bandwidth unused, and a second round
-    re-solved on that smaller budget gets a different grid, so for k = 2 this
-    function can beat allocate_pair by a fraction of a percent.
+    Each round re-solves, in the order i < j, the pairs that can move the
+    objective: under max-weak (max-strong) those holding the weak (strong)
+    user, under sum every pair. A pair is solved over its currently held
+    resources by a power grid (1 dB, then 0.1 dB around the winner) times
+    the bandwidth lattice, fairness judged against the original baselines,
+    and its move is accepted only when the objective improves by more than
+    1e-6 relative. Rounds stop when none is, after at most 20. Weak and
+    strong are as the module says, in the group and in each pair. A
+    heuristic, but it starts from the baseline, so the result can never be
+    worse than no reallocation.
     """
     _check_objective(objective)
     users = list(users)
     if len(users) < 2:
-        raise ValueError("group allocation needs at least two users")
+        raise ValueError("allocation needs at least two users")
     seeds = _baseline_entries(users)
     entries = list(seeds)
     flags: Tuple[str, ...] = ()
     gains = [u.gain_hz_per_watt for u in users]
     current = _objective(gains, [e.rate_bps for e in entries], objective)
+    pairs = [(i, j) for i in range(len(users)) for j in range(i + 1, len(users))]
+    if objective != SUM_RATE:
+        target = _objective(gains, range(len(users)), objective)  # the weak or strong user
+        pairs = [pair for pair in pairs if target in pair]
     # a pair's solve depends only on the pair and its budgets: a repeat is
     # looked up, not solved again
     solved = {}
 
     for _round in range(20):
         improved = False
-        for i in range(len(users)):
-            for j in range(i + 1, len(users)):
-                p_budget = entries[i].p_w + entries[j].p_w
-                w_budget = entries[i].w_hz + entries[j].w_hz
-                key = (i, j, p_budget, w_budget)
-                if key not in solved:
-                    solved[key] = _allocate_pair_budget(
-                        users[i], users[j], p_budget, w_budget,
-                        seeds[i], seeds[j], objective,
-                    )
-                ei, ej, pair_flags = solved[key]
-                trial = list(entries)
-                trial[i], trial[j] = ei, ej
-                value = _objective(gains, [e.rate_bps for e in trial], objective)
-                if value > current * (1.0 + _REL_IMPROVE):
-                    entries = trial
-                    current = value
-                    improved = True
-                    flags = tuple(sorted(set(flags + pair_flags)))
+        for i, j in pairs:
+            p_budget = entries[i].p_w + entries[j].p_w
+            w_budget = entries[i].w_hz + entries[j].w_hz
+            key = (i, j, p_budget, w_budget)
+            if key not in solved:
+                solved[key] = _allocate_pair_budget(
+                    users[i], users[j], p_budget, w_budget,
+                    seeds[i], seeds[j], objective,
+                )
+            ei, ej, pair_flags = solved[key]
+            trial = list(entries)
+            trial[i], trial[j] = ei, ej
+            value = _objective(gains, [e.rate_bps for e in trial], objective)
+            if value > current * (1.0 + _REL_IMPROVE):
+                entries = trial
+                current = value
+                improved = True
+                flags = tuple(sorted(set(flags + pair_flags)))
         if not improved:
             break
 

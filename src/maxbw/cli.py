@@ -181,12 +181,7 @@ def cmd_allocate(args) -> int:
     mapping = _load_mapping(args)
     cb, fading = scenario.channel_only(mapping)
     users = allocate_mod.load_users_csv(args.users, cb, fading)
-    if len(users) < 2:
-        raise ConfigError("allocation needs at least two users")
-    if len(users) == 2:
-        alloc = allocate_mod.allocate_pair(users[0], users[1], args.objective)
-    else:
-        alloc = allocate_mod.allocate_group(users, args.objective)
+    alloc = allocate_mod.allocate_group(users, args.objective)
     allocate_mod.check_allocation(users, alloc)
 
     user_rows = [

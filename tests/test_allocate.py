@@ -317,6 +317,85 @@ def test_group_solves_each_pair_budget_once(monkeypatch):
     assert len(solves) == len(set(solves))
 
 
+@pytest.mark.parametrize("law, objective, lc, bc, rows", [
+    ("deterministic", "max-strong", 7432.171589942522, 113810.91098323166,
+     ((68.1186381278407, 9.384661632583473), (80.25835872753188, 101.01566407778927))),
+    ("rayleigh", "max-weak", 5694.091698087191, 647710.3230509443,
+     ((71.0290051627972, 26.835833570180817), (73.18165824534353, 20.613731283871925))),
+    ("rayleigh", "sum", 3682.9565871896857, 205844.739597704,
+     ((73.60931510456544, 11.236692002029264), (88.40393153153005, 169.9318461004803))),
+])
+def test_pair_is_the_group_search_on_two_users(law, objective, lc, bc, rows):
+    # on each of these a single pair solve leaves 0.25-0.87% of the objective
+    # that a second round on the pair's new budgets finds
+    cb = CoherenceBlock(lc=lc, bc_hz=bc)
+    users = [UserLink(gain_hz_per_watt=10.0 ** (db / 10.0), pt_w=1.0, w0_hz=steps * bc, cb=cb,
+                      fading=FadingModel(law)) for db, steps in rows]
+    assert allocate.allocate_pair(*users, objective) == allocate.allocate_group(users, objective)
+
+
+@pytest.mark.parametrize("objective, target", [("max-weak", 1), ("max-strong", 2)])
+def test_group_solves_only_the_pairs_holding_the_target_user(monkeypatch, objective, target):
+    solves = []
+    original = allocate._allocate_pair_budget
+
+    def counted(u1, u2, *rest):
+        solves.append((u1, u2))
+        return original(u1, u2, *rest)
+
+    monkeypatch.setattr(allocate, "_allocate_pair_budget", counted)
+    users = [_user(75.0), _user(62.0), _user(88.0), _user(70.0), _user(80.0)]
+    allocate.allocate_group(users, objective)
+    assert solves and all(any(u is users[target] for u in pair) for pair in solves)
+
+
+def _all_pairs_greedy(users, objective):
+    """Reference greedy: the pairwise greedy of allocate_group, visiting every
+    pair i < j in every round whatever the objective."""
+    seeds = allocate._baseline_entries(users)
+    entries = list(seeds)
+    flags = ()
+    gains = [u.gain_hz_per_watt for u in users]
+    current = allocate._objective(gains, [e.rate_bps for e in entries], objective)
+    solved = {}
+    for _round in range(20):
+        improved = False
+        for i in range(len(users)):
+            for j in range(i + 1, len(users)):
+                p_budget = entries[i].p_w + entries[j].p_w
+                w_budget = entries[i].w_hz + entries[j].w_hz
+                key = (i, j, p_budget, w_budget)
+                if key not in solved:
+                    solved[key] = allocate._allocate_pair_budget(
+                        users[i], users[j], p_budget, w_budget, seeds[i], seeds[j], objective)
+                ei, ej, pair_flags = solved[key]
+                trial = list(entries)
+                trial[i], trial[j] = ei, ej
+                value = allocate._objective(gains, [e.rate_bps for e in trial], objective)
+                if value > current * (1.0 + allocate._REL_IMPROVE):
+                    entries, current, improved = trial, value, True
+                    flags = tuple(sorted(set(flags + pair_flags)))
+        if not improved:
+            break
+    return allocate._allocation(users, entries, seeds, objective, flags)
+
+
+def test_group_targeted_objectives_match_the_all_pairs_greedy():
+    # each k with both targeted objectives, each law with both
+    rng = np.random.default_rng(1818)
+    atoms = np.sort(rng.gamma(2.0, 1.0, 16))
+    laws = [RAY, FadingModel.deterministic(),
+            FadingModel.tabulated([(v / atoms.mean(), 1.0 / 16) for v in atoms])]
+    for i in range(6):
+        k, fading, objective = 3 + i % 3, laws[i // 2], ("max-weak", "max-strong")[i % 2]
+        cb = CoherenceBlock.from_tc_bc(tc_s=10.0 ** rng.uniform(-4.0, -2.0),
+                                       bc_hz=10.0 ** rng.uniform(5.0, 6.5))
+        users = [UserLink(gain_hz_per_watt=10.0 ** ((75.0 + 8.0 * z) / 10.0), pt_w=1.0,
+                          w0_hz=cb.bc_hz * rng.integers(5, 120), cb=cb, fading=fading)
+                 for z in rng.standard_normal(k)]
+        assert allocate.allocate_group(users, objective) == _all_pairs_greedy(users, objective), i
+
+
 # ------------------------------------------------------------------ utilities
 
 

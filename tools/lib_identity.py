@@ -18,10 +18,12 @@ depend on either tree:
   large-Lc closed form for rho*. Each link calls `solve_continuous`,
   `rate_fixed_bandwidth` at 1 GHz, `discretize` on the continuous optimum,
   and `exhaustive_search` with m_max = max(4, 2 ceil(W*/Bc)).
-- PAIRS `allocate_pair` calls, and GROUPS `allocate_group` calls on three
-  users each, cycling through the three laws and objectives, with Lc in
-  1e2-1e4, Bc in 0.1-3 MHz, each user's baseline bandwidth 5-200 Bc,
-  Pt = 1 W and gains log-normal around 75 dB(Hz/W) with sigma 8 dB. A third
+- PAIRS `allocate_pair` calls, and GROUPS `allocate_group` calls on three,
+  four and five users in turn, nine groups of each size in a row, so that
+  the greedy's choice of pairs is tested past three users. Both cycle
+  through the three laws and objectives, with Lc in 1e2-1e4, Bc in
+  0.1-3 MHz, each user's baseline bandwidth 5-200 Bc, Pt = 1 W and gains
+  log-normal around 75 dB(Hz/W) with sigma 8 dB. A third
   of the pairs, one in each law and each objective per nine, take Lc in
   1e5-1e7 instead: there the pilot guide misses by two counts or more on
   part of the rho axis, and the guided search hands those rates off to the
@@ -99,7 +101,8 @@ def panel(links, pairs, groups):
 
     rng = random.Random(1601)
     for i in range(pairs + groups):
-        name, size = ("allocate_pair", 2) if i < pairs else ("allocate_group", 3)
+        name, size = (("allocate_pair", 2) if i < pairs
+                      else ("allocate_group", 3 + (i - pairs) // 9 % 3))
         large = i < pairs and (i + i // 3) % 3 == 0
         lc = _log_uniform(rng, 1e5, 1e7) if large else _log_uniform(rng, 1e2, 1e4)
         bc = _log_uniform(rng, 1e5, 3e6)
