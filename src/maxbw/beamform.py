@@ -87,6 +87,11 @@ class ArrayConfig:
         g1 = float(nt) if g1 is None else float(g1)
         return cls(nt=nt, nr=1, kt=kt, g1=g1, g2=1.0)
 
+    @property
+    def gain_pair(self) -> Tuple[float, float]:
+        """(G1*G2, Kt*G2): the power gain and the sweep penalty of the substitution."""
+        return self.g1 * self.g2, self.kt * self.g2
+
 
 @dataclass(frozen=True)
 class SubstitutedProblem:
@@ -114,9 +119,8 @@ def _lc_tilde(lc: float, penalty: float) -> float:
 
 def substitute(cfg: ArrayConfig, cb: CoherenceBlock) -> SubstitutedProblem:
     """Effective coherence length and gain pair for the scalar problem."""
-    penalty = cfg.kt * cfg.g2
-    return SubstitutedProblem(lc_tilde=_lc_tilde(cb.lc, penalty), gain=cfg.g1 * cfg.g2,
-                              sweep_penalty=penalty)
+    gain, penalty = cfg.gain_pair
+    return SubstitutedProblem(lc_tilde=_lc_tilde(cb.lc, penalty), gain=gain, sweep_penalty=penalty)
 
 
 def _substituted(pd, cb: CoherenceBlock, gain: float,
@@ -157,23 +161,20 @@ def solve_mimo(pd, cb: CoherenceBlock, cfg: ArrayConfig, fading: FadingModel) ->
     element (divide the substituted SNR by G1*G2). Bandwidth, pilot ratio,
     effective SNR and rate carry over unchanged.
     """
-    sub = substitute(cfg, cb)
-    return solve_with_gains(pd, cb, sub.gain, sub.sweep_penalty, fading)
+    return solve_with_gains(pd, cb, *cfg.gain_pair, fading)
 
 
 def mimo_rate(pd, w_hz: float, alpha: float, cb: CoherenceBlock, cfg: ArrayConfig,
               fading: FadingModel) -> float:
     """Rate of an array link at an explicit (bandwidth, pilot ratio) choice."""
-    sub = substitute(cfg, cb)
-    pd_sub, sub_cb = _substituted(pd, cb, sub.gain, sub.sweep_penalty)
+    pd_sub, sub_cb = _substituted(pd, cb, *cfg.gain_pair)
     return core.rate(pd_sub, w_hz, alpha, sub_cb, fading)
 
 
 def mimo_rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, cfg: ArrayConfig,
                               fading: FadingModel) -> OperatingPoint:
     """Pilot-only optimization at pinned bandwidth for an array link."""
-    sub = substitute(cfg, cb)
-    return fixed_bandwidth_with_gains(pd, w_hz, cb, sub.gain, sub.sweep_penalty, fading)
+    return fixed_bandwidth_with_gains(pd, w_hz, cb, *cfg.gain_pair, fading)
 
 
 def closed_form_mimo(cfg: ArrayConfig, lc: float) -> ClosedForm:
@@ -185,10 +186,9 @@ def closed_form_mimo(cfg: ArrayConfig, lc: float) -> ClosedForm:
     with the rate itself being rate_factor * Pr/N0. Reduces to the scalar
     closed forms when Kt = G1 = G2 = 1.
     """
-    penalty = cfg.kt * cfg.g2
+    gain, penalty = cfg.gain_pair
     _lc_tilde(lc, penalty)
     x = (4.0 * penalty / lc) ** (1.0 / 3.0)
-    gain = cfg.g1 * cfg.g2
     return ClosedForm(
         rho=x / gain,
         alpha=(penalty / (2.0 * lc)) ** (1.0 / 3.0),

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from . import allocate as allocate_mod
@@ -79,9 +78,8 @@ def _load_mapping(args) -> Dict[str, str]:
 def _solve_row(res: scenario.Resolved):
     """The continuous optimum, its report row, and the substituted (Pr/N0, block)."""
     point = beamform.solve_with_gains(res.pd, res.cb, res.gain, res.sweep_penalty, res.fading)
-    fixed = beamform.fixed_bandwidth_with_gains(
-        res.pd, FIXED_REFERENCE_HZ, res.cb, res.gain, res.sweep_penalty, res.fading)
     pd_sub, sub_cb = beamform._substituted(res.pd, res.cb, res.gain, res.sweep_penalty)
+    fixed = core.rate_fixed_bandwidth(pd_sub, FIXED_REFERENCE_HZ, sub_cb, res.fading)
     return point, {
         "w_opt_hz": point.w_hz,
         "alpha_opt": point.alpha,
@@ -111,8 +109,7 @@ def cmd_optimize(args) -> int:
     report.update(row)
 
     if res.cb.bc_hz is not None:
-        # the lattice reports its own flags, not the continuous solve's
-        lattice = core.discretize(replace(point, flags=()), sub_cb, pd_sub, res.fading)
+        lattice = core.discretize(point, sub_cb, pd_sub, res.fading)
         report["lattice_w_hz"] = lattice.w_hz
         report["lattice_pilots"] = lattice.pilot_count
         report["lattice_rate_bps"] = lattice.rate_bps

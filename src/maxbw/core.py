@@ -489,16 +489,16 @@ def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) 
     equal rates the first scored is kept. The peak is at floor(alpha*Lc) or
     the next count; if Bc exceeds the continuous optimum's bandwidth it is the
     best count at W = Bc, and the result carries a "bandwidth_floor" flag: the
-    relaxation's interior optimum does not exist on the lattice.
+    relaxation's interior optimum does not exist on the lattice. The result
+    carries only such lattice flags, never the flags of op.
     """
     if cb.bc_hz is None:
         raise ValueError("discretize needs a coherence block with bc_hz set")
     pd_hz, lc, bc = _pd_hz(pd), cb.lc, cb.bc_hz
     n_hi = _max_pilots(lc)
-    flags = tuple(op.flags)
+    flags = ()
     if op.w_hz / bc < 1.0:
-        if "bandwidth_floor" not in flags:
-            flags = flags + ("bandwidth_floor",)
+        flags = ("bandwidth_floor",)
         n0 = _best_pilots(pd_hz / bc, bc, lc, fading)[0]  # the bound peaks on W = Bc
     else:
         n0 = min(max(math.floor(op.alpha * lc), 1), n_hi)

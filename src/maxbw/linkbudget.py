@@ -30,9 +30,6 @@ BLOCKED_LOS = "blockedlos"
 UMI_NLOS = "umi-nlos"
 CUSTOM = "custom"
 
-ELEMENT_POWER = "element-power"
-EIRP = "eirp"
-
 _BLOCKAGE_EXCESS_DB = 25.0
 
 
@@ -118,14 +115,14 @@ def path_loss_db(model: PathLossModel, fc_hz: float, d_m: float) -> float:
 class LinkBudget:
     """One radio link described either per element or through its EIRP.
 
-    Element-power mode needs pt_element_dbm; EIRP mode needs eirp_dbm with the
-    transmit array gain already folded in. Receive element gain is gr_element_dbi
-    in both modes; the receive array factor comes from the paired ArrayConfig.
+    Exactly one transmit power is set, and it fixes the mode: pt_element_dbm
+    describes the link per element, eirp_dbm through its EIRP with the transmit
+    array gain already folded in. Receive element gain is gr_element_dbi in
+    both modes; the receive array factor comes from the paired ArrayConfig.
     """
 
     fc_hz: float
     d_m: float
-    mode: str
     pt_element_dbm: Optional[float] = None
     eirp_dbm: Optional[float] = None
     gt_element_dbi: float = 0.0
@@ -140,23 +137,13 @@ class LinkBudget:
             raise ValueError(f"distance must be positive, got {self.d_m}")
         if self.noise_figure_db < 0.0:
             raise ValueError(f"noise figure must be >= 0 dB, got {self.noise_figure_db}")
-        if self.mode == ELEMENT_POWER:
-            if self.pt_element_dbm is None:
-                raise ConfigError("element-power mode requires pt_element_dbm")
-            if self.eirp_dbm is not None:
-                raise ConfigError("element-power mode must not also set eirp_dbm")
-        elif self.mode == EIRP:
-            if self.eirp_dbm is None:
-                raise ConfigError("eirp mode requires eirp_dbm")
-            if self.pt_element_dbm is not None:
-                raise ConfigError("eirp mode must not also set pt_element_dbm")
-        else:
-            raise ConfigError(f"unknown link budget mode {self.mode!r}")
+        if (self.pt_element_dbm is None) == (self.eirp_dbm is None):
+            raise ConfigError("a link budget needs exactly one of pt_element_dbm and eirp_dbm")
 
 
 def eirp_dbm_of(lb: LinkBudget, cfg: ArrayConfig) -> float:
     """EIRP implied by the budget: element power + element gain + 20log10(nt)."""
-    if lb.mode == EIRP:
+    if lb.eirp_dbm is not None:
         return lb.eirp_dbm
     return lb.pt_element_dbm + lb.gt_element_dbi + 20.0 * math.log10(cfg.nt)
 
@@ -167,21 +154,22 @@ def power_density(lb: LinkBudget, cfg: ArrayConfig) -> Tuple[PowerDensity, Tuple
     The returned pair (gain, sweep_penalty) feeds the scalar substitution:
     the optimizer runs on (pd * gain, Lc / sweep_penalty).
 
-    Element-power mode returns the per-element Pr/N0 (sum transmit power,
-    element gains only) with pair (G1*G2, Kt*G2). EIRP mode folds all array
-    gain into the density itself, because the EIRP contains the transmit
-    array factor and the receive array factor rides along as 10log10(nr);
-    its pair is (1, Kt*G2), scaled by G1*G2/(nt*nr) when combining is partial.
+    A budget with pt_element_dbm returns the per-element Pr/N0 (sum transmit
+    power, element gains only) with the config's pair (G1*G2, Kt*G2). A budget
+    with eirp_dbm folds all array gain into the density itself, because the
+    EIRP contains the transmit array factor and the receive array factor rides
+    along as 10log10(nr); its pair is (1, Kt*G2), and the density is scaled by
+    G1*G2/(nt*nr) when combining is partial.
     Both descriptions of the same physical link give identical optimizer
     inputs, and a rich-scattering config cannot be expressed in EIRP mode at
     all (its estimation gain nt+nr is not a product of per-side array factors).
     """
     pl = path_loss_db(lb.path_loss, lb.fc_hz, lb.d_m)
     base = -pl - NOISE_DENSITY_DBM_PER_HZ - lb.noise_figure_db
-    if lb.mode == ELEMENT_POWER:
+    if lb.eirp_dbm is None:
         pd_db = lb.pt_element_dbm + 10.0 * math.log10(cfg.nt) + lb.gt_element_dbi \
             + lb.gr_element_dbi + base
-        return PowerDensity(db_to_linear(pd_db)), (cfg.g1 * cfg.g2, cfg.kt * cfg.g2)
+        return PowerDensity(db_to_linear(pd_db)), cfg.gain_pair
 
     if cfg.gain_model == RICH_SCATTERING:
         raise ConfigError(
@@ -190,9 +178,9 @@ def power_density(lb: LinkBudget, cfg: ArrayConfig) -> Tuple[PowerDensity, Tuple
         )
     gr_total = lb.gr_element_dbi + 10.0 * math.log10(cfg.nr)
     pd_db = lb.eirp_dbm + gr_total + base
+    gain, penalty = cfg.gain_pair
     # derate when the config's total gain falls short of the full array product
-    derate = cfg.g1 * cfg.g2 / (cfg.nt * cfg.nr)
-    return PowerDensity(db_to_linear(pd_db) * derate), (1.0, cfg.kt * cfg.g2)
+    return PowerDensity(db_to_linear(pd_db) * (gain / (cfg.nt * cfg.nr))), (1.0, penalty)
 
 
 SUM_POWER = "sum-power"

@@ -114,10 +114,8 @@ def _coherence(v: Dict[str, object]) -> CoherenceBlock:
 
 def _fading(v: Dict[str, object]) -> FadingModel:
     kind = v.get("fading", RAYLEIGH)
-    if kind == RAYLEIGH:
-        return FadingModel.rayleigh()
-    if kind == DETERMINISTIC:
-        return FadingModel.deterministic()
+    if kind in (RAYLEIGH, DETERMINISTIC):
+        return FadingModel(kind)
     if kind == TABULATED:
         if "fading_csv" not in v:
             raise ConfigError("fading = tabulated needs fading_csv")
@@ -147,12 +145,8 @@ def _array(v: Dict[str, object]) -> ArrayConfig:
 
 def _pathloss(v: Dict[str, object]) -> linkbudget.PathLossModel:
     kind = v.get("pathloss", linkbudget.FREE_SPACE)
-    if kind == linkbudget.FREE_SPACE:
-        return linkbudget.PathLossModel.free_space()
-    if kind == linkbudget.BLOCKED_LOS:
-        return linkbudget.PathLossModel.blocked_los()
-    if kind == linkbudget.UMI_NLOS:
-        return linkbudget.PathLossModel.umi_nlos()
+    if kind in (linkbudget.FREE_SPACE, linkbudget.BLOCKED_LOS, linkbudget.UMI_NLOS):
+        return linkbudget.PathLossModel(kind)
     if kind == linkbudget.CUSTOM:
         if "pathloss_csv" not in v:
             raise ConfigError("pathloss = custom needs pathloss_csv")
@@ -185,7 +179,7 @@ def resolve(mapping: Dict[str, str], overrides: Optional[Dict[str, float]] = Non
         pd = PowerDensity(linkbudget.db_to_linear(v["pr_n0_dbhz"]))
         # density is taken as already beamformed; only the sweep penalty remains
         return Resolved(pd=pd, cb=cb, cfg=cfg, fading=fading,
-                        gain=1.0, sweep_penalty=cfg.kt * cfg.g2, budget=None)
+                        gain=1.0, sweep_penalty=cfg.gain_pair[1], budget=None)
 
     if "fc_ghz" not in v or "distance_m" not in v:
         raise ConfigError("need pr_n0_dbhz, or a link budget with fc_ghz and distance_m")
@@ -201,17 +195,14 @@ def resolve(mapping: Dict[str, str], overrides: Optional[Dict[str, float]] = Non
     else:
         gr = v.get("gr_element_dbi", 0.0)
 
-    eirp = v.get("eirp_dbm")
     pt_element = (v["pt_total_dbm"] - 10.0 * math.log10(cfg.nt) if "pt_total_dbm" in v
                   else v.get("pt_element_dbm"))
-    mode = linkbudget.ELEMENT_POWER if eirp is None else linkbudget.EIRP
 
     lb = linkbudget.LinkBudget(
         fc_hz=v["fc_ghz"] * 1e9,
         d_m=v["distance_m"],
-        mode=mode,
         pt_element_dbm=pt_element,
-        eirp_dbm=eirp,
+        eirp_dbm=v.get("eirp_dbm"),
         gt_element_dbi=gt,
         gr_element_dbi=gr,
         noise_figure_db=v.get("noise_figure_db", 0.0),

@@ -78,6 +78,18 @@ def test_substitution_receive_combining_splits_pair():
     assert sub.gain == 4.0
 
 
+@pytest.mark.parametrize("cfg,pair", [
+    (ArrayConfig.siso(), (1.0, 1.0)),
+    (ArrayConfig.simo(nr=4), (4.0, 4.0)),
+    (ArrayConfig.miso(nt=8), (8.0, 8.0)),
+    (ArrayConfig.ideal_directional(nt=16, nr=4), (64.0, 64.0)),
+    (ArrayConfig.rich_scattering(nt=16, nr=4), (20.0, 64.0)),
+    (ArrayConfig(nt=4, nr=2, kt=3, g1=6.0, g2=2.0), (12.0, 6.0)),
+], ids=["siso", "simo", "miso", "ideal_directional", "rich_scattering", "explicit_g2"])
+def test_config_owns_the_substituted_gain_pair(cfg, pair):
+    assert cfg.gain_pair == beamform.substitute(cfg, CoherenceBlock(lc=1e4)).gain_pair == pair
+
+
 def test_sweep_exhausts_coherence():
     cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
     with pytest.raises(ConfigError, match="coherence exhausted"):

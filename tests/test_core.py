@@ -244,6 +244,18 @@ def test_discretize_floors_bandwidth_at_one_block():
     assert "bandwidth_floor" in lat.flags
 
 
+@pytest.mark.parametrize("pd,flags", [(1e8, ()), (1e6, ("bandwidth_floor",))],
+                         ids=["interior", "below-one-block"])
+def test_discretize_reports_only_the_lattice_flags(pd, flags):
+    # at lc = 2 the continuous point is flagged lattice_only; the lattice
+    # point carries its own flags alone, bandwidth_floor where W* < Bc
+    cb = CoherenceBlock(lc=2.0, bc_hz=1e6)
+    point = core.solve_continuous(pd, cb, RAY)
+    assert point.flags == ("lattice_only",)
+    assert (point.w_hz < cb.bc_hz) == bool(flags)
+    assert core.discretize(point, cb, pd, RAY).flags == flags
+
+
 def test_rate_fixed_bandwidth_beats_any_fixed_alpha():
     cb = CoherenceBlock(lc=1e4)
     pd, w = 1e8, 5e8

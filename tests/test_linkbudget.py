@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from maxbw import beamform, linkbudget
+from maxbw import beamform
 from maxbw.beamform import ArrayConfig
 from maxbw.core import CoherenceBlock
 from maxbw.errors import ConfigError
@@ -116,7 +116,6 @@ def test_element_power_density_reference():
     lb = LinkBudget(
         fc_hz=28e9,
         d_m=100.0,
-        mode=linkbudget.ELEMENT_POWER,
         pt_element_dbm=30.0 - 10.0 * math.log10(16),
         gt_element_dbi=8.0,
         gr_element_dbi=5.0,
@@ -134,7 +133,6 @@ def test_zero_loss_budget_is_thermal_floor():
     lb = LinkBudget(
         fc_hz=28e9,
         d_m=100.0,
-        mode=linkbudget.ELEMENT_POWER,
         pt_element_dbm=0.0,
         path_loss=PathLossModel.custom_table([(1.0, 0.0), (1000.0, 0.0)]),
     )
@@ -147,10 +145,8 @@ def test_eirp_and_element_modes_describe_the_same_link():
     cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
     common = dict(fc_hz=28e9, d_m=150.0, noise_figure_db=7.0,
                   path_loss=PathLossModel.umi_nlos())
-    elem = LinkBudget(mode=linkbudget.ELEMENT_POWER, pt_element_dbm=12.0,
-                      gt_element_dbi=6.0, gr_element_dbi=4.0, **common)
-    eirp = LinkBudget(mode=linkbudget.EIRP,
-                      eirp_dbm=12.0 + 6.0 + 20.0 * math.log10(16),
+    elem = LinkBudget(pt_element_dbm=12.0, gt_element_dbi=6.0, gr_element_dbi=4.0, **common)
+    eirp = LinkBudget(eirp_dbm=12.0 + 6.0 + 20.0 * math.log10(16),
                       gr_element_dbi=4.0, **common)
 
     pd_e, pair_e = power_density(elem, cfg)
@@ -169,8 +165,8 @@ def test_eirp_and_element_modes_describe_the_same_link():
 
 def test_eirp_mode_partial_combining_derates():
     # g1 below nt*nr wipes the shortfall back out of the folded density
-    common = dict(fc_hz=28e9, d_m=100.0, mode=linkbudget.EIRP, eirp_dbm=50.0,
-                  gr_element_dbi=3.0, path_loss=PathLossModel.free_space())
+    common = dict(fc_hz=28e9, d_m=100.0, eirp_dbm=50.0, gr_element_dbi=3.0,
+                  path_loss=PathLossModel.free_space())
     full = ArrayConfig.ideal_directional(nt=8, nr=2)
     partial = ArrayConfig(nt=8, nr=2, kt=16, g1=8.0, g2=1.0)
     pd_full, _ = power_density(LinkBudget(**common), full)
@@ -179,7 +175,7 @@ def test_eirp_mode_partial_combining_derates():
 
 
 def test_rich_scattering_refuses_eirp_mode():
-    lb = LinkBudget(fc_hz=28e9, d_m=100.0, mode=linkbudget.EIRP, eirp_dbm=50.0)
+    lb = LinkBudget(fc_hz=28e9, d_m=100.0, eirp_dbm=50.0)
     with pytest.raises(ConfigError, match="rich-scattering"):
         power_density(lb, ArrayConfig.rich_scattering(nt=4, nr=4))
 
@@ -188,8 +184,7 @@ def test_density_monotone_in_distance():
     cfg = ArrayConfig.siso()
     last = None
     for d in (10.0, 30.0, 100.0, 300.0, 1000.0):
-        lb = LinkBudget(fc_hz=28e9, d_m=d, mode=linkbudget.ELEMENT_POWER,
-                        pt_element_dbm=20.0, path_loss=PathLossModel.umi_nlos())
+        lb = LinkBudget(fc_hz=28e9, d_m=d, pt_element_dbm=20.0, path_loss=PathLossModel.umi_nlos())
         pd, _ = power_density(lb, cfg)
         if last is not None:
             assert pd.pr_over_n0_hz < last
@@ -197,26 +192,20 @@ def test_density_monotone_in_distance():
 
 
 def test_budget_mode_validation():
+    # the one transmit power set is the mode: none and both are refused
     with pytest.raises(ConfigError):
-        LinkBudget(fc_hz=28e9, d_m=100.0, mode=linkbudget.ELEMENT_POWER)
+        LinkBudget(fc_hz=28e9, d_m=100.0)
     with pytest.raises(ConfigError):
-        LinkBudget(fc_hz=28e9, d_m=100.0, mode=linkbudget.EIRP)
-    with pytest.raises(ConfigError):
-        LinkBudget(fc_hz=28e9, d_m=100.0, mode=linkbudget.ELEMENT_POWER,
-                   pt_element_dbm=10.0, eirp_dbm=50.0)
-    with pytest.raises(ConfigError):
-        LinkBudget(fc_hz=28e9, d_m=100.0, mode="both", pt_element_dbm=10.0)
+        LinkBudget(fc_hz=28e9, d_m=100.0, pt_element_dbm=10.0, eirp_dbm=50.0)
     with pytest.raises(ValueError):
-        LinkBudget(fc_hz=28e9, d_m=100.0, mode=linkbudget.ELEMENT_POWER,
-                   pt_element_dbm=10.0, noise_figure_db=-1.0)
+        LinkBudget(fc_hz=28e9, d_m=100.0, pt_element_dbm=10.0, noise_figure_db=-1.0)
 
 
 def test_eirp_dbm_of():
-    lb = LinkBudget(fc_hz=28e9, d_m=100.0, mode=linkbudget.ELEMENT_POWER,
-                    pt_element_dbm=12.0, gt_element_dbi=6.0)
+    lb = LinkBudget(fc_hz=28e9, d_m=100.0, pt_element_dbm=12.0, gt_element_dbi=6.0)
     cfg = ArrayConfig.ideal_directional(nt=16, nr=2)
     assert eirp_dbm_of(lb, cfg) == pytest.approx(12.0 + 6.0 + 20.0 * math.log10(16))
-    lb2 = LinkBudget(fc_hz=28e9, d_m=100.0, mode=linkbudget.EIRP, eirp_dbm=55.0)
+    lb2 = LinkBudget(fc_hz=28e9, d_m=100.0, eirp_dbm=55.0)
     assert eirp_dbm_of(lb2, cfg) == 55.0
 
 

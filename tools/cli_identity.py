@@ -12,7 +12,7 @@ change's), and each command whose stderr on CHANGE_DIR holds a Python
 traceback, even where it matches the parent's. It exits 1 if any command is
 printed, else 0.
 
-The 174 commands: `optimize` in three formats with and without `--verify`,
+The 178 commands: `optimize` in three formats with and without `--verify`,
 and `baselines` in three formats, on all 7 presets; `sweep` in csv and json
 on fig2, fig6a and fig6b; `presets list` and `presets verify`; `allocate` on
 2-, 3- and 4-user tables over Rayleigh, deterministic and tabulated
@@ -20,10 +20,15 @@ channels, for every objective and format; `optimize --verify` and
 `baselines` on a tabulated, a Rayleigh and a wide-link scenario;
 `sweep --format json` on a tabulated and a deterministic scenario;
 `optimize --verify --format json` on four links whose lattice maximum a
-local climb misses; and ten bad inputs that the CLI refuses with exit 1 and
-an `error:` line: dB values past a float (Pr/N0, a swept Pr/N0, an EIRP, a
-user's gain and power), a CSV field past the reader's size limit (users,
-fading atoms, path loss) and a NaN coherence time or bandwidth.
+local climb misses, and on four link budgets: a rich-scattering array with
+element power over free space, a partially combining array (kt = 16,
+g1 = 8) by EIRP behind a blockage, a rich-scattering array by EIRP, which
+the CLI refuses with exit 1, and a custom path-loss table with total
+transmit power, total receive gain and g2 = 2; and ten bad inputs that the
+CLI refuses with exit 1 and an `error:` line: dB values past a float
+(Pr/N0, a swept Pr/N0, an EIRP, a user's gain and power), a CSV field past
+the reader's size limit (users, fading atoms, path loss) and a NaN
+coherence time or bandwidth.
 """
 
 from __future__ import annotations
@@ -70,6 +75,22 @@ SCENARIOS = {
                                "fading = deterministic\nsweep = pr_n0_dbhz\n"
                                "sweep_start = 60\nsweep_stop = 100\nsweep_points = 5\n",
 }
+# link budgets, one per way a budget reaches the gain pair and the density
+BUDGETS = {
+    "budget_rich_element.scn": "fc_ghz = 28\ndistance_m = 100\npt_element_dbm = 10\n"
+                               "nt = 4\nnr = 4\ngain_model = rich\npathloss = freespace\n"
+                               "tc_ms = 1\nbc_mhz = 10\nfading = rayleigh\n",
+    "budget_partial_eirp.scn": "fc_ghz = 28\ndistance_m = 150\neirp_dbm = 52\n"
+                               "gr_element_dbi = 3\nnt = 8\nnr = 2\nkt = 16\ng1 = 8\n"
+                               "pathloss = blockedlos\ntc_ms = 5\nbc_mhz = 10\n"
+                               "fading = deterministic\n",
+    "budget_rich_eirp.scn": "fc_ghz = 28\ndistance_m = 100\neirp_dbm = 52\nnt = 4\nnr = 4\n"
+                            "gain_model = rich\ntc_ms = 1\nbc_mhz = 10\n",
+    "budget_custom_total.scn": "fc_ghz = 39\ndistance_m = 120\npt_total_dbm = 30\n"
+                               "gr_total_dbi = 11\nnt = 4\nnr = 2\ng2 = 2\n"
+                               "pathloss = custom\npathloss_csv = pathloss.csv\n"
+                               "tc_ms = 2\nbc_mhz = 5\nfading = rayleigh\n",
+}
 # a field past the CSV reader's limit of 131 072 characters
 _HUGE = "9" * 200_000
 # inputs the CLI refuses with exit 1 and an `error:` line
@@ -98,8 +119,9 @@ def write_inputs(folder: str) -> None:
     rng = random.Random(20171)
     values = sorted(rng.gammavariate(1.5, 1.0) for _ in range(64))
     mean = sum(values) / len(values)
-    files = dict(USERS, **SCENARIOS, **BAD_USERS, **BAD_SCENARIOS)
+    files = dict(USERS, **SCENARIOS, **BUDGETS, **BAD_USERS, **BAD_SCENARIOS)
     files["huge_table.csv"] = "1.0," + _HUGE + "\n"
+    files["pathloss.csv"] = "distance_m,loss_db\n10,80\n100,112\n1000,146\n"
     files["atoms.csv"] = "value,weight\n" + "".join(f"{v / mean!r},{1 / 64!r}\n" for v in values)
     for kind in CHANNELS:
         files[f"{kind}_channel.scn"] = "tc_ms = 1\nbc_mhz = 2.5\nfading = " + kind + (
@@ -132,7 +154,8 @@ def commands():
         cmds.append(["baselines", "--scenario", scn])
     for scn in ("sweep_tabulated.scn", "sweep_deterministic.scn"):
         cmds.append(["sweep", "--scenario", scn, "--format", "json"])
-    for scn in ("trap_lc779.scn", "trap_lc217862.scn", "trap_lc254.scn", "trap_lc8.scn"):
+    for scn in ("trap_lc779.scn", "trap_lc217862.scn", "trap_lc254.scn", "trap_lc8.scn",
+                *BUDGETS):
         cmds.append(["optimize", "--scenario", scn, "--verify", "--format", "json"])
     for scn in BAD_SCENARIOS:
         cmds.append(["sweep" if scn.endswith("sweep.scn") else "optimize", "--scenario", scn])
