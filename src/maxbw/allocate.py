@@ -20,8 +20,8 @@ fixed_bandwidth_rate. Both use the integer pilot search core._guided_pilots:
 every rate of a user shares one coherence length, so the cached argmax guide
 of that length is built once and reused. Each search is one five-count
 probe from the guide's count; a rate whose probe cannot certify its count
-hands off to the golden search, and ties go to the lower count. So the
-scalar re-score has the bits of core.rate_fixed_bandwidth.
+hands off to core._best_pilots, the slope search, and ties go to the lower
+count. So the scalar re-score has the bits of core.rate_fixed_bandwidth.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class Allocation:
 def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.OperatingPoint:
     """Rate at pinned power and bandwidth, integer pilot count optimized.
 
-    core.rate_fixed_bandwidth from the user's pilot guide, not a golden search:
+    core.rate_fixed_bandwidth from the user's pilot guide, not a slope search:
     equal up to Lc = 1e8, then within core.PILOT_RTOL of the pilot maximum.
     """
     return core._fixed_bandwidth_point(user.pd_hz(p_w), w_hz, user.cb, user.fading,

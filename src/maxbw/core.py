@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from ._lazy import LazyNumpy, is_array
 from .errors import SolverError
-from .fading import FadingModel, _log1p_inv1p
+from .fading import FadingModel, _log1p_inv1p, _log1p_slope
 
 np = LazyNumpy(globals())
 
@@ -238,8 +238,14 @@ def alpha_given_rho(rho: float, lc: float) -> float:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     if not lc >= 2.0:
         raise ValueError(f"coherence length must be >= 2, got {lc}")
+    return _pilot_ratio(rho, lc)
+
+
+def _pilot_ratio(rho, lc: float):
+    """alpha_given_rho unchecked, on a float or an array."""
     b = 1.5 + rho
-    return (1.0 + rho) / (math.sqrt(b * b + (1.0 + rho) * rho * lc) + b)
+    root = b * b + (1.0 + rho) * rho * lc
+    return (1.0 + rho) / ((np.sqrt(root) if is_array(root) else math.sqrt(root)) + b)
 
 
 def _bisect_root(residual, what: str) -> float:
@@ -354,9 +360,6 @@ def closed_form_refined(lc: float) -> RefinedForm:
     return RefinedForm(rho=2.0 * u + (14.0 / 9.0) * u * u, alpha=u - (8.0 / 9.0) * u * u)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def _max_pilots(lc: float) -> int:
     # integer pilot counts leaving at least one data symbol
     return max(1, math.ceil(lc) - 1)
@@ -378,36 +381,109 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
     The search for callers that see a coherence length once or a few times,
     and the hand-off of _guided_pilots, the allocation layer's search.
 
-    A golden-section search on the pilot ratio narrows [a, b] to at most
-    1/Lc, so the argmax lies within one count of floor(a*Lc) + 1, and one
-    _probe_pilots from there picks it. Equal rates keep the lower bracket.
-    rho and w are broadcastable arrays, or floats, which stay Python floats:
-    the bracket updates are blends s*u + (1-s)*v with s in {0, 1}, exact for
-    finite values. Exact up to Lc = 1e8, then within PILOT_RTOL. Where every
-    rate rounds to 0.0 (per-symbol SNR below about 1e-160) each count ties,
-    and the search ends on the lowest count probed near the bracket's lower
-    end, 1e-9: count 1 below Lc = 1e9, and about 1e-9*Lc above.
+    At fixed bandwidth the rate is concave in the pilot count, so its slope
+    _pilot_slope falls through one root, and the argmax is the floor or the
+    ceiling of it. _slope_bracket narrows the root to one count, and one
+    _probe_pilots from the bracket's lower end picks the argmax; equal rates
+    keep the lower count. rho and w are broadcastable arrays, or floats,
+    which stay Python floats. Exact up to Lc = 1e8, then within PILOT_RTOL.
+    Where the slope and every rate round to 0.0 (per-symbol SNR below about
+    1e-160) each count ties, and the search ends on count 1.
     """
-    shape = None
-    if is_array(rho) or is_array(w):
-        rho, w = np.broadcast_arrays(rho, w)
-        shape, rho, w = rho.shape, rho.ravel(), w.ravel()
-    a = 1e-9 if shape is None else np.full(rho.size, 1e-9)
-    b = 1.0 - a
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = _rates(rho, w, c, lc, fading), _rates(rho, w, d, lc, fading)
-    for _ in range(math.ceil(math.log(lc) / -math.log(_INV_PHI))):
-        s = (fc >= fd) * 1.0  # 1 where a maximum lies in [a, d], else in [c, b]
-        t = 1.0 - s
-        a, b = s * a + t * c, s * d + t * b
-        x = s * (b - _INV_PHI * (b - a)) + t * (a + _INV_PHI * (b - a))
-        fx = _rates(rho, w, x, lc, fading)
-        c, d, fc, fd = s * x + t * d, s * c + t * x, s * fx + t * fd, s * fc + t * fx
-    n_hi = _max_pilots(lc)
-    if shape is None:
-        return _probe_pilots(rho, w, lc, fading, float(min(math.floor(a * lc) + 1, n_hi)))[:2]
-    n, best, _ = _probe_pilots(rho, w, lc, fading, np.minimum(np.floor(a * lc) + 1.0, n_hi))
+    if not (is_array(rho) or is_array(w)):
+        return _probe_pilots(rho, w, lc, fading, _slope_bracket(rho, lc, fading))[:2]
+    rho, w = np.broadcast_arrays(rho, w)
+    shape, rho, w = rho.shape, rho.ravel(), w.ravel()
+    n, best, _ = _probe_pilots(rho, w, lc, fading, _slope_brackets(rho, lc, fading))
     return n.reshape(shape), best.reshape(shape)
+
+
+def _pilot_slope(rho, al, lc: float, fading: FadingModel):
+    """dR/d(alpha) / (W log2 e) at al = alpha*Lc pilots, on floats or arrays:
+    -E[ln(1 + sX)] + (Lc - al) (ds/d al) E[X/(1 + sX)], s = rho_eff. Falls
+    through zero at the rate's maximum over a continuous pilot count."""
+    u = rho / (1.0 + (1.0 + al) * rho)  # s = al rho u and ds/d al = (1 + rho) u^2
+    e_log1p, e_slope = _log1p_slope(fading, al * rho * u)
+    return (lc - al) * (1.0 + rho) * u * u * e_slope - e_log1p
+
+
+# Slope evaluations per pilot search, at most. From rho = 1e-20 to 1e12 at
+# every Lc a search takes 14 or fewer; a run of underflowed slopes steps from
+# Lc/3 down to count 1 in at most 89.
+_SLOPE_EVALS = 100
+
+
+def _slope_bracket(rho: float, lc: float, fading: FadingModel) -> float:
+    """The lower end lo of counts [lo, lo + 1] whose slopes straddle zero,
+    clipped to [1, n_hi], for a float rho.
+
+    From the pilot condition's count, steps by factors of 1.5 toward the
+    root until the slope changes sign, then runs Illinois regula falsi on
+    the integer bracket (Dowell & Jarratt, BIT 11, 1971): where the same
+    end moves twice running, the other end's slope is halved. It bisects
+    where the secant is undefined, or where the bracket has not halved over
+    the last three evaluations. lo holds a positive slope and hi a slope at
+    or below zero; 0 and n_hi + 1 stand for an end not yet found, with
+    slope 0.0.
+    """
+    n_hi = _max_pilots(lc)
+    n = min(max(math.floor(_pilot_ratio(rho, lc) * lc), 1), n_hi)
+    lo, hi, d_lo, d_hi, last, ago = 0, n_hi + 1, 0.0, 0.0, None, (n_hi + 1,) * 3
+    for _ in range(_SLOPE_EVALS):
+        d = _pilot_slope(rho, float(n), lc, fading)
+        up = d > 0.0
+        half = 0.5 if up == last else 1.0
+        if up:
+            lo, d_lo, d_hi = n, d, half * d_hi
+        else:
+            hi, d_hi, d_lo = n, d, half * d_lo
+        width, last = hi - lo, up
+        if width <= 1:
+            break
+        halved, ago = 2 * width <= ago[0], ago[1:] + (width,)
+        if lo == 0:
+            n = math.floor(hi / 1.5)
+        elif hi > n_hi:
+            n = min(math.ceil(1.5 * lo), n_hi)
+        else:  # the secant's offset from lo, or -1.0 to bisect
+            x = width * (d_lo / (d_lo - d_hi)) if halved and d_lo > d_hi else -1.0
+            n = lo + (min(max(int(x), 1), width - 1) if 0.0 <= x <= width else width // 2)
+    return float(max(lo, 1))
+
+
+def _slope_brackets(rho, lc: float, fading: FadingModel):
+    """_slope_bracket over a 1-d array of rho, as a float array: each element
+    freezes once its own bracket is one count wide, and each step scores the
+    open elements in one call."""
+    n_hi = float(_max_pilots(lc))
+    n = np.clip(np.floor(_pilot_ratio(rho, lc) * lc), 1.0, n_hi)
+    lo, d_lo, d_hi = np.zeros_like(n), np.zeros_like(n), np.zeros_like(n)
+    hi, last = np.full_like(n, n_hi + 1.0), np.zeros(n.size, bool)
+    ago, out, open_ = [hi - lo] * 3, np.empty_like(n), np.arange(n.size)
+    for _ in range(_SLOPE_EVALS):
+        d = _pilot_slope(rho, n, lc, fading)
+        up = d > 0.0
+        half = np.where(up == last, 0.5, 1.0)
+        d_lo, d_hi = np.where(up, d, half * d_lo), np.where(up, half * d_hi, d)
+        lo, hi, last = np.where(up, n, lo), np.where(up, hi, n), up
+        width = hi - lo
+        done = width <= 1.0
+        if done.all():
+            break
+        if done.any():
+            out[open_[done]] = lo[done]
+            keep = np.flatnonzero(~done)
+            open_, rho, lo, hi, d_lo, d_hi, last, width, *ago = (
+                v.take(keep) for v in (open_, rho, lo, hi, d_lo, d_hi, last, width, *ago))
+        halved, ago = 2.0 * width <= ago[0], ago[1:] + [width]
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN bisects
+            x = width * (d_lo / (d_lo - d_hi))
+        n = lo + np.where(halved & (x >= 0.0) & (x <= width),
+                          np.clip(np.floor(x), 1.0, width - 1.0), np.floor(0.5 * width))
+        n = np.where(lo == 0.0, np.floor(hi / 1.5),
+                     np.where(hi > n_hi, np.minimum(np.ceil(1.5 * lo), n_hi), n))
+    out[open_] = lo
+    return np.maximum(out, 1.0)
 
 
 @lru_cache(maxsize=256)
@@ -429,8 +505,9 @@ def _guided_pilots(rho, w, lc: float, fading: FadingModel):
     _probe_pilots at the guide's count, interpolated in log10(rho) and
     clamped at the guide's ends: the allocation layer's search. A rho whose
     count the probe cannot certify, where the guide missed by two counts or
-    more, is handed off to _best_pilots. Equal to _best_pilots up to
-    Lc = 1e8; above, rounding can certify another count within PILOT_RTOL."""
+    more, is handed off to _best_pilots, whose slope search ends with a
+    second probe. Equal to _best_pilots up to Lc = 1e8; above, rounding can
+    certify another count within PILOT_RTOL."""
     log_rho, guide = _pilot_guide(lc, fading)
     if not is_array(rho):
         x = math.log10(rho) if rho > 0.0 else -math.inf
@@ -524,8 +601,10 @@ def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -
     """Global lattice maximizer over W in {Bc..m_max*Bc} and every pilot count.
 
     Every bandwidth takes its best pilot count from the search of
-    rate_fixed_bandwidth, run on 2**14 bandwidths at a time, and the first
-    bandwidth with the largest rate wins: the maximum over the whole box, so
+    rate_fixed_bandwidth, run on 2**14 bandwidths at a time: each step of
+    its slope search scores only the bandwidths whose bracket is still open,
+    and one probe scores them all. The first bandwidth with the largest rate
+    wins: the maximum over the whole box, so
     no lattice neighbor inside it can beat it. A "maximum_at_edge" flag marks
     a rate still increasing at m_max, meaning the bracket was too small.
     """
@@ -551,7 +630,10 @@ def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -
 def rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, fading: FadingModel) -> OperatingPoint:
     """Best rate at a pinned bandwidth, optimizing only the integer pilot count.
 
-    Exact on the pilot lattice up to Lc = 1e8, then within PILOT_RTOL.
+    The count comes from the root of the rate's slope in the pilot count
+    (_best_pilots): 14 or fewer slope evaluations, then five rate
+    evaluations. Exact on the pilot lattice up to Lc = 1e8, then within
+    PILOT_RTOL.
     """
     return _fixed_bandwidth_point(pd, w_hz, cb, fading, _best_pilots)
 

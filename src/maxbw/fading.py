@@ -2,12 +2,14 @@
 
 Every model describes the distribution of the channel power gain (|h|^2 for a
 complex gain h) normalized to unit mean. Rate evaluation needs two expectations,
-E[ln(1 + s X)] and E[1/(1 + s X)], both computed here so callers never touch the
-distribution directly. Deterministic and tabulated models sum over their atoms.
-Rayleigh (X ~ Exp(1)) uses the exact forms, with x = 1/s (Abramowitz & Stegun
-5.1.1, 5.1.11, 5.1.22):
+E[ln(1 + s X)] and E[1/(1 + s X)], and the pilot search a third,
+E[X/(1 + s X)], the derivative of the first in s; all are computed here so
+callers never touch the distribution directly. Deterministic and tabulated
+models sum over their atoms. Rayleigh (X ~ Exp(1)) uses the exact forms, with
+x = 1/s (Abramowitz & Stegun 5.1.1, 5.1.11, 5.1.22):
 
-    E[ln(1 + s X)] = e^x E1(x),    E[1/(1 + s X)] = x e^x E1(x).
+    E[ln(1 + s X)] = e^x E1(x),    E[1/(1 + s X)] = x e^x E1(x),
+    E[X/(1 + s X)] = x (1 - x e^x E1(x)).
 
 A scalar scale never becomes a 0-d array. Rayleigh and deterministic scalars
 use `math` only, so they need no numpy; math.log1p can differ from numpy's
@@ -81,25 +83,31 @@ def _exp_e1_series(x, exp, log):
     return exp(x) * (ein - _EULER_GAMMA - log(x))
 
 
-def _rayleigh(s: float):
-    """(E[ln(1 + s X)], E[1/(1 + s X)]) for X ~ Exp(1) and a float s >= 0."""
+def _rayleigh(s: float, slope=False):
+    """(E[ln(1 + s X)], E[1/(1 + s X)]) for X ~ Exp(1) and a float s >= 0, or
+    with slope (E[ln(1 + s X)], E[X/(1 + s X)]). Below s = 1/2 the latter is
+    x (1 - 1/f_2) / f on the continued fraction's last level
+    f = x + 1 - 1/f_2, with no 1 - E[1/(1 + s X)] to cancel."""
     if s < _TINY:
-        return s, 1.0 - s
+        return s, (1.0 - 2.0 * s if slope else 1.0 - s)
     x = 1.0 / s
     if s > _SERIES_ABOVE:
         g = _exp_e1_series(x, math.exp, math.log)
-    else:
-        depth = 5 + math.ceil(100.0 / x)
-        f = x + (2 * depth - 1)
-        for a, b in _CF_TERMS[1 - depth:]:
-            f = x + a - b / f
-        g = 1.0 / f
-    return g, x * g
+        return g, ((1.0 - x * g) / s if slope else x * g)
+    depth = 5 + math.ceil(100.0 / x)
+    f = x + (2 * depth - 1)
+    for a, b in _CF_TERMS[1 - depth:-1]:
+        f = x + a - b / f
+    r = 1.0 / f
+    f = x + 1.0 - r
+    g = 1.0 / f
+    return g, (x * (1.0 - r) / f if slope else x * g)
 
 
 @lru_cache(maxsize=None)
 def _laguerre_rule():
-    """The _RULE_NODES-point Gauss-Laguerre rule as (1/t_i, w_i/t_i).
+    """The _RULE_NODES-point Gauss-Laguerre rule as (1/t_i, w_i/t_i, and the
+    columns (w_i/t_i, w_i)).
 
     The weights are the Christoffel numbers 1 / sum_k L_k(t)^2 over the
     orthonormal Laguerre polynomials, scaled to sum to 1: with them the rule
@@ -113,16 +121,19 @@ def _laguerre_rule():
         squares += p1 * p1
     w = 1.0 / squares
     w /= w.sum()
-    return 1.0 / t, w / t
+    return 1.0 / t, w / t, np.stack((w / t, w), axis=1)
 
 
-def _laguerre_inv1p(s):
-    """E[1/(1 + sX)] = sum_i (w_i/t_i) / (1/t_i + s) over a 1-d array of s <= 1/2."""
-    inv_t, w_t = _laguerre_rule()
+def _laguerre_sums(s, k):
+    """sum_i v_i / (1/t_i + s) over a 1-d array of s <= 1/2, for v the k-th
+    entry of _laguerre_rule: v_i = w_i/t_i gives E[1/(1 + sX)], and v_i = w_i
+    gives E[X/(1 + sX)]."""
+    rule = _laguerre_rule()
+    inv_t, weights = rule[0], rule[k]
     blocks = []
     for i in range(0, max(s.size, 1), _BLOCK):
         terms = np.add.outer(s[i:i + _BLOCK], inv_t)
-        blocks.append(np.reciprocal(terms, out=terms) @ w_t)
+        blocks.append(np.reciprocal(terms, out=terms) @ weights)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -131,16 +142,30 @@ def _rayleigh_array(s):
     flat = s.reshape(-1)
     series = flat > _SERIES_ABOVE
     if not series.any():
-        h = _laguerre_inv1p(flat)
+        h = _laguerre_sums(flat, 1)
         return (flat * h).reshape(s.shape), h.reshape(s.shape)
     g, h = np.empty_like(flat), np.empty_like(flat)
     x = 1.0 / flat[series]
     gx = _exp_e1_series(x, np.exp, np.log)
     g[series], h[series] = gx, x * gx
     rest = ~series
-    h[rest] = hr = _laguerre_inv1p(flat[rest])
+    h[rest] = hr = _laguerre_sums(flat[rest], 1)
     g[rest] = flat[rest] * hr
     return g.reshape(s.shape), h.reshape(s.shape)
+
+
+def _rayleigh_slope_array(s):
+    """_rayleigh(s, slope=True) elementwise over a 1-d float array of checked
+    scales."""
+    g, q = np.empty_like(s), np.empty_like(s)
+    series = s > _SERIES_ABOVE
+    x = 1.0 / s[series]
+    g[series] = gx = _exp_e1_series(x, np.exp, np.log)
+    q[series] = (1.0 - x * gx) / s[series]
+    rest = ~series
+    sums = _laguerre_sums(s[rest], 2)
+    g[rest], q[rest] = s[rest] * sums[:, 0], sums[:, 1]
+    return g, q
 
 
 def _log1p_inv1p(model, s):
@@ -154,6 +179,21 @@ def _log1p_inv1p(model, s):
         return model.expected_log1p(s), model.expected_inv1p(s)
     s = _require_scale(s)
     return _rayleigh(s) if type(s) is float else _rayleigh_array(s)
+
+
+def _log1p_slope(model, s):
+    """(E[ln(1 + s X)], E[X/(1 + s X)]): expected_log1p and its derivative in
+    s, on a float or a 1-d array, with no 1 - E[1/(1 + s X)] cancellation."""
+    s = _require_scale(s)
+    on_float = type(s) is float
+    if model.kind == RAYLEIGH:
+        return _rayleigh(s, slope=True) if on_float else _rayleigh_slope_array(s)
+    if model.kind == DETERMINISTIC:
+        return (math if on_float else np).log1p(s), 1.0 / (1.0 + s)
+    scaled = model._scaled_atoms(s)
+    g = np.log1p(scaled) @ model._weights
+    q = (model._values / (1.0 + scaled)) @ model._weights
+    return (float(g), float(q)) if on_float else (g, q)
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def test_check_allocation_catches_harm():
 # ------------------------------------------------- guided candidate search
 
 
-def _golden_rates_flat(user, p_vec, w_vec):
+def _slope_rates_flat(user, p_vec, w_vec):
     return core._best_pilots(user.gain_hz_per_watt * p_vec / w_vec, w_vec,
                              user.cb.lc, user.fading)[1]
 
@@ -190,18 +190,18 @@ def test_guided_candidate_pass_keeps_pair_allocations(monkeypatch):
     rng = np.random.default_rng(8080)
     cases = [(_seeded_users(rng, 2), allocate.OBJECTIVES[i % 3]) for i in range(60)]
     guided = [allocate.allocate_pair(*users, obj) for users, obj in cases]
-    monkeypatch.setattr(allocate, "_rates_flat", _golden_rates_flat)
-    golden = [allocate.allocate_pair(*users, obj) for users, obj in cases]
-    assert guided == golden
+    monkeypatch.setattr(allocate, "_rates_flat", _slope_rates_flat)
+    unguided = [allocate.allocate_pair(*users, obj) for users, obj in cases]
+    assert guided == unguided
 
 
 def test_guided_candidate_pass_keeps_group_allocations(monkeypatch):
     rng = np.random.default_rng(8081)
     cases = [(_seeded_users(rng, 3), allocate.OBJECTIVES[i % 3]) for i in range(6)]
     guided = [allocate.allocate_group(users, obj) for users, obj in cases]
-    monkeypatch.setattr(allocate, "_rates_flat", _golden_rates_flat)
-    golden = [allocate.allocate_group(users, obj) for users, obj in cases]
-    assert guided == golden
+    monkeypatch.setattr(allocate, "_rates_flat", _slope_rates_flat)
+    unguided = [allocate.allocate_group(users, obj) for users, obj in cases]
+    assert guided == unguided
 
 
 def _loop_candidates(weak, strong, p_budget, w_budget, offsets_db, m_center, branches):

@@ -18,6 +18,9 @@ depend on either tree:
   large-Lc closed form for rho*. Each link calls `solve_continuous`,
   `rate_fixed_bandwidth` at 1 GHz, `discretize` on the continuous optimum,
   and `exhaustive_search` with m_max = max(4, 2 ceil(W*/Bc)).
+- WIDE more `rate_fixed_bandwidth` calls per link, from a stream of their
+  own, cycling through the three laws: the per-symbol SNR rho log-uniform
+  in 1e-20-1e12, Lc in 2-1e8 and W in 1e5-1e10 Hz.
 - PAIRS `allocate_pair` calls, and GROUPS `allocate_group` calls on three,
   four and five users in turn, nine groups of each size in a row, so that
   the greedy's choice of pairs is tested past three users. Both cycle
@@ -27,7 +30,7 @@ depend on either tree:
   of the pairs, one in each law and each objective per nine, take Lc in
   1e5-1e7 instead: there the pilot guide misses by two counts or more on
   part of the rho axis, and the guided search hands those rates off to the
-  golden search.
+  slope search of `rate_fixed_bandwidth`.
 
 A point is what a call chose: the bandwidth and pilot ratio of the
 continuous optimum, the pilot count at a fixed bandwidth, the (m, n) step
@@ -47,6 +50,7 @@ import subprocess
 import sys
 
 LINKS, PAIRS, GROUPS = 600, 120, 30
+WIDE = 3
 LAWS = ("rayleigh", "deterministic", "tabulated")
 FUNCTIONS = ("solve_continuous", "rate_fixed_bandwidth", "discretize", "exhaustive_search",
              "allocate_pair", "allocate_group")
@@ -93,6 +97,13 @@ def panel(links, pairs, groups):
         m_max = max(4, 2 * math.ceil(steps))
         out["exhaustive_search"].append(
             lattice(core.exhaustive_search(pd, cb, fading, m_max), cb.bc_hz))
+
+    rng = random.Random(1701)
+    for i in range(WIDE * links):
+        fading, lc = models[LAWS[i % 3]], _log_uniform(rng, 2.0, 1e8)
+        rho, w = _log_uniform(rng, 1e-20, 1e12), _log_uniform(rng, 1e5, 1e10)
+        fixed = core.rate_fixed_bandwidth(rho * w, w, core.CoherenceBlock(lc=lc), fading)
+        out["rate_fixed_bandwidth"].append([[fixed.pilot_count], [fixed.rate_bps]])
 
     def allocation(alloc):
         point = [[e.p_w, e.w_hz, e.pilot_count] for e in alloc.entries] + [list(alloc.flags)]
