@@ -14,14 +14,16 @@ greatest: of two equal gains the first user is weak and the second strong.
 Every search and every reported objective judge by that rule (_objective).
 
 Each call of the candidate pass builds all of its candidates in one array
-pass over power offsets, bandwidth caps and lattice steps, and scores them
-in one vectorized pass. Each winner is then re-scored on the scalar path,
-fixed_bandwidth_rate. Both use the integer pilot search core._guided_pilots:
-every rate of a user shares one coherence length, so the cached argmax guide
-of that length is built once and reused. Each search is one five-count
-probe from the guide's count; a rate whose probe cannot certify its count
-hands off to core._best_pilots, the slope search, and ties go to the lower
-count. So the scalar re-score has the bits of core.rate_fixed_bandwidth.
+pass over power offsets, bandwidth caps and lattice steps, and scores each
+distinct point of each user once, in one vectorized pass per user. Each
+winner is then re-scored on the scalar path, fixed_bandwidth_rate, once per
+allocate_group call for each (user, power, bandwidth). Both use the integer
+pilot search core._guided_pilots: every rate of a user shares one coherence
+length, so the cached argmax guide of that length is built once and reused.
+Each search is one five-count probe from the guide's count; a rate whose
+probe cannot certify its count hands off to core._best_pilots, the slope
+search, and ties go to the lower count. So the scalar re-score has the bits
+of core.rate_fixed_bandwidth.
 """
 
 from __future__ import annotations
@@ -176,15 +178,21 @@ def _segment(lo: np.ndarray, hi: np.ndarray, max_points: int):
     return np.where(span < max_points, lo + j, spread), j <= np.maximum(span, 0)
 
 
-def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budget: float,
-                       base_weak: float, base_strong: float, objective: str,
-                       offsets_db: np.ndarray, m_center: Optional[int] = None):
-    """Top feasible candidates over a power-offset grid, or None.
+def _candidates(weak: UserLink, strong: UserLink, p_budget: float, w_budget: float,
+                offsets_db: np.ndarray, m_center: Optional[int] = None):
+    """The candidate pass's candidates over a power-offset grid, or None.
 
     Candidates are (p_weak, w_weak, p_strong, w_strong) with both bandwidths
     on their lattices, w_strong taking what the budget leaves up to its own
     beneficial maximum. They are built in one array pass over (offset,
-    strong cap, weak step), in that order, and scored in one vectorized pass.
+    strong cap, weak step), in that order.
+
+    Returns the four candidate vectors, then (first, back) for the weak and
+    the strong user: first indexes one candidate per distinct point of the
+    user, in candidate order, and back maps each candidate to its point, so
+    x[first][back] is x for each of the user's vectors. Points are told
+    apart within one offset's row: two offsets whose powers round to one
+    value would score theirs once each.
     """
     bc_w, bc_s = weak.cb.bc_hz, strong.cb.bc_hz
     # one scalar power per offset: numpy's array power can differ in the last bit
@@ -214,16 +222,47 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     caps = cap_s[:, None, None] - np.array([[1], [0]])
     n_s = np.minimum(caps, avail[:, None, :])
     valid = (caps >= 1) & (n_s >= 1) & mask[:, None, :]
-    row, _, col = np.nonzero(valid)
+    row, cap, col = np.nonzero(valid)
     if not row.size:
         return None
-    p_w_all = p_w[row]
-    w_w_all = w_w[row, col]
-    w_s_all = n_s[valid] * bc_s
-    p_s_all = p_budget - p_w_all
 
-    r_w = _rates_flat(weak, p_w_all, w_w_all)
-    r_s = _rates_flat(strong, p_s_all, w_s_all)
+    # A weak point (row, col) is the same under both caps, and cap_s holds
+    # each one: a candidate valid under cap_s - 1 is valid under cap_s.
+    w_rank = (np.cumsum(valid[:, 1]) - 1).reshape(ms.shape)
+    # Along a row avail falls, and so does each cap's strong step
+    # min(cap, avail): under cap_s - 1 a new point starts where the step
+    # changes; under cap_s the step is avail, as under cap_s - 1, except
+    # where avail >= cap_s, which gives one new point, cap_s, at column 0.
+    # A point's rank among the new ones is the cumsum at its first copy.
+    n0, n1 = n_s[:, 0], n_s[:, 1]
+    s_new = np.zeros_like(valid)
+    s_new[:, 0, 0] = valid[:, 0, 0]
+    s_new[:, 0, 1:] = valid[:, 0, 1:] & (n0[:, 1:] != n0[:, :-1])
+    s_new[:, 1, 0] = valid[:, 1, 0] & (n1[:, 0] != n0[:, 0])
+    s_rank = (np.cumsum(s_new) - 1).reshape(s_new.shape)
+    s_rank[:, 1] = np.where(n1 == n0, s_rank[:, 0], s_rank[:, 1, :1])
+
+    p_w_all = p_w[row]
+    return (p_w_all, w_w[row, col], p_budget - p_w_all, n_s[valid] * bc_s,
+            (np.flatnonzero(cap), w_rank[row, col]),
+            (np.flatnonzero(s_new[valid]), s_rank[valid]))
+
+
+def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budget: float,
+                       base_weak: float, base_strong: float, objective: str,
+                       offsets_db: np.ndarray, m_center: Optional[int] = None):
+    """Top feasible candidates of _candidates, or None.
+
+    Each distinct point of each user is scored once, all of a user's in one
+    vectorized pass, and its rate is gathered back to every candidate that
+    holds it.
+    """
+    cands = _candidates(weak, strong, p_budget, w_budget, offsets_db, m_center)
+    if cands is None:
+        return None
+    p_w_all, w_w_all, p_s_all, w_s_all, (w_first, w_back), (s_first, s_back) = cands
+    r_w = _rates_flat(weak, p_w_all[w_first], w_w_all[w_first])[w_back]
+    r_s = _rates_flat(strong, p_s_all[s_first], w_s_all[s_first])[s_back]
     feasible = (r_w >= base_weak * (1.0 - 1e-9)) & (r_s >= base_strong * (1.0 - 1e-9))
     if not feasible.any():
         return None
@@ -240,9 +279,10 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
 
 def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget: float,
                           seed1: AllocationEntry, seed2: AllocationEntry, objective: str,
-                          ) -> Tuple[AllocationEntry, AllocationEntry, Tuple[str, ...]]:
+                          rescore) -> Tuple[AllocationEntry, AllocationEntry, Tuple[str, ...]]:
     """seed1, seed2: the users' baseline entries; the baseline split is always
-    feasible and seeds the search."""
+    feasible and seeds the search. rescore, called as _entry, re-scores each
+    winner of the candidate pass on the scalar path."""
     weak_first = u1.gain_hz_per_watt <= u2.gain_hz_per_watt  # _objective's weak and strong
     weak, strong = (u1, u2) if weak_first else (u2, u1)
     best_weak, best_strong = (seed1, seed2) if weak_first else (seed2, seed1)
@@ -263,8 +303,8 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
         for val, p_w, w_w, p_s, w_s in candidates or []:
             if val <= best_val * (1.0 - 1e-9):
                 continue
-            cand_weak = _entry(weak, p_w, w_w, base_weak)
-            cand_strong = _entry(strong, p_s, w_s, base_strong)
+            cand_weak = rescore(weak, p_w, w_w, base_weak)
+            cand_strong = rescore(strong, p_s, w_s, base_strong)
             if cand_weak.rate_bps < base_weak or cand_strong.rate_bps < base_strong:
                 continue  # vectorized pass was optimistic at the tolerance edge
             val_exact = _objective(gains, [cand_weak.rate_bps, cand_strong.rate_bps], objective)
@@ -336,7 +376,8 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     1e-6 relative. Rounds stop when none is, after at most 20. Weak and
     strong are as the module says, in the group and in each pair. A
     heuristic, but it starts from the baseline, so the result can never be
-    worse than no reallocation.
+    worse than no reallocation. Each (user, p_w, w_hz) is scored on the
+    scalar path once per call.
     """
     _check_objective(objective)
     users = list(users)
@@ -354,6 +395,16 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     # a pair's solve depends only on the pair and its budgets: a repeat is
     # looked up, not solved again
     solved = {}
+    # a re-score depends only on the user and the point: each is made once,
+    # the baselines first, and both tables die with the call
+    slot = {id(u): i for i, u in enumerate(users)}
+    scored = {(i, e.p_w, e.w_hz): e for i, e in enumerate(seeds)}
+
+    def rescore(user, p_w, w_hz, baseline_bps):
+        key = (slot[id(user)], p_w, w_hz)
+        if key not in scored:
+            scored[key] = _entry(user, p_w, w_hz, baseline_bps)
+        return scored[key]
 
     for _round in range(20):
         improved = False
@@ -364,7 +415,7 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
             if key not in solved:
                 solved[key] = _allocate_pair_budget(
                     users[i], users[j], p_budget, w_budget,
-                    seeds[i], seeds[j], objective,
+                    seeds[i], seeds[j], objective, rescore,
                 )
             ei, ej, pair_flags = solved[key]
             trial = list(entries)

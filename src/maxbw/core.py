@@ -59,6 +59,13 @@ _BRACKET_HI = 10.0
 # error would name the expectation's scale instead of the input.
 _MAX_PD_HZ = 1e150
 
+# The largest per-symbol SNR rho = pd/W that any tile can score: rho_eff
+# squares rho, times n >= 1 pilots, so past sqrt(DBL_MAX), about 1.34e154,
+# every count overflows. A tile with Lc = 2 has only count 1 and scores up to
+# here; a longer tile probes more counts and can overflow sooner, which the
+# expectation's scale check reports.
+_MAX_RHO = math.sqrt(1.7976931348623157e308)
+
 
 @dataclass(frozen=True)
 class PowerDensity:
@@ -645,5 +652,9 @@ def _fixed_bandwidth_point(pd, w_hz: float, cb: CoherenceBlock, fading: FadingMo
     pd_hz = _pd_hz(pd)
     if not w_hz > 0.0:
         raise ValueError(f"bandwidth must be positive, got {w_hz}")
-    n, rate_bps = search(pd_hz / w_hz, w_hz, cb.lc, fading)
+    rho = pd_hz / w_hz
+    if rho > _MAX_RHO:
+        raise ValueError(f"Pr/N0 {pd_hz} Hz over bandwidth {w_hz} Hz is a per-symbol SNR "
+                         f"above {_MAX_RHO:.4g}, whose square overflows")
+    n, rate_bps = search(rho, w_hz, cb.lc, fading)
     return _lattice_point(pd_hz, w_hz, n, cb.lc, rate_bps)

@@ -175,13 +175,16 @@ def _slope_rates_flat(user, p_vec, w_vec):
                              user.cb.lc, user.fading)[1]
 
 
-def _seeded_users(rng, k):
-    # gains as in the acceptance test, a fading law and coherence tile per instance
+def _seeded_users(rng, k, law=None):
+    # gains as in the acceptance test, a fading law and coherence tile per
+    # instance; law 0, 1 or 2 takes Rayleigh, deterministic or tabulated
+    # instead of the drawn one
     atoms = np.sort(rng.gamma(2.0, 1.0, 16))
     laws = [RAY, FadingModel.deterministic(),
             FadingModel.tabulated([(v / atoms.mean(), 1.0 / 16) for v in atoms])]
     cbs = [CB, CoherenceBlock.from_tc_bc(tc_s=4e-4, bc_hz=1e6)]
-    fading, cb = laws[rng.integers(3)], cbs[rng.integers(2)]
+    drawn, cb = rng.integers(3), cbs[rng.integers(2)]
+    fading = laws[drawn if law is None else law]
     return [UserLink(gain_hz_per_watt=10.0 ** ((75.0 + 6.0 * z) / 10.0), pt_w=1.0,
                      w0_hz=100e6, cb=cb, fading=fading) for z in rng.standard_normal(k)]
 
@@ -264,7 +267,8 @@ def _loop_candidates(weak, strong, p_budget, w_budget, offsets_db, m_center, bra
 
 def test_candidate_pass_builds_the_loop_candidates_to_the_byte(monkeypatch):
     # the top-4 pick sorts with an unstable argsort, so the candidate vectors
-    # must match in value and order, not just as sets
+    # must match in value and order, not just as sets; and the scoring pass
+    # gets each distinct (p, w) of each user exactly once
     seen = []
     monkeypatch.setattr(allocate, "_rates_flat",
                         lambda user, p, w: seen.append((p, w)) or np.zeros(p.size))
@@ -287,20 +291,59 @@ def test_candidate_pass_builds_the_loop_candidates_to_the_byte(monkeypatch):
         m_center = int(rng.integers(1, 60)) if i % 4 == 3 else None
         # past the full-budget corner too, where no power is left to the strong user
         offsets = allocate._power_offsets(rng.choice([1.0, 0.1]), hi_db + 1.0)
+        got = allocate._candidates(weak, strong, p_budget, w_budget, offsets, m_center)
         seen.clear()
         # zero rates meet no positive baseline, so nothing is picked
         assert allocate._best_over_offsets(weak, strong, p_budget, w_budget, 1.0, 1.0, "sum",
                                            offsets, m_center) is None
         want = _loop_candidates(weak, strong, p_budget, w_budget, offsets, m_center, branches)
         if want is None:
-            assert seen == []
+            assert got is None and seen == []
             continue
-        (p_w, w_w), (p_s, w_s) = seen
-        for got, ref in ((p_w, want[0]), (w_w, want[1]), (w_s, want[2])):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), i
-        assert p_s.tobytes() == (p_budget - want[0]).tobytes()
+        p_w, w_w, p_s, w_s, weak_once, strong_once = got
+        assert len(seen) == 2, i
+        for vec, ref in ((p_w, want[0]), (w_w, want[1]), (p_s, p_budget - want[0]),
+                         (w_s, want[2])):
+            assert vec.dtype == ref.dtype and vec.tobytes() == ref.tobytes(), i
+        for (p, w), (first, back), scored in zip(((p_w, w_w), (p_s, w_s)),
+                                                 (weak_once, strong_once), seen):
+            points = list(zip(p.tolist(), w.tolist()))
+            assert [points[j] for j in first] == list(zip(*(x.tolist() for x in scored))), i
+            assert len(first) == len(set(points)), i
+            for x in (p, w):
+                assert x[first][back].tobytes() == x.tobytes(), i
     assert branches == {"no power left", "no bandwidth left", "both caps fit", "single",
                         "dense", "spread", "window"}
+
+
+def test_each_point_is_scored_once_per_call(monkeypatch):
+    points, rescores = [], []
+    rates_flat, fixed = allocate._rates_flat, allocate.fixed_bandwidth_rate
+
+    def counted_rates(user, p, w):
+        points.append((p.size, len(set(zip(p.tolist(), w.tolist())))))
+        return rates_flat(user, p, w)
+
+    def counted_fixed(user, p_w, w_hz):
+        rescores.append((id(user), p_w, w_hz))
+        return fixed(user, p_w, w_hz)
+
+    monkeypatch.setattr(allocate, "_rates_flat", counted_rates)
+    monkeypatch.setattr(allocate, "fixed_bandwidth_rate", counted_fixed)
+    rng = np.random.default_rng(2222)
+    for i in range(18):
+        users = _seeded_users(rng, 2 + i // 9, law=i % 3)
+        objective = allocate.OBJECTIVES[(i // 3) % 3]
+        calls = []
+        for _call in range(2):
+            points.clear()
+            rescores.clear()
+            alloc = allocate.allocate_group(users, objective)
+            assert points and all(size == distinct for size, distinct in points), i
+            assert len(rescores) == len(set(rescores)), i
+            calls.append((alloc, len(points), len(rescores)))
+        # nothing scored in one call is kept for the next
+        assert calls[0] == calls[1], i
 
 
 def test_group_solves_each_pair_budget_once(monkeypatch):
@@ -367,7 +410,8 @@ def _all_pairs_greedy(users, objective):
                 key = (i, j, p_budget, w_budget)
                 if key not in solved:
                     solved[key] = allocate._allocate_pair_budget(
-                        users[i], users[j], p_budget, w_budget, seeds[i], seeds[j], objective)
+                        users[i], users[j], p_budget, w_budget, seeds[i], seeds[j], objective,
+                        allocate._entry)
                 ei, ej, pair_flags = solved[key]
                 trial = list(entries)
                 trial[i], trial[j] = ei, ej

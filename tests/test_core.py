@@ -712,6 +712,28 @@ def test_rate_fixed_bandwidth_stops_on_underflowed_rates(monkeypatch, pd, lc, la
     assert point.pilot_count == 1
 
 
+@pytest.mark.parametrize("law", [0, 1, 2], ids=["rayleigh", "deterministic", "tabulated"])
+@pytest.mark.parametrize("w", [1e-200, 1e-160, 1e-100, 1e-60])
+def test_rate_fixed_bandwidth_names_an_overflowing_snr(law, w):
+    # per-symbol SNR 1e210 to inf: its square overflows at every pilot count
+    fading = _three_laws(np.random.default_rng(7))[law]
+    with pytest.raises(ValueError, match=rf"Pr/N0 1e\+150 Hz over bandwidth {w} Hz"):
+        core.rate_fixed_bandwidth(1e150, w, CoherenceBlock(lc=1000), fading)
+
+
+@pytest.mark.parametrize("law", [0, 1, 2], ids=["rayleigh", "deterministic", "tabulated"])
+def test_rate_fixed_bandwidth_scores_up_to_the_largest_snr(law):
+    # Lc = 2 has one pilot count, which scores every SNR up to the bound
+    fading = _three_laws(np.random.default_rng(7))[law]
+    w = 1e150 / core._MAX_RHO
+    while 1e150 / w > core._MAX_RHO:
+        w = math.nextafter(w, math.inf)
+    point = core.rate_fixed_bandwidth(1e150, w, CoherenceBlock(lc=2.0), fading)
+    assert point.pilot_count == 1 and math.isfinite(point.rate_bps)
+    with pytest.raises(ValueError, match="bandwidth"):
+        core.rate_fixed_bandwidth(1e150, math.nextafter(w, 0.0), CoherenceBlock(lc=2.0), fading)
+
+
 def test_discretize_stops_on_underflowed_rates(monkeypatch):
     # pr_n0_dbhz = -2900: the bound and the best lattice rate are both 0.0
     cb = CoherenceBlock(lc=1e6, bc_hz=1e7)
