@@ -14,12 +14,16 @@ greatest: of two equal gains the first user is weak and the second strong.
 Every search and every reported objective judge by that rule (_objective).
 
 Each call of the candidate pass builds all of its candidates in one array
-pass over power offsets, bandwidth caps and lattice steps, and scores each
-distinct point of each user once, in one vectorized pass per user. Each
-winner is then re-scored on the scalar path, fixed_bandwidth_rate, once per
-allocate_group call for each (user, power, bandwidth). Both use the integer
-pilot search core._guided_pilots: every rate of a user shares one coherence
-length, so the cached argmax guide of that length is built once and reused.
+pass over power offsets, bandwidth caps and lattice steps. It rules out each
+candidate where an upper bound on a user's rate (_rate_bound) falls short
+of that user's baseline, and scores each distinct point of the rest once,
+both users' in one vectorized search per coherence length and fading law. A
+point's rate has the same bits in any call, so the pass picks what scoring
+every candidate would. Each winner is then re-scored on the scalar path,
+fixed_bandwidth_rate, once per allocate_group call for each (user, power,
+bandwidth). Both use the integer pilot search core._guided_pilots: the
+cached argmax guide of each coherence length and law is built once and
+reused.
 Each search is one five-count probe from the guide's count; a rate whose
 probe cannot certify its count hands off to core._best_pilots, the slope
 search, and ties go to the lower count. So the scalar re-score has the bits
@@ -132,10 +136,36 @@ def baseline_rates(users: Sequence[UserLink]) -> List[float]:
     return [e.rate_bps for e in _baseline_entries(users)]
 
 
-def _rates_flat(user: UserLink, p_vec: np.ndarray, w_vec: np.ndarray) -> np.ndarray:
-    """Pilot-optimized rates at per-candidate power and bandwidth, in one pass."""
-    return core._guided_pilots(user.gain_hz_per_watt * p_vec / w_vec, w_vec,
-                               user.cb.lc, user.fading)[1]
+def _rates_flat(users: Sequence[UserLink], points) -> List[np.ndarray]:
+    """Pilot-optimized rates of each user at its own points, a (powers,
+    bandwidths) pair of arrays per user, as one array per user, in one
+    _guided_pilots call per distinct coherence length and fading law. A
+    rate's bits do not depend on what else is in its call."""
+    groups = {}
+    for i, user in enumerate(users):
+        groups.setdefault((user.cb.lc, user.fading), []).append(i)
+    rates = [None] * len(users)
+    for (lc, fading), members in groups.items():
+        rho, w = [], []
+        for i in members:
+            rho.append(users[i].gain_hz_per_watt * points[i][0] / points[i][1])
+            w.append(points[i][1])
+        flat = core._guided_pilots(np.concatenate(rho), np.concatenate(w), lc, fading)[1]
+        for i, r in zip(members, rho):
+            rates[i], flat = flat[:r.size], flat[r.size:]
+    return rates
+
+
+def _rate_bound(user: UserLink, p_w: np.ndarray, w_hz: np.ndarray) -> np.ndarray:
+    """An upper bound on the user's lattice rates at powers p_w and
+    bandwidths w_hz: the lesser of solve_continuous's rate, the best over
+    every bandwidth and pilot ratio, which is linear in the power, and the
+    rate with the channel known, W log2(1 + pd/W), which no estimate beats
+    (Jensen's inequality on a unit-mean law)."""
+    rho, alpha, _, e_log1p = core._solve_rho_on_curve(user.cb.lc, user.fading)
+    pd = user.gain_hz_per_watt * p_w
+    return np.minimum(core._rate_product(alpha, pd / rho, e_log1p),
+                      w_hz * np.log1p(pd / w_hz) * core.LOG2E)
 
 
 def _cap_steps(user: UserLink, p_w):
@@ -253,17 +283,32 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
                        offsets_db: np.ndarray, m_center: Optional[int] = None):
     """Top feasible candidates of _candidates, or None.
 
-    Each distinct point of each user is scored once, all of a user's in one
-    vectorized pass, and its rate is gathered back to every candidate that
-    holds it.
+    A candidate is kept where both users' _rate_bound, with a 1e-9 margin,
+    reach their baselines; any other could not be feasible. Each distinct
+    point of the kept candidates is scored once, both users' in one
+    _rates_flat call, and its rate is gathered back to every candidate that
+    holds it. A point left unscored reads -inf, so every candidate that is
+    not feasible, ruled out or scored, has the value -inf, and the values
+    are those of scoring every point.
     """
     cands = _candidates(weak, strong, p_budget, w_budget, offsets_db, m_center)
     if cands is None:
         return None
-    p_w_all, w_w_all, p_s_all, w_s_all, (w_first, w_back), (s_first, s_back) = cands
-    r_w = _rates_flat(weak, p_w_all[w_first], w_w_all[w_first])[w_back]
-    r_s = _rates_flat(strong, p_s_all[s_first], w_s_all[s_first])[s_back]
-    feasible = (r_w >= base_weak * (1.0 - 1e-9)) & (r_s >= base_strong * (1.0 - 1e-9))
+    p_w, w_w, p_s, w_s, (w_first, w_back), (s_first, s_back) = cands
+    floor_w, floor_s = base_weak * (1.0 - 1e-9), base_strong * (1.0 - 1e-9)
+    keep = ((_rate_bound(weak, p_w, w_w) * (1.0 + 1e-9) >= floor_w)
+            & (_rate_bound(strong, p_s, w_s) * (1.0 + 1e-9) >= floor_s))
+    if not keep.any():
+        return None
+    # the points of the kept candidates, each once
+    pick_w = np.bincount(w_back[keep], minlength=w_first.size) > 0
+    pick_s = np.bincount(s_back[keep], minlength=s_first.size) > 0
+    i_w, i_s = w_first[pick_w], s_first[pick_s]
+    r_w, r_s = np.full(w_first.size, -np.inf), np.full(s_first.size, -np.inf)
+    r_w[pick_w], r_s[pick_s] = _rates_flat((weak, strong), [(p_w[i_w], w_w[i_w]),
+                                                            (p_s[i_s], w_s[i_s])])
+    r_w, r_s = r_w[w_back], r_s[s_back]
+    feasible = (r_w >= floor_w) & (r_s >= floor_s)
     if not feasible.any():
         return None
     vals = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
@@ -271,8 +316,7 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     order = np.argsort(vals)[::-1]
     top = order[: min(4, int(feasible.sum()))]
     return [
-        (float(vals[i]), float(p_w_all[i]), float(w_w_all[i]),
-         float(p_s_all[i]), float(w_s_all[i]))
+        (float(vals[i]), float(p_w[i]), float(w_w[i]), float(p_s[i]), float(w_s[i]))
         for i in top
     ]
 

@@ -14,7 +14,10 @@ x = 1/s (Abramowitz & Stegun 5.1.1, 5.1.11, 5.1.22):
 A scalar scale never becomes a 0-d array. Rayleigh and deterministic scalars
 use `math` only, so they need no numpy; math.log1p can differ from numpy's
 array log1p in the last bit. Tabulated scalars apply numpy's log1p to s times
-the atom array, which gives the bits of their array path.
+the atom array and take one dot product with the weights, which gives the
+bits of their array path: arrays reduce over nodes and atoms one row at a
+time (_row_dots), so a point's bits do not depend on the other points of
+the call either.
 """
 
 from __future__ import annotations
@@ -104,10 +107,17 @@ def _rayleigh(s: float, slope=False):
     return g, (x * (1.0 - r) / f if slope else x * g)
 
 
+def _row_dots(terms, v):
+    """terms @ v for a 1-d v, as one dot product per row of terms over its
+    contiguous last axis. A matrix-vector product's blocking depends on the
+    number of rows, and so would each row's last bit."""
+    return np.matmul(terms[..., None, :], v[:, None])[..., 0, 0]
+
+
 @lru_cache(maxsize=None)
 def _laguerre_rule():
-    """The _RULE_NODES-point Gauss-Laguerre rule as (1/t_i, w_i/t_i, and the
-    columns (w_i/t_i, w_i)).
+    """The _RULE_NODES-point Gauss-Laguerre rule as (1/t_i, w_i/t_i, w_i),
+    each a contiguous array.
 
     The weights are the Christoffel numbers 1 / sum_k L_k(t)^2 over the
     orthonormal Laguerre polynomials, scaled to sum to 1: with them the rule
@@ -121,20 +131,21 @@ def _laguerre_rule():
         squares += p1 * p1
     w = 1.0 / squares
     w /= w.sum()
-    return 1.0 / t, w / t, np.stack((w / t, w), axis=1)
+    return 1.0 / t, w / t, w
 
 
-def _laguerre_sums(s, k):
+def _laguerre_sums(s, *ks):
     """sum_i v_i / (1/t_i + s) over a 1-d array of s <= 1/2, for v the k-th
-    entry of _laguerre_rule: v_i = w_i/t_i gives E[1/(1 + sX)], and v_i = w_i
-    gives E[X/(1 + sX)]."""
+    entry of _laguerre_rule, one array per k: v_i = w_i/t_i gives
+    E[1/(1 + sX)], and v_i = w_i gives E[X/(1 + sX)]. Each is a _row_dots
+    of its own, so a sum has the same bits whatever else is asked for."""
     rule = _laguerre_rule()
-    inv_t, weights = rule[0], rule[k]
     blocks = []
     for i in range(0, max(s.size, 1), _BLOCK):
-        terms = np.add.outer(s[i:i + _BLOCK], inv_t)
-        blocks.append(np.reciprocal(terms, out=terms) @ weights)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        terms = np.add.outer(s[i:i + _BLOCK], rule[0])
+        np.reciprocal(terms, out=terms)
+        blocks.append([_row_dots(terms, rule[k]) for k in ks])
+    return [np.concatenate(sums) for sums in zip(*blocks)] if len(blocks) > 1 else blocks[0]
 
 
 def _rayleigh_array(s):
@@ -142,15 +153,15 @@ def _rayleigh_array(s):
     flat = s.reshape(-1)
     series = flat > _SERIES_ABOVE
     if not series.any():
-        h = _laguerre_sums(flat, 1)
+        h, = _laguerre_sums(flat, 1)
         return (flat * h).reshape(s.shape), h.reshape(s.shape)
     g, h = np.empty_like(flat), np.empty_like(flat)
     x = 1.0 / flat[series]
     gx = _exp_e1_series(x, np.exp, np.log)
     g[series], h[series] = gx, x * gx
     rest = ~series
-    h[rest] = hr = _laguerre_sums(flat[rest], 1)
-    g[rest] = flat[rest] * hr
+    h[rest], = _laguerre_sums(flat[rest], 1)
+    g[rest] = flat[rest] * h[rest]
     return g.reshape(s.shape), h.reshape(s.shape)
 
 
@@ -163,8 +174,8 @@ def _rayleigh_slope_array(s):
     g[series] = gx = _exp_e1_series(x, np.exp, np.log)
     q[series] = (1.0 - x * gx) / s[series]
     rest = ~series
-    sums = _laguerre_sums(s[rest], 2)
-    g[rest], q[rest] = s[rest] * sums[:, 0], sums[:, 1]
+    h, q[rest] = _laguerre_sums(s[rest], 1, 2)
+    g[rest] = s[rest] * h
     return g, q
 
 
@@ -191,9 +202,10 @@ def _log1p_slope(model, s):
     if model.kind == DETERMINISTIC:
         return (math if on_float else np).log1p(s), 1.0 / (1.0 + s)
     scaled = model._scaled_atoms(s)
-    g = np.log1p(scaled) @ model._weights
-    q = (model._values / (1.0 + scaled)) @ model._weights
-    return (float(g), float(q)) if on_float else (g, q)
+    g, q = np.log1p(scaled), model._values / (1.0 + scaled)
+    if on_float:
+        return float(g @ model._weights), float(q @ model._weights)
+    return _row_dots(g, model._weights), _row_dots(q, model._weights)
 
 
 @dataclass(frozen=True)
@@ -278,8 +290,8 @@ class FadingModel:
             return (_rayleigh(s) if type(s) is float else _rayleigh_array(s))[0]
         if self.kind == DETERMINISTIC:
             return (math if type(s) is float else np).log1p(s)
-        out = np.log1p(self._scaled_atoms(s)) @ self._weights
-        return float(out) if type(s) is float else out
+        terms = np.log1p(self._scaled_atoms(s))
+        return float(terms @ self._weights) if type(s) is float else _row_dots(terms, self._weights)
 
     def expected_inv1p(self, s):
         """E[1/(1 + s X)]; same conventions as expected_log1p."""
@@ -287,10 +299,9 @@ class FadingModel:
         if self.kind == RAYLEIGH:
             return (_rayleigh(s) if type(s) is float else _rayleigh_array(s))[1]
         if self.kind == DETERMINISTIC:
-            out = 1.0 / (1.0 + s)
-        else:
-            out = (1.0 / (1.0 + self._scaled_atoms(s))) @ self._weights
-        return float(out) if type(s) is float else out
+            return 1.0 / (1.0 + s)
+        terms = 1.0 / (1.0 + self._scaled_atoms(s))
+        return float(terms @ self._weights) if type(s) is float else _row_dots(terms, self._weights)
 
     def kurtosis(self) -> float:
         """E[X^2] / E[X]^2, always >= 1."""

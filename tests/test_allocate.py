@@ -170,9 +170,10 @@ def test_check_allocation_catches_harm():
 # ------------------------------------------------- guided candidate search
 
 
-def _slope_rates_flat(user, p_vec, w_vec):
-    return core._best_pilots(user.gain_hz_per_watt * p_vec / w_vec, w_vec,
-                             user.cb.lc, user.fading)[1]
+def _slope_rates_flat(users, points):
+    return [core._best_pilots(user.gain_hz_per_watt * p_vec / w_vec, w_vec,
+                              user.cb.lc, user.fading)[1]
+            for user, (p_vec, w_vec) in zip(users, points)]
 
 
 def _seeded_users(rng, k, law=None):
@@ -268,15 +269,16 @@ def _loop_candidates(weak, strong, p_budget, w_budget, offsets_db, m_center, bra
 def test_candidate_pass_builds_the_loop_candidates_to_the_byte(monkeypatch):
     # the top-4 pick sorts with an unstable argsort, so the candidate vectors
     # must match in value and order, not just as sets; and the scoring pass
-    # gets each distinct (p, w) of each user exactly once
+    # gets each distinct (p, w) of each user that the rate bound keeps exactly
+    # once, in one call, and no point that the bound rules out
     seen = []
-    monkeypatch.setattr(allocate, "_rates_flat",
-                        lambda user, p, w: seen.append((p, w)) or np.zeros(p.size))
+    monkeypatch.setattr(allocate, "_rates_flat", lambda users, points: seen.append(points)
+                        or [np.zeros(p.size) for p, _ in points])
     rng = np.random.default_rng(909)
     laws = [RAY, FadingModel.deterministic()]
     tiles = [CB, CoherenceBlock.from_tc_bc(tc_s=4e-4, bc_hz=1e6),
              CoherenceBlock.from_tc_bc(tc_s=1e-3, bc_hz=20e6)]
-    branches = set()
+    branches, kept = set(), set()
     for i in range(90):
         cb, fading = tiles[i % 3], laws[(i // 3) % 2]
         # every tenth pair pools less than two lattice steps: none for the weak user
@@ -292,44 +294,67 @@ def test_candidate_pass_builds_the_loop_candidates_to_the_byte(monkeypatch):
         # past the full-budget corner too, where no power is left to the strong user
         offsets = allocate._power_offsets(rng.choice([1.0, 0.1]), hi_db + 1.0)
         got = allocate._candidates(weak, strong, p_budget, w_budget, offsets, m_center)
-        seen.clear()
-        # zero rates meet no positive baseline, so nothing is picked
-        assert allocate._best_over_offsets(weak, strong, p_budget, w_budget, 1.0, 1.0, "sum",
-                                           offsets, m_center) is None
         want = _loop_candidates(weak, strong, p_budget, w_budget, offsets, m_center, branches)
         if want is None:
+            seen.clear()
+            assert allocate._best_over_offsets(weak, strong, p_budget, w_budget, 1.0, 1.0,
+                                               "sum", offsets, m_center) is None
             assert got is None and seen == []
             continue
         p_w, w_w, p_s, w_s, weak_once, strong_once = got
-        assert len(seen) == 2, i
         for vec, ref in ((p_w, want[0]), (w_w, want[1]), (p_s, p_budget - want[0]),
                          (w_s, want[2])):
             assert vec.dtype == ref.dtype and vec.tobytes() == ref.tobytes(), i
-        for (p, w), (first, back), scored in zip(((p_w, w_w), (p_s, w_s)),
-                                                 (weak_once, strong_once), seen):
+        # baselines that every candidate's bounds reach, some reach, or none
+        vecs = ((weak, p_w, w_w), (strong, p_s, w_s))
+        bounds = [allocate._rate_bound(user, p, w) for user, p, w in vecs]
+        if i % 3 == 0:
+            bases = [1.0, 1.0]
+        else:
+            bases = [float(np.quantile(b, rng.uniform(0.0, 1.0))) for b in bounds]
+            bases[1] *= 2.0 if i % 3 == 2 else 1.0
+        keep = np.logical_and(*(b * (1.0 + 1e-9) >= base * (1.0 - 1e-9)
+                                for b, base in zip(bounds, bases)))
+        kept.add("all" if keep.all() else "some" if keep.any() else "none")
+        seen.clear()
+        # zero rates meet no positive baseline, so nothing is picked
+        assert allocate._best_over_offsets(weak, strong, p_budget, w_budget, *bases, "sum",
+                                           offsets, m_center) is None
+        assert len(seen) == int(keep.any()), i
+        for u, ((_, p, w), (first, back)) in enumerate(zip(vecs, (weak_once, strong_once))):
             points = list(zip(p.tolist(), w.tolist()))
-            assert [points[j] for j in first] == list(zip(*(x.tolist() for x in scored))), i
             assert len(first) == len(set(points)), i
             for x in (p, w):
                 assert x[first][back].tobytes() == x.tobytes(), i
+            if seen:
+                scored = list(zip(*(x.tolist() for x in seen[0][u])))
+                assert len(scored) == len(set(scored)), i
+                assert set(scored) == {pt for pt, k in zip(points, keep.tolist()) if k}, i
     assert branches == {"no power left", "no bandwidth left", "both caps fit", "single",
                         "dense", "spread", "window"}
+    assert kept == {"all", "some", "none"}
 
 
 def test_each_point_is_scored_once_per_call(monkeypatch):
-    points, rescores = [], []
-    rates_flat, fixed = allocate._rates_flat, allocate.fixed_bandwidth_rate
+    points, rescores, kernel_calls = [], [], []
+    rates_flat, fixed, guided = (allocate._rates_flat, allocate.fixed_bandwidth_rate,
+                                 core._guided_pilots)
 
-    def counted_rates(user, p, w):
-        points.append((p.size, len(set(zip(p.tolist(), w.tolist())))))
-        return rates_flat(user, p, w)
+    def counted_rates(users, pts):
+        points.extend((p.size, len(set(zip(p.tolist(), w.tolist())))) for p, w in pts)
+        return rates_flat(users, pts)
 
     def counted_fixed(user, p_w, w_hz):
         rescores.append((id(user), p_w, w_hz))
         return fixed(user, p_w, w_hz)
 
+    def counted_guided(rho, *rest):
+        kernel_calls.append(isinstance(rho, np.ndarray))
+        return guided(rho, *rest)
+
     monkeypatch.setattr(allocate, "_rates_flat", counted_rates)
     monkeypatch.setattr(allocate, "fixed_bandwidth_rate", counted_fixed)
+    monkeypatch.setattr(core, "_guided_pilots", counted_guided)
     rng = np.random.default_rng(2222)
     for i in range(18):
         users = _seeded_users(rng, 2 + i // 9, law=i % 3)
@@ -338,12 +363,82 @@ def test_each_point_is_scored_once_per_call(monkeypatch):
         for _call in range(2):
             points.clear()
             rescores.clear()
+            kernel_calls.clear()
             alloc = allocate.allocate_group(users, objective)
             assert points and all(size == distinct for size, distinct in points), i
             assert len(rescores) == len(set(rescores)), i
+            # the users share a coherence length and a law: one vector
+            # search per pass, for both users' points
+            assert sum(kernel_calls) == len(points) // 2, i
             calls.append((alloc, len(points), len(rescores)))
         # nothing scored in one call is kept for the next
         assert calls[0] == calls[1], i
+
+
+def test_rates_flat_searches_each_coherence_length_and_law_once(monkeypatch):
+    # three users on two (Lc, law) keys: two vector searches, each rate with
+    # the bits of its user's points searched alone
+    rng = np.random.default_rng(3030)
+    tile = CoherenceBlock.from_tc_bc(tc_s=4e-4, bc_hz=1e6)
+    users = [UserLink(gain_hz_per_watt=10.0 ** rng.uniform(6.0, 9.0), pt_w=1.0, w0_hz=1e8,
+                      cb=cb, fading=RAY) for cb in (CB, tile, CB)]
+    points = [(10.0 ** rng.uniform(-1.0, 1.0, n), 1e6 * rng.integers(1, 300, n).astype(float))
+              for n in (40, 1, 25)]
+    alone = [core._guided_pilots(u.gain_hz_per_watt * p / w, w, u.cb.lc, u.fading)[1]
+             for u, (p, w) in zip(users, points)]
+    calls, guided = [], core._guided_pilots
+    monkeypatch.setattr(core, "_guided_pilots", lambda rho, *rest: calls.append(rho.size)
+                        or guided(rho, *rest))
+    rates = allocate._rates_flat(users, points)
+    assert sorted(calls) == [1, 65]
+    for got, want in zip(rates, alone):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lc", [2.0, 2.5, 40.0, 2500.0, 1e6, 1e8])
+def test_rate_bound_is_at_least_every_lattice_rate(lc):
+    # the candidate pass rules out what this bound puts below a baseline;
+    # per-symbol SNR from 1e-20 to 1e12, and 1e-200, where the rate underflows
+    rng = np.random.default_rng([int(lc * 10), 23])
+    laws = [RAY, FadingModel.deterministic(),
+            FadingModel.tabulated([(v, 1.0 / 64) for v in np.linspace(0.02, 1.98, 64)]),
+            FadingModel.tabulated([(0.0, 0.99), (100.0, 0.01)])]
+    for fading in laws:
+        user = UserLink(gain_hz_per_watt=10.0 ** rng.uniform(6.0, 10.0), pt_w=1.0, w0_hz=1e8,
+                        cb=CoherenceBlock(lc=lc, bc_hz=1e6), fading=fading)
+        rho = np.concatenate([10.0 ** rng.uniform(-20.0, 12.0, 500), [1e-200] * 3])
+        w = 10.0 ** rng.uniform(5.0, 9.0, rho.size)
+        p = rho * w / user.gain_hz_per_watt
+        rate, = allocate._rates_flat([user], [(p, w)])
+        assert np.all(rate[-3:] == 0.0)
+        assert np.all(allocate._rate_bound(user, p, w) >= rate), fading.atoms[:2]
+
+
+def test_the_rate_bound_changes_no_candidate_pass(monkeypatch):
+    # with the bound lifted every point is scored, in the same calls, and the
+    # same candidates come back in the same order; with it, fewer than half
+    # of the points are scored
+    rng = np.random.default_rng(3131)
+    cases = []
+    for i in range(12):
+        weak, strong = sorted(_seeded_users(rng, 2, law=i % 3), key=lambda u: u.gain_hz_per_watt)
+        bases = [e.rate_bps for e in allocate._baseline_entries([weak, strong])]
+        p_budget, w_budget = weak.pt_w + strong.pt_w, weak.w0_hz + strong.w0_hz
+        offsets = allocate._power_offsets(rng.choice([1.0, 0.1]),
+                                          10.0 * math.log10(p_budget / weak.pt_w))
+        m_center = round(weak.w0_hz / weak.cb.bc_hz) if i % 4 == 3 else None
+        cases += [(weak, strong, p_budget, w_budget, *bases, objective, offsets, m_center)
+                  for objective in allocate.OBJECTIVES]
+    scored, rates_flat = [], allocate._rates_flat
+    monkeypatch.setattr(allocate, "_rates_flat", lambda users, points: scored.append(
+        sum(p.size for p, _ in points)) or rates_flat(users, points))
+    pruned = [allocate._best_over_offsets(*case) for case in cases]
+    pruned_points = sum(scored)
+    scored.clear()
+    monkeypatch.setattr(allocate, "_rate_bound", lambda user, p, w: np.full(p.shape, np.inf))
+    assert [allocate._best_over_offsets(*case) for case in cases] == pruned
+    assert sum(x is not None for x in pruned) > len(cases) // 2
+    assert 2 * pruned_points < sum(scored)
 
 
 def test_group_solves_each_pair_budget_once(monkeypatch):
