@@ -16,14 +16,14 @@ Every search and every reported objective judge by that rule (_objective).
 Each call of the candidate pass builds all of its candidates in one array
 pass over power offsets, bandwidth caps and lattice steps. It rules out each
 candidate where an upper bound on a user's rate (_rate_bound) falls short
-of that user's baseline, and scores each distinct point of the rest once,
-both users' in one vectorized search per coherence length and fading law. A
-point's rate has the same bits in any call, so the pass picks what scoring
-every candidate would. Each winner is then re-scored on the scalar path,
-fixed_bandwidth_rate, once per allocate_group call for each (user, power,
-bandwidth). Both use the integer pilot search core._guided_pilots: the
-cached argmax guide of each coherence length and law is built once and
-reused.
+of that user's baseline, and scores the rest in one _rates_flat call: one
+vectorized search per coherence length and fading law, both users' points
+together, on each distinct (rho, W) once. A point's rate has the same bits
+in any call, so the pass picks what scoring every candidate alone would.
+Each winner is then re-scored on the scalar path, fixed_bandwidth_rate,
+once per allocate_group call for each (user, power, bandwidth). Both use
+the integer pilot search core._guided_pilots: the cached argmax guide of
+each coherence length and law is built once and reused.
 Each search is one five-count probe from the guide's count; a rate whose
 probe cannot certify its count hands off to core._best_pilots, the slope
 search, and ties go to the lower count. So the scalar re-score has the bits
@@ -138,21 +138,25 @@ def baseline_rates(users: Sequence[UserLink]) -> List[float]:
 
 def _rates_flat(users: Sequence[UserLink], points) -> List[np.ndarray]:
     """Pilot-optimized rates of each user at its own points, a (powers,
-    bandwidths) pair of arrays per user, as one array per user, in one
-    _guided_pilots call per distinct coherence length and fading law. A
-    rate's bits do not depend on what else is in its call."""
+    bandwidths) pair of arrays per user, as one array per user. The users of
+    one coherence length and fading law share one _guided_pilots call, which
+    searches each distinct (rho, W) among their points once: a user's rate
+    depends on its point through rho = g p / W and W alone, and a rate's
+    bits do not depend on what else is in its call."""
     groups = {}
     for i, user in enumerate(users):
         groups.setdefault((user.cb.lc, user.fading), []).append(i)
     rates = [None] * len(users)
     for (lc, fading), members in groups.items():
-        rho, w = [], []
+        rho = np.concatenate([users[i].gain_hz_per_watt * points[i][0] / points[i][1]
+                              for i in members])
+        w = np.concatenate([points[i][1] for i in members])
+        # both floats enter the complex key unchanged, so equal keys are equal points
+        _, first, back = np.unique(rho + 1j * w, return_index=True, return_inverse=True)
+        flat = core._guided_pilots(rho[first], w[first], lc, fading)[1][back]
         for i in members:
-            rho.append(users[i].gain_hz_per_watt * points[i][0] / points[i][1])
-            w.append(points[i][1])
-        flat = core._guided_pilots(np.concatenate(rho), np.concatenate(w), lc, fading)[1]
-        for i, r in zip(members, rho):
-            rates[i], flat = flat[:r.size], flat[r.size:]
+            n = points[i][1].size
+            rates[i], flat = flat[:n], flat[n:]
     return rates
 
 
@@ -217,12 +221,8 @@ def _candidates(weak: UserLink, strong: UserLink, p_budget: float, w_budget: flo
     beneficial maximum. They are built in one array pass over (offset,
     strong cap, weak step), in that order.
 
-    Returns the four candidate vectors, then (first, back) for the weak and
-    the strong user: first indexes one candidate per distinct point of the
-    user, in candidate order, and back maps each candidate to its point, so
-    x[first][back] is x for each of the user's vectors. Points are told
-    apart within one offset's row: two offsets whose powers round to one
-    value would score theirs once each.
+    Returns the four candidate vectors. A user's point can recur among the
+    candidates; _rates_flat searches each distinct one once.
     """
     bc_w, bc_s = weak.cb.bc_hz, strong.cb.bc_hz
     # one scalar power per offset: numpy's array power can differ in the last bit
@@ -252,30 +252,12 @@ def _candidates(weak: UserLink, strong: UserLink, p_budget: float, w_budget: flo
     caps = cap_s[:, None, None] - np.array([[1], [0]])
     n_s = np.minimum(caps, avail[:, None, :])
     valid = (caps >= 1) & (n_s >= 1) & mask[:, None, :]
-    row, cap, col = np.nonzero(valid)
+    row, _, col = np.nonzero(valid)
     if not row.size:
         return None
 
-    # A weak point (row, col) is the same under both caps, and cap_s holds
-    # each one: a candidate valid under cap_s - 1 is valid under cap_s.
-    w_rank = (np.cumsum(valid[:, 1]) - 1).reshape(ms.shape)
-    # Along a row avail falls, and so does each cap's strong step
-    # min(cap, avail): under cap_s - 1 a new point starts where the step
-    # changes; under cap_s the step is avail, as under cap_s - 1, except
-    # where avail >= cap_s, which gives one new point, cap_s, at column 0.
-    # A point's rank among the new ones is the cumsum at its first copy.
-    n0, n1 = n_s[:, 0], n_s[:, 1]
-    s_new = np.zeros_like(valid)
-    s_new[:, 0, 0] = valid[:, 0, 0]
-    s_new[:, 0, 1:] = valid[:, 0, 1:] & (n0[:, 1:] != n0[:, :-1])
-    s_new[:, 1, 0] = valid[:, 1, 0] & (n1[:, 0] != n0[:, 0])
-    s_rank = (np.cumsum(s_new) - 1).reshape(s_new.shape)
-    s_rank[:, 1] = np.where(n1 == n0, s_rank[:, 0], s_rank[:, 1, :1])
-
     p_w_all = p_w[row]
-    return (p_w_all, w_w[row, col], p_budget - p_w_all, n_s[valid] * bc_s,
-            (np.flatnonzero(cap), w_rank[row, col]),
-            (np.flatnonzero(s_new[valid]), s_rank[valid]))
+    return p_w_all, w_w[row, col], p_budget - p_w_all, n_s[valid] * bc_s
 
 
 def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budget: float,
@@ -284,35 +266,33 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     """Top feasible candidates of _candidates, or None.
 
     A candidate is kept where both users' _rate_bound, with a 1e-9 margin,
-    reach their baselines; any other could not be feasible. Each distinct
-    point of the kept candidates is scored once, both users' in one
-    _rates_flat call, and its rate is gathered back to every candidate that
-    holds it. A point left unscored reads -inf, so every candidate that is
-    not feasible, ruled out or scored, has the value -inf, and the values
-    are those of scoring every point.
+    reach their baselines; any other could not be feasible. The kept
+    candidates' points go to one _rates_flat call, both users', and a
+    candidate ruled out reads -inf, so every candidate that is not feasible,
+    ruled out or scored, has the value -inf, and the values are those of
+    scoring every candidate.
     """
     cands = _candidates(weak, strong, p_budget, w_budget, offsets_db, m_center)
     if cands is None:
         return None
-    p_w, w_w, p_s, w_s, (w_first, w_back), (s_first, s_back) = cands
+    p_w, w_w, p_s, w_s = cands
     floor_w, floor_s = base_weak * (1.0 - 1e-9), base_strong * (1.0 - 1e-9)
     keep = ((_rate_bound(weak, p_w, w_w) * (1.0 + 1e-9) >= floor_w)
             & (_rate_bound(strong, p_s, w_s) * (1.0 + 1e-9) >= floor_s))
     if not keep.any():
         return None
-    # the points of the kept candidates, each once
-    pick_w = np.bincount(w_back[keep], minlength=w_first.size) > 0
-    pick_s = np.bincount(s_back[keep], minlength=s_first.size) > 0
-    i_w, i_s = w_first[pick_w], s_first[pick_s]
-    r_w, r_s = np.full(w_first.size, -np.inf), np.full(s_first.size, -np.inf)
-    r_w[pick_w], r_s[pick_s] = _rates_flat((weak, strong), [(p_w[i_w], w_w[i_w]),
-                                                            (p_s[i_s], w_s[i_s])])
-    r_w, r_s = r_w[w_back], r_s[s_back]
+    r_w, r_s = np.full(p_w.size, -np.inf), np.full(p_w.size, -np.inf)
+    r_w[keep], r_s[keep] = _rates_flat((weak, strong), [(p_w[keep], w_w[keep]),
+                                                        (p_s[keep], w_s[keep])])
     feasible = (r_w >= floor_w) & (r_s >= floor_s)
     if not feasible.any():
         return None
     vals = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
                                          [r_w, r_s], objective), -np.inf)
+    # The argsort is unstable, so the order of equal values, and so which of
+    # them reach the top 4, depends on the layout of vals: it keeps every
+    # candidate, in _candidates' order. A stable sort would move some
+    # allocations to other points with the same objective.
     order = np.argsort(vals)[::-1]
     top = order[: min(4, int(feasible.sum()))]
     return [

@@ -148,35 +148,19 @@ def _laguerre_sums(s, *ks):
     return [np.concatenate(sums) for sums in zip(*blocks)] if len(blocks) > 1 else blocks[0]
 
 
-def _rayleigh_array(s):
-    """_rayleigh elementwise over a float ndarray of checked scales."""
+def _rayleigh_array(s, slope=False):
+    """_rayleigh(s, slope) elementwise over a float ndarray of checked scales."""
     flat = s.reshape(-1)
     series = flat > _SERIES_ABOVE
     if not series.any():
-        h, = _laguerre_sums(flat, 1)
-        return (flat * h).reshape(s.shape), h.reshape(s.shape)
-    g, h = np.empty_like(flat), np.empty_like(flat)
+        sums = _laguerre_sums(flat, 1, 2) if slope else _laguerre_sums(flat, 1)
+        return (flat * sums[0]).reshape(s.shape), sums[-1].reshape(s.shape)
+    g, e = np.empty_like(flat), np.empty_like(flat)
     x = 1.0 / flat[series]
-    gx = _exp_e1_series(x, np.exp, np.log)
-    g[series], h[series] = gx, x * gx
-    rest = ~series
-    h[rest], = _laguerre_sums(flat[rest], 1)
-    g[rest] = flat[rest] * h[rest]
-    return g.reshape(s.shape), h.reshape(s.shape)
-
-
-def _rayleigh_slope_array(s):
-    """_rayleigh(s, slope=True) elementwise over a 1-d float array of checked
-    scales."""
-    g, q = np.empty_like(s), np.empty_like(s)
-    series = s > _SERIES_ABOVE
-    x = 1.0 / s[series]
     g[series] = gx = _exp_e1_series(x, np.exp, np.log)
-    q[series] = (1.0 - x * gx) / s[series]
-    rest = ~series
-    h, q[rest] = _laguerre_sums(s[rest], 1, 2)
-    g[rest] = s[rest] * h
-    return g, q
+    e[series] = (1.0 - x * gx) / flat[series] if slope else x * gx
+    g[~series], e[~series] = _rayleigh_array(flat[~series], slope)
+    return g.reshape(s.shape), e.reshape(s.shape)
 
 
 def _log1p_inv1p(model, s):
@@ -198,7 +182,7 @@ def _log1p_slope(model, s):
     s = _require_scale(s)
     on_float = type(s) is float
     if model.kind == RAYLEIGH:
-        return _rayleigh(s, slope=True) if on_float else _rayleigh_slope_array(s)
+        return (_rayleigh if on_float else _rayleigh_array)(s, slope=True)
     if model.kind == DETERMINISTIC:
         return (math if on_float else np).log1p(s), 1.0 / (1.0 + s)
     scaled = model._scaled_atoms(s)

@@ -269,8 +269,8 @@ def _loop_candidates(weak, strong, p_budget, w_budget, offsets_db, m_center, bra
 def test_candidate_pass_builds_the_loop_candidates_to_the_byte(monkeypatch):
     # the top-4 pick sorts with an unstable argsort, so the candidate vectors
     # must match in value and order, not just as sets; and the scoring pass
-    # gets each distinct (p, w) of each user that the rate bound keeps exactly
-    # once, in one call, and no point that the bound rules out
+    # gets the points of the candidates that the rate bound keeps, in
+    # candidate order, in one call, and no point that the bound rules out
     seen = []
     monkeypatch.setattr(allocate, "_rates_flat", lambda users, points: seen.append(points)
                         or [np.zeros(p.size) for p, _ in points])
@@ -301,7 +301,7 @@ def test_candidate_pass_builds_the_loop_candidates_to_the_byte(monkeypatch):
                                                "sum", offsets, m_center) is None
             assert got is None and seen == []
             continue
-        p_w, w_w, p_s, w_s, weak_once, strong_once = got
+        p_w, w_w, p_s, w_s = got
         for vec, ref in ((p_w, want[0]), (w_w, want[1]), (p_s, p_budget - want[0]),
                          (w_s, want[2])):
             assert vec.dtype == ref.dtype and vec.tobytes() == ref.tobytes(), i
@@ -321,36 +321,32 @@ def test_candidate_pass_builds_the_loop_candidates_to_the_byte(monkeypatch):
         assert allocate._best_over_offsets(weak, strong, p_budget, w_budget, *bases, "sum",
                                            offsets, m_center) is None
         assert len(seen) == int(keep.any()), i
-        for u, ((_, p, w), (first, back)) in enumerate(zip(vecs, (weak_once, strong_once))):
-            points = list(zip(p.tolist(), w.tolist()))
-            assert len(first) == len(set(points)), i
-            for x in (p, w):
-                assert x[first][back].tobytes() == x.tobytes(), i
+        for u, (_, p, w) in enumerate(vecs):
             if seen:
-                scored = list(zip(*(x.tolist() for x in seen[0][u])))
-                assert len(scored) == len(set(scored)), i
-                assert set(scored) == {pt for pt, k in zip(points, keep.tolist()) if k}, i
+                for x, scored in zip((p, w), seen[0][u]):
+                    assert scored.tobytes() == x[keep].tobytes(), i
     assert branches == {"no power left", "no bandwidth left", "both caps fit", "single",
                         "dense", "spread", "window"}
     assert kept == {"all", "some", "none"}
 
 
 def test_each_point_is_scored_once_per_call(monkeypatch):
-    points, rescores, kernel_calls = [], [], []
+    passes, searches, rescores = [], [], []
     rates_flat, fixed, guided = (allocate._rates_flat, allocate.fixed_bandwidth_rate,
                                  core._guided_pilots)
 
     def counted_rates(users, pts):
-        points.extend((p.size, len(set(zip(p.tolist(), w.tolist())))) for p, w in pts)
+        passes.append(len(users))
         return rates_flat(users, pts)
 
     def counted_fixed(user, p_w, w_hz):
         rescores.append((id(user), p_w, w_hz))
         return fixed(user, p_w, w_hz)
 
-    def counted_guided(rho, *rest):
-        kernel_calls.append(isinstance(rho, np.ndarray))
-        return guided(rho, *rest)
+    def counted_guided(rho, w, *rest):
+        if isinstance(rho, np.ndarray):
+            searches.append((rho.size, len(set(zip(rho.tolist(), w.tolist())))))
+        return guided(rho, w, *rest)
 
     monkeypatch.setattr(allocate, "_rates_flat", counted_rates)
     monkeypatch.setattr(allocate, "fixed_bandwidth_rate", counted_fixed)
@@ -361,18 +357,70 @@ def test_each_point_is_scored_once_per_call(monkeypatch):
         objective = allocate.OBJECTIVES[(i // 3) % 3]
         calls = []
         for _call in range(2):
-            points.clear()
+            passes.clear()
+            searches.clear()
             rescores.clear()
-            kernel_calls.clear()
             alloc = allocate.allocate_group(users, objective)
-            assert points and all(size == distinct for size, distinct in points), i
+            assert searches and all(size == distinct for size, distinct in searches), i
             assert len(rescores) == len(set(rescores)), i
             # the users share a coherence length and a law: one vector
             # search per pass, for both users' points
-            assert sum(kernel_calls) == len(points) // 2, i
-            calls.append((alloc, len(points), len(rescores)))
+            assert len(searches) == len(passes), i
+            calls.append((alloc, len(searches), len(rescores)))
         # nothing scored in one call is kept for the next
         assert calls[0] == calls[1], i
+
+
+def test_rates_flat_searches_each_distinct_point_once(monkeypatch):
+    # points that recur within one user, between two users of one (Lc, law)
+    # with equal (rho, W), and across two power offsets that round to one
+    # power: each distinct (rho, W) of a (Lc, law) is searched once, and each
+    # user's rates have the bits of its points searched alone
+    rng = np.random.default_rng(4040)
+    tile = CoherenceBlock.from_tc_bc(tc_s=4e-4, bc_hz=1e6)
+    gain = 10.0 ** rng.uniform(6.0, 9.0)
+    p = 10.0 ** rng.uniform(-1.0, 1.0, 12)
+    w = 1e6 * rng.integers(1, 300, 12).astype(float)
+    own = [0, 1, 2, 3, 3, 0, 4, 4, 4, 2]
+    # half the power at twice the gain: the first user's rho at points 2-4
+    users = [UserLink(gain_hz_per_watt=g, pt_w=1.0, w0_hz=1e8, cb=cb, fading=RAY)
+             for g, cb in ((gain, CB), (2.0 * gain, CB), (gain, tile))]
+    cases = [(users, [(p[own], w[own]), (p[2:] / 2.0, w[2:]), (p[own], w[own])])]
+    assert np.array_equal(2.0 * gain * (p[2:5] / 2.0), gain * p[2:5])
+    # 1e-16 dB is a factor 1 + 2.3e-17, which rounds to 1: both offsets give the
+    # baseline power
+    weak, strong = (UserLink(gain_hz_per_watt=10.0 ** (g_db / 10.0), pt_w=1.0, w0_hz=40e6,
+                             cb=tile, fading=FadingModel.deterministic()) for g_db in (72.0, 79.0))
+    one, two = (allocate._candidates(weak, strong, 2.0, 80e6, np.array(offsets))
+                for offsets in ([0.0], [0.0, 1e-16]))
+    for x, y in zip(one, two, strict=True):
+        assert np.array_equal(y, np.concatenate([x, x]))
+    cases.append(([weak, strong], [two[:2], two[2:]]))
+
+    guided = core._guided_pilots
+    for case_users, points in cases:
+        groups = {}
+        for user, (p_u, w_u) in zip(case_users, points):
+            groups.setdefault((user.cb.lc, user.fading), []).extend(
+                zip((user.gain_hz_per_watt * p_u / w_u).tolist(), w_u.tolist()))
+        alone = [guided(u.gain_hz_per_watt * p_u / w_u, w_u, u.cb.lc, u.fading)[1]
+                 for u, (p_u, w_u) in zip(case_users, points)]
+        calls = {}
+
+        def counted(rho, w_hz, lc, fading):
+            calls.setdefault((lc, fading), []).append(list(zip(rho.tolist(), w_hz.tolist())))
+            return guided(rho, w_hz, lc, fading)
+
+        monkeypatch.setattr(core, "_guided_pilots", counted)
+        rates = allocate._rates_flat(case_users, points)
+        monkeypatch.undo()
+        assert calls.keys() == groups.keys()
+        for key, searches in calls.items():
+            searched, = searches  # one search per (Lc, law)
+            assert len(searched) < len(groups[key])  # the group's points do recur
+            assert len(searched) == len(set(searched)) and set(searched) == set(groups[key])
+        for got, want in zip(rates, alone, strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_rates_flat_searches_each_coherence_length_and_law_once(monkeypatch):
