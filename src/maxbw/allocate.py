@@ -38,18 +38,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import core
 from ._lazy import LazyNumpy
-from .core import CoherenceBlock
+from .core import MAX_STRONG, MAX_WEAK, OBJECTIVES, SUM_RATE, CoherenceBlock
 from .errors import ConfigError, read_numeric_rows
 from .fading import FadingModel
 from .linkbudget import db_to_linear
 
 np = LazyNumpy(globals())
-
-MAX_WEAK = "max-weak"
-MAX_STRONG = "max-strong"
-SUM_RATE = "sum"
-
-OBJECTIVES = (MAX_WEAK, MAX_STRONG, SUM_RATE)
 
 _REL_IMPROVE = 1e-6
 _OFFSET_LO_DB = -20.0

@@ -12,7 +12,6 @@ import math
 import sys
 from typing import Dict, List, Optional
 
-from . import allocate as allocate_mod
 from . import baselines, beamform, core, scenario
 from .errors import ConfigError, SolverError
 
@@ -76,16 +75,19 @@ def _load_mapping(args) -> Dict[str, str]:
 
 
 def _solve_row(res: scenario.Resolved):
-    """The continuous optimum, its report row, and the substituted (Pr/N0, block)."""
-    point = beamform.solve_with_gains(res.pd, res.cb, res.gain, res.sweep_penalty, res.fading)
+    """The substituted problem's continuous optimum, its report row, and the
+    substituted (Pr/N0, block). The row reports rho per element, pre-gain,
+    as beamform.solve_with_gains does."""
     pd_sub, sub_cb = beamform._substituted(res.pd, res.cb, res.gain, res.sweep_penalty)
+    point = core.solve_continuous(pd_sub, sub_cb, res.fading)
+    rho = point.rho / res.gain
     fixed = core.rate_fixed_bandwidth(pd_sub, FIXED_REFERENCE_HZ, sub_cb, res.fading)
     return point, {
         "w_opt_hz": point.w_hz,
         "alpha_opt": point.alpha,
         "pilots": max(1, round(point.alpha * sub_cb.lc)),
-        "rho_opt": point.rho,
-        "g_rho_db": 10.0 * math.log10(point.rho * res.gain),
+        "rho_opt": rho,
+        "g_rho_db": 10.0 * math.log10(rho * res.gain),
         "rate_bps": point.rate_bps,
         "rate_fixed_1ghz_bps": fixed.rate_bps,
         "rate_csir_bps": baselines.csir_rate(pd_sub),
@@ -175,6 +177,8 @@ def cmd_baselines(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    from . import allocate as allocate_mod  # the scalar commands never load it
+
     mapping = _load_mapping(args)
     cb, fading = scenario.channel_only(mapping)
     users = allocate_mod.load_users_csv(args.users, cb, fading)
@@ -279,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(p_alloc)
     p_alloc.add_argument("--users", required=True,
                          help="CSV of users: gain_dB, Pt_dBm, W0_Hz")
-    p_alloc.add_argument("--objective", choices=list(allocate_mod.OBJECTIVES),
-                         default=allocate_mod.MAX_WEAK)
+    p_alloc.add_argument("--objective", choices=list(core.OBJECTIVES), default=core.MAX_WEAK)
     p_alloc.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_alloc.set_defaults(func=cmd_allocate)
 

@@ -49,6 +49,13 @@ _MAX_LC = 2.0 ** 53
 # measured; README gives the measurement).
 PILOT_RTOL = 1e-10
 
+# The objectives of the allocation layer (allocate.py), kept here so that the
+# CLI can offer them without loading it. max-weak is the default.
+MAX_WEAK = "max-weak"
+MAX_STRONG = "max-strong"
+SUM_RATE = "sum"
+OBJECTIVES = (MAX_WEAK, MAX_STRONG, SUM_RATE)
+
 _BISECT_MAX_ITER = 200
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 10.0

@@ -5,8 +5,6 @@ The CLI maps ConfigError to exit code 1 and SolverError to exit code 2;
 plain ValueError from domain validation is treated like ConfigError.
 """
 
-import csv
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration (scenario keys, link modes, budgets)."""
@@ -25,6 +23,8 @@ def read_numeric_rows(path, width: int, what: str):
     the CSV reader refuses (say, a field past its size limit), raises
     ConfigError("path:line: ...").
     """
+    import csv  # here, not at the top: most commands read no CSV file
+
     rows, seen = [], False
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

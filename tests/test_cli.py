@@ -316,7 +316,7 @@ def test_solver_failure_exits_two(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverError("forced failure")
 
-    monkeypatch.setattr(cli.beamform, "solve_with_gains", boom)
+    monkeypatch.setattr(cli.core, "solve_continuous", boom)
     code, _, err = run(capsys, "optimize", "--preset", "abstract-28ghz")
     assert code == 2
     assert "solver error" in err

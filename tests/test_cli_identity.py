@@ -17,7 +17,7 @@ def _tool():
 def test_cli_identity_finds_no_difference_between_a_tree_and_itself(tmp_path):
     tool = _tool()
     cmds = tool.commands()
-    assert len(cmds) == 178
+    assert len(cmds) == 181
     tool.write_inputs(str(tmp_path))
     for argv in cmds:  # every file a command names was written
         for arg in argv:

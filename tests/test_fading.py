@@ -194,20 +194,25 @@ def run(*argv):
         assert maxbw.cli.main(list(argv)) == 0, argv
 
 
+def loaded():
+    print(*(m in sys.modules for m in ("numpy", "maxbw.allocate", "csv")))
+
+
 run("optimize", "--preset", "fig4-left", "--verify", "--format", "json")
 run("sweep", "--preset", "fig2")
 run("sweep", "--preset", "fig6b")
 run("baselines", "--preset", "abstract-28ghz")
 run("presets", "verify")
-print("numpy" in sys.modules)
+loaded()
 run("allocate", "--scenario", "channel.scn", "--users", "users.csv")
 run("optimize", "--scenario", "tabulated.scn")
-print("numpy" in sys.modules)
+loaded()
 """
 
 
 def test_scalar_commands_never_import_numpy(tmp_path):
-    # numpy is imported only where arrays are built: allocation and tabulated laws
+    # numpy is imported only where arrays are built: allocation and tabulated
+    # laws; the allocation layer only by `allocate`, csv only for CSV inputs
     (tmp_path / "channel.scn").write_text("tc_ms = 1\nbc_mhz = 2.5\n")
     (tmp_path / "users.csv").write_text("68,30,100e6\n80,30,100e6\n")
     (tmp_path / "atoms.csv").write_text("0.5,0.5\n1.5,0.5\n")
@@ -217,7 +222,32 @@ def test_scalar_commands_never_import_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False"] * 3 + ["True"] * 3
+
+
+def test_import_maxbw_loads_each_module_on_first_read():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maxbw.__file__)))
+    code = ("import sys, maxbw; "
+            "print(sorted(m for m in sys.modules if m.startswith('maxbw.'))); "
+            "print(maxbw.allocate is sys.modules['maxbw.allocate'], "
+            "maxbw.allocate_group is maxbw.allocate.allocate_group)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split("\n") == ["[]", "True True", ""]
+
+
+def test_package_names_are_the_objects_of_their_modules():
+    assert maxbw.__all__[-1] == "__version__"
+    for name in maxbw.__all__[:-1]:
+        value = getattr(maxbw, name)
+        assert value.__module__.startswith("maxbw."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+    assert set(maxbw.__all__) <= set(dir(maxbw))
+    namespace = {}
+    exec("from maxbw import *", namespace)
+    assert all(namespace[name] is getattr(maxbw, name) for name in maxbw.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        maxbw.no_such_name
 
 
 def test_deterministic_scalar_log1p_is_within_2e_16_of_mpmath():

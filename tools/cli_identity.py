@@ -12,7 +12,7 @@ change's), and each command whose stderr on CHANGE_DIR holds a Python
 traceback, even where it matches the parent's. It exits 1 if any command is
 printed, else 0.
 
-The 178 commands: `optimize` in three formats with and without `--verify`,
+The 181 commands: `optimize` in three formats with and without `--verify`,
 and `baselines` in three formats, on all 7 presets; `sweep` in csv and json
 on fig2, fig6a and fig6b; `presets list` and `presets verify`; `allocate` on
 2-, 3- and 4-user tables over Rayleigh, deterministic and tabulated
@@ -24,11 +24,12 @@ local climb misses, and on four link budgets: a rich-scattering array with
 element power over free space, a partially combining array (kt = 16,
 g1 = 8) by EIRP behind a blockage, a rich-scattering array by EIRP, which
 the CLI refuses with exit 1, and a custom path-loss table with total
-transmit power, total receive gain and g2 = 2; and ten bad inputs that the
-CLI refuses with exit 1 and an `error:` line: dB values past a float
-(Pr/N0, a swept Pr/N0, an EIRP, a user's gain and power), a CSV field past
-the reader's size limit (users, fading atoms, path loss) and a NaN
-coherence time or bandwidth.
+transmit power, total receive gain and g2 = 2; `maxbw --help` and
+`allocate --help`; and eleven bad inputs that the CLI refuses with exit 1
+and an `error:` line: dB values past a float (Pr/N0, a swept Pr/N0, an
+EIRP, a user's gain and power), a CSV field past the reader's size limit
+(users, fading atoms, path loss), a NaN coherence time or bandwidth, and an
+allocation objective that argparse does not offer.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ def commands():
         cmds.append(["sweep" if scn.endswith("sweep.scn") else "optimize", "--scenario", scn])
     for users in BAD_USERS:
         cmds.append(["allocate", "--scenario", "rayleigh_channel.scn", "--users", users])
+    cmds += [["--help"], ["allocate", "--help"],
+             ["allocate", "--scenario", "rayleigh_channel.scn", "--users", "users2.csv",
+              "--objective", "bogus"]]
     return cmds
 
 
