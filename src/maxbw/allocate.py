@@ -33,10 +33,10 @@ of core.rate_fixed_bandwidth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import core
+from ._frozen import Frozen, set_field
 from ._lazy import LazyNumpy
 from .core import MAX_STRONG, MAX_WEAK, OBJECTIVES, SUM_RATE, CoherenceBlock
 from .errors import ConfigError, read_numeric_rows
@@ -51,8 +51,7 @@ _OFFSET_LO_DB = -20.0
 _MAX_STEPS = 2.0 ** 53
 
 
-@dataclass(frozen=True)
-class UserLink:
+class UserLink(Frozen):
     """One user's channel and baseline budget.
 
     gain_hz_per_watt: combined channel gain referenced to the noise density,
@@ -60,43 +59,51 @@ class UserLink:
     and beamforming gains, and the receiver noise figure.
     """
 
-    gain_hz_per_watt: float
-    pt_w: float
-    w0_hz: float
-    cb: CoherenceBlock
-    fading: FadingModel
+    __slots__ = ("gain_hz_per_watt", "pt_w", "w0_hz", "cb", "fading")
 
-    def __post_init__(self):
-        for name, value in (("gain", self.gain_hz_per_watt), ("baseline power", self.pt_w),
-                            ("baseline bandwidth", self.w0_hz)):
+    def __init__(self, gain_hz_per_watt: float, pt_w: float, w0_hz: float, cb: CoherenceBlock,
+                 fading: FadingModel):
+        for name, value in (("gain", gain_hz_per_watt), ("baseline power", pt_w),
+                            ("baseline bandwidth", w0_hz)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.cb.bc_hz is None:
+        if cb.bc_hz is None:
             raise ValueError("allocation needs coherence blocks with bc_hz set")
-        if not self.w0_hz / self.cb.bc_hz <= _MAX_STEPS:
+        if not w0_hz / cb.bc_hz <= _MAX_STEPS:
             raise ValueError(f"baseline bandwidth must be at most 2**53 coherence bandwidths "
-                             f"of {self.cb.bc_hz} Hz, got {self.w0_hz}")
+                             f"of {cb.bc_hz} Hz, got {w0_hz}")
+        set_field(self, "gain_hz_per_watt", gain_hz_per_watt)
+        set_field(self, "pt_w", pt_w)
+        set_field(self, "w0_hz", w0_hz)
+        set_field(self, "cb", cb)
+        set_field(self, "fading", fading)
 
     def pd_hz(self, p_w: float) -> float:
         return self.gain_hz_per_watt * p_w
 
 
-@dataclass(frozen=True)
-class AllocationEntry:
-    p_w: float
-    w_hz: float
-    rate_bps: float
-    pilot_count: Optional[int]
-    baseline_bps: float
+class AllocationEntry(Frozen):
+    __slots__ = ("p_w", "w_hz", "rate_bps", "pilot_count", "baseline_bps")
+
+    def __init__(self, p_w: float, w_hz: float, rate_bps: float, pilot_count: Optional[int],
+                 baseline_bps: float):
+        set_field(self, "p_w", p_w)
+        set_field(self, "w_hz", w_hz)
+        set_field(self, "rate_bps", rate_bps)
+        set_field(self, "pilot_count", pilot_count)
+        set_field(self, "baseline_bps", baseline_bps)
 
 
-@dataclass(frozen=True)
-class Allocation:
-    entries: Tuple[AllocationEntry, ...]
-    objective: str
-    objective_value: float
-    baseline_value: float
-    flags: Tuple[str, ...] = ()
+class Allocation(Frozen):
+    __slots__ = ("entries", "objective", "objective_value", "baseline_value", "flags")
+
+    def __init__(self, entries: Tuple[AllocationEntry, ...], objective: str,
+                 objective_value: float, baseline_value: float, flags: Tuple[str, ...] = ()):
+        set_field(self, "entries", entries)
+        set_field(self, "objective", objective)
+        set_field(self, "objective_value", objective_value)
+        set_field(self, "baseline_value", baseline_value)
+        set_field(self, "flags", flags)
 
 
 def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.OperatingPoint:

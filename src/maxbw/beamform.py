@@ -13,10 +13,10 @@ so every result from `core` carries over; this module owns the bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Tuple
 
 from . import core
+from ._frozen import Frozen, replace, set_field
 from .core import LOG2E, CoherenceBlock, OperatingPoint, ClosedForm
 from .errors import ConfigError
 from .fading import FadingModel
@@ -26,8 +26,7 @@ IDEAL_DIRECTIONAL = "ideal-directional"
 RICH_SCATTERING = "rich-scattering"
 
 
-@dataclass(frozen=True)
-class ArrayConfig:
+class ArrayConfig(Frozen):
     """Antenna counts plus the three scalars the optimizer consumes.
 
     nt, nr: transmit / receive element counts.
@@ -36,27 +35,30 @@ class ArrayConfig:
     g2:     combining gain applied from the data stage on, <= nr.
     """
 
-    nt: int
-    nr: int
-    kt: int
-    g1: float
-    g2: float
-    gain_model: str = EXPLICIT
+    __slots__ = ("nt", "nr", "kt", "g1", "g2", "gain_model")
 
-    def __post_init__(self):
-        for name, v in (("nt", self.nt), ("nr", self.nr), ("kt", self.kt)):
-            if not (isinstance(v, int) and v >= 1):
+    def __init__(self, nt: int, nr: int, kt: int, g1: float, g2: float,
+                 gain_model: str = EXPLICIT):
+        for name, v in (("nt", nt), ("nr", nr), ("kt", kt)):
+            # bool is an int subclass, but True is no antenna count
+            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-        if not self.g1 >= 1.0:
-            raise ValueError(f"g1 must be >= 1, got {self.g1}")
-        if not self.g2 >= 1.0:
-            raise ValueError(f"g2 must be >= 1, got {self.g2}")
-        if self.g1 > self.nt * self.nr * (1.0 + 1e-12):
-            raise ValueError(f"g1 = {self.g1} exceeds nt*nr = {self.nt * self.nr}")
-        if self.g2 > self.nr * (1.0 + 1e-12):
-            raise ValueError(f"g2 = {self.g2} exceeds nr = {self.nr}")
-        if self.gain_model not in (EXPLICIT, IDEAL_DIRECTIONAL, RICH_SCATTERING):
-            raise ValueError(f"unknown gain model {self.gain_model!r}")
+        if not g1 >= 1.0:
+            raise ValueError(f"g1 must be >= 1, got {g1}")
+        if not g2 >= 1.0:
+            raise ValueError(f"g2 must be >= 1, got {g2}")
+        if g1 > nt * nr * (1.0 + 1e-12):
+            raise ValueError(f"g1 = {g1} exceeds nt*nr = {nt * nr}")
+        if g2 > nr * (1.0 + 1e-12):
+            raise ValueError(f"g2 = {g2} exceeds nr = {nr}")
+        if gain_model not in (EXPLICIT, IDEAL_DIRECTIONAL, RICH_SCATTERING):
+            raise ValueError(f"unknown gain model {gain_model!r}")
+        set_field(self, "nt", nt)
+        set_field(self, "nr", nr)
+        set_field(self, "kt", kt)
+        set_field(self, "g1", g1)
+        set_field(self, "g2", g2)
+        set_field(self, "gain_model", gain_model)
 
     @classmethod
     def siso(cls) -> "ArrayConfig":
@@ -93,13 +95,15 @@ class ArrayConfig:
         return self.g1 * self.g2, self.kt * self.g2
 
 
-@dataclass(frozen=True)
-class SubstitutedProblem:
+class SubstitutedProblem(Frozen):
     """Scalar-problem view of an array link."""
 
-    lc_tilde: float
-    gain: float          # G1*G2, multiplies the power density
-    sweep_penalty: float  # Kt*G2, divides the coherence length
+    __slots__ = ("lc_tilde", "gain", "sweep_penalty")
+
+    def __init__(self, lc_tilde: float, gain: float, sweep_penalty: float):
+        set_field(self, "lc_tilde", lc_tilde)
+        set_field(self, "gain", gain)  # G1*G2, multiplies the power density
+        set_field(self, "sweep_penalty", sweep_penalty)  # Kt*G2, divides the coherence length
 
     @property
     def gain_pair(self) -> Tuple[float, float]:

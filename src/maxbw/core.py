@@ -19,10 +19,10 @@ All SNR-like quantities are linear (not dB). pd is always Pr/N0 in hertz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
+from ._frozen import Frozen, set_field
 from ._lazy import LazyNumpy, is_array
 from .errors import SolverError
 from .fading import FadingModel, _log1p_inv1p, _log1p_slope
@@ -74,17 +74,17 @@ _MAX_PD_HZ = 1e150
 _MAX_RHO = math.sqrt(1.7976931348623157e308)
 
 
-@dataclass(frozen=True)
-class PowerDensity:
+class PowerDensity(Frozen):
     """Received power over noise spectral density, Pr/N0, in hertz:
     positive and at most 1e150 Hz."""
 
-    pr_over_n0_hz: float
+    __slots__ = ("pr_over_n0_hz",)
 
-    def __post_init__(self):
-        if not 0.0 < self.pr_over_n0_hz <= _MAX_PD_HZ:
+    def __init__(self, pr_over_n0_hz: float):
+        if not 0.0 < pr_over_n0_hz <= _MAX_PD_HZ:
             raise ValueError(f"Pr/N0 must be positive and at most 1e150 Hz, "
-                             f"got {self.pr_over_n0_hz}")
+                             f"got {pr_over_n0_hz}")
+        set_field(self, "pr_over_n0_hz", pr_over_n0_hz)
 
 
 def _pd_hz(pd) -> float:
@@ -95,8 +95,7 @@ def _pd_hz(pd) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class CoherenceBlock:
+class CoherenceBlock(Frozen):
     """Coherence tile: length lc = tc_s * bc_hz symbols.
 
     bc_hz / tc_s may be omitted when only the length matters; lattice
@@ -104,39 +103,42 @@ class CoherenceBlock:
     and bc_hz and tc_s are positive and finite.
     """
 
-    lc: float
-    bc_hz: Optional[float] = None
-    tc_s: Optional[float] = None
+    __slots__ = ("lc", "bc_hz", "tc_s")
 
-    def __post_init__(self):
+    def __init__(self, lc: float, bc_hz: Optional[float] = None, tc_s: Optional[float] = None):
         # before the bounds on lc, which a NaN or infinite tc_s or bc_hz would
         # trip under the wrong name
-        for name, value in (("bandwidth", self.bc_hz), ("time", self.tc_s)):
+        for name, value in (("bandwidth", bc_hz), ("time", tc_s)):
             if value is not None and not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"coherence {name} must be positive and finite, got {value}")
-        if not self.lc >= 2.0:
-            raise ValueError(f"coherence length must be >= 2 (one pilot plus one data symbol), got {self.lc}")
-        if not self.lc <= _MAX_LC:
+        if not lc >= 2.0:
+            raise ValueError(f"coherence length must be >= 2 (one pilot plus one data symbol), got {lc}")
+        if not lc <= _MAX_LC:
             raise ValueError(f"coherence length must be at most 2**53, where pilot counts "
-                             f"still step by one, got {self.lc}")
-        if self.bc_hz is not None and self.tc_s is not None:
-            product = self.bc_hz * self.tc_s
-            if abs(product - self.lc) > 1e-9 * self.lc:
+                             f"still step by one, got {lc}")
+        if bc_hz is not None and tc_s is not None:
+            product = bc_hz * tc_s
+            if abs(product - lc) > 1e-9 * lc:
                 raise ValueError(
-                    f"inconsistent coherence block: tc*bc = {product} but lc = {self.lc}"
+                    f"inconsistent coherence block: tc*bc = {product} but lc = {lc}"
                 )
+        set_field(self, "lc", lc)
+        set_field(self, "bc_hz", bc_hz)
+        set_field(self, "tc_s", tc_s)
 
     @classmethod
     def from_tc_bc(cls, tc_s: float, bc_hz: float) -> "CoherenceBlock":
         return cls(lc=tc_s * bc_hz, bc_hz=bc_hz, tc_s=tc_s)
 
 
-@dataclass(frozen=True)
-class EstimationQuality:
+class EstimationQuality(Frozen):
     """MMSE split of the channel power between estimate and residual error."""
 
-    est_power: float
-    err_power: float
+    __slots__ = ("est_power", "err_power")
+
+    def __init__(self, est_power: float, err_power: float):
+        set_field(self, "est_power", est_power)
+        set_field(self, "err_power", err_power)
 
 
 def estimation_quality(rho: float, alpha: float, lc: float) -> EstimationQuality:
@@ -147,17 +149,20 @@ def estimation_quality(rho: float, alpha: float, lc: float) -> EstimationQuality
     return EstimationQuality(est_power=est, err_power=1.0 - est)
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(Frozen):
     """A (bandwidth, pilot ratio) choice and its derived quantities."""
 
-    w_hz: float
-    alpha: float
-    rho: float
-    rho_eff: float
-    rate_bps: float
-    pilot_count: Optional[int] = None
-    flags: Tuple[str, ...] = ()
+    __slots__ = ("w_hz", "alpha", "rho", "rho_eff", "rate_bps", "pilot_count", "flags")
+
+    def __init__(self, w_hz: float, alpha: float, rho: float, rho_eff: float, rate_bps: float,
+                 pilot_count: Optional[int] = None, flags: Tuple[str, ...] = ()):
+        set_field(self, "w_hz", w_hz)
+        set_field(self, "alpha", alpha)
+        set_field(self, "rho", rho)
+        set_field(self, "rho_eff", rho_eff)
+        set_field(self, "rate_bps", rate_bps)
+        set_field(self, "pilot_count", pilot_count)
+        set_field(self, "flags", flags)
 
 
 class ClosedForm(NamedTuple):

@@ -23,9 +23,9 @@ the call either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ._frozen import Frozen, set_field
 from ._lazy import LazyNumpy, is_array
 from .errors import read_numeric_rows
 
@@ -192,29 +192,27 @@ def _log1p_slope(model, s):
     return _row_dots(g, model._weights), _row_dots(q, model._weights)
 
 
-@dataclass(frozen=True)
-class FadingModel:
+class FadingModel(Frozen):
     """Unit-mean channel power distribution.
 
     kind: one of "rayleigh", "deterministic", "tabulated".
     atoms: for tabulated models, ((value, weight), ...) with weights summing to 1.
     """
 
-    kind: str
-    atoms: tuple = field(default_factory=tuple)
+    __slots__ = ("kind", "atoms", "_values", "_weights", "_moments", "_hash")
 
-    def __post_init__(self):
-        if self.kind not in (RAYLEIGH, DETERMINISTIC, TABULATED):
-            raise ValueError(f"unknown fading kind {self.kind!r}")
+    def __init__(self, kind: str, atoms: tuple = ()):
+        if kind not in (RAYLEIGH, DETERMINISTIC, TABULATED):
+            raise ValueError(f"unknown fading kind {kind!r}")
         # (E[X], E[X^2]); for tabulated models also the atom arrays, built
-        # once. None of these are dataclass fields, so hashing and equality
-        # stay on (kind, atoms).
-        moments = {RAYLEIGH: (1.0, 2.0), DETERMINISTIC: (1.0, 1.0)}.get(self.kind)
-        if self.kind == TABULATED:
-            if not self.atoms:
+        # once. These private slots stay outside equality and hashing.
+        moments = {RAYLEIGH: (1.0, 2.0), DETERMINISTIC: (1.0, 1.0)}.get(kind)
+        values = weights = None
+        if kind == TABULATED:
+            if not atoms:
                 raise ValueError("tabulated fading needs at least one atom")
-            values = np.array([v for v, _ in self.atoms], dtype=float)
-            weights = np.array([w for _, w in self.atoms], dtype=float)
+            values = np.array([v for v, _ in atoms], dtype=float)
+            weights = np.array([w for _, w in atoms], dtype=float)
             if np.any(values < 0.0) or np.any(weights < 0.0):
                 raise ValueError("tabulated atoms must have value >= 0 and weight >= 0")
             wsum = weights.sum()
@@ -229,11 +227,19 @@ class FadingModel:
                 )
             # renormalize exactly to unit mean; downstream formulas assume it
             values = values / mean
-            object.__setattr__(self, "atoms", tuple(zip(values.tolist(), weights.tolist())))
-            object.__setattr__(self, "_values", values)
-            object.__setattr__(self, "_weights", weights)
+            atoms = tuple(zip(values.tolist(), weights.tolist()))
             moments = (float(weights @ values), float(weights @ (values * values)))
-        object.__setattr__(self, "_moments", moments)
+        set_field(self, "kind", kind)
+        set_field(self, "atoms", atoms)
+        set_field(self, "_values", values)
+        set_field(self, "_weights", weights)
+        set_field(self, "_moments", moments)
+        # hashed once, as every solver cache keys on the model; floats hash alike
+        # in every process, strs do not, so a pickled model keeps a valid hash
+        set_field(self, "_hash", hash(atoms))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def rayleigh(cls) -> "FadingModel":

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from ._frozen import Frozen, set_field
 from ._lazy import LazyNumpy
 from .beamform import RICH_SCATTERING, ArrayConfig
 from .core import PowerDensity
@@ -41,8 +41,7 @@ def db_to_linear(db: float) -> float:
         raise ValueError(f"{db} dB is too large for a float") from None
 
 
-@dataclass(frozen=True)
-class PathLossModel:
+class PathLossModel(Frozen):
     """Distance/frequency to loss in dB.
 
     Built-ins: free space, free space plus a 25 dB blockage excess, and the
@@ -51,21 +50,22 @@ class PathLossModel:
     with a warning.
     """
 
-    kind: str
-    table: tuple = field(default_factory=tuple)  # ((distance_m, loss_db), ...)
+    __slots__ = ("kind", "table")
 
-    def __post_init__(self):
-        if self.kind not in (FREE_SPACE, BLOCKED_LOS, UMI_NLOS, CUSTOM):
-            raise ValueError(f"unknown path loss kind {self.kind!r}")
-        if self.kind == CUSTOM:
-            if len(self.table) < 2:
+    def __init__(self, kind: str, table: tuple = ()):  # table: ((distance_m, loss_db), ...)
+        if kind not in (FREE_SPACE, BLOCKED_LOS, UMI_NLOS, CUSTOM):
+            raise ValueError(f"unknown path loss kind {kind!r}")
+        if kind == CUSTOM:
+            if len(table) < 2:
                 raise ValueError("custom path loss table needs at least two points")
-            pts = sorted((float(d), float(l)) for d, l in self.table)
+            pts = sorted((float(d), float(l)) for d, l in table)
             if any(d <= 0.0 for d, _ in pts):
                 raise ValueError("custom table distances must be positive")
             if len({d for d, _ in pts}) != len(pts):
                 raise ValueError("custom table distances must be distinct")
-            object.__setattr__(self, "table", tuple(pts))
+            table = tuple(pts)
+        set_field(self, "kind", kind)
+        set_field(self, "table", table)
 
     @classmethod
     def free_space(cls) -> "PathLossModel":
@@ -111,34 +111,46 @@ def path_loss_db(model: PathLossModel, fc_hz: float, d_m: float) -> float:
     return float(np.interp(math.log10(d_m), np.log10(dists), losses))
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(Frozen):
     """One radio link described either per element or through its EIRP.
 
     Exactly one transmit power is set, and it fixes the mode: pt_element_dbm
     describes the link per element, eirp_dbm through its EIRP with the transmit
     array gain already folded in. Receive element gain is gr_element_dbi in
     both modes; the receive array factor comes from the paired ArrayConfig.
+    Every power and gain is finite.
     """
 
-    fc_hz: float
-    d_m: float
-    pt_element_dbm: Optional[float] = None
-    eirp_dbm: Optional[float] = None
-    gt_element_dbi: float = 0.0
-    gr_element_dbi: float = 0.0
-    noise_figure_db: float = 0.0
-    path_loss: PathLossModel = field(default_factory=PathLossModel.free_space)
+    __slots__ = ("fc_hz", "d_m", "pt_element_dbm", "eirp_dbm", "gt_element_dbi",
+                 "gr_element_dbi", "noise_figure_db", "path_loss")
 
-    def __post_init__(self):
-        if not self.fc_hz > 0.0:
-            raise ValueError(f"carrier frequency must be positive, got {self.fc_hz}")
-        if not self.d_m > 0.0:
-            raise ValueError(f"distance must be positive, got {self.d_m}")
-        if self.noise_figure_db < 0.0:
-            raise ValueError(f"noise figure must be >= 0 dB, got {self.noise_figure_db}")
-        if (self.pt_element_dbm is None) == (self.eirp_dbm is None):
+    def __init__(self, fc_hz: float, d_m: float, pt_element_dbm: Optional[float] = None,
+                 eirp_dbm: Optional[float] = None, gt_element_dbi: float = 0.0,
+                 gr_element_dbi: float = 0.0, noise_figure_db: float = 0.0,
+                 path_loss: PathLossModel = PathLossModel(FREE_SPACE)):
+        if not fc_hz > 0.0:
+            raise ValueError(f"carrier frequency must be positive, got {fc_hz}")
+        if not d_m > 0.0:
+            raise ValueError(f"distance must be positive, got {d_m}")
+        if noise_figure_db < 0.0:
+            raise ValueError(f"noise figure must be >= 0 dB, got {noise_figure_db}")
+        # a NaN or infinite dB value would surface only as a bad Pr/N0
+        for name, value in (("pt_element_dbm", pt_element_dbm), ("eirp_dbm", eirp_dbm),
+                            ("gt_element_dbi", gt_element_dbi),
+                            ("gr_element_dbi", gr_element_dbi),
+                            ("noise_figure_db", noise_figure_db)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if (pt_element_dbm is None) == (eirp_dbm is None):
             raise ConfigError("a link budget needs exactly one of pt_element_dbm and eirp_dbm")
+        set_field(self, "fc_hz", fc_hz)
+        set_field(self, "d_m", d_m)
+        set_field(self, "pt_element_dbm", pt_element_dbm)
+        set_field(self, "eirp_dbm", eirp_dbm)
+        set_field(self, "gt_element_dbi", gt_element_dbi)
+        set_field(self, "gr_element_dbi", gr_element_dbi)
+        set_field(self, "noise_figure_db", noise_figure_db)
+        set_field(self, "path_loss", path_loss)
 
 
 def eirp_dbm_of(lb: LinkBudget, cfg: ArrayConfig) -> float:

@@ -10,10 +10,10 @@ noise figure); never both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import linkbudget
+from ._frozen import Frozen, set_field
 from .beamform import (
     EXPLICIT,
     IDEAL_DIRECTIONAL,
@@ -85,17 +85,21 @@ def _typed(mapping: Dict[str, str]) -> Dict[str, object]:
     return out
 
 
-@dataclass(frozen=True)
-class Resolved:
+class Resolved(Frozen):
     """Solver-ready view of one scenario point."""
 
-    pd: PowerDensity
-    cb: CoherenceBlock
-    cfg: ArrayConfig
-    fading: FadingModel
-    gain: float
-    sweep_penalty: float
-    budget: Optional[linkbudget.LinkBudget]
+    __slots__ = ("pd", "cb", "cfg", "fading", "gain", "sweep_penalty", "budget")
+
+    def __init__(self, pd: PowerDensity, cb: CoherenceBlock, cfg: ArrayConfig,
+                 fading: FadingModel, gain: float, sweep_penalty: float,
+                 budget: Optional[linkbudget.LinkBudget]):
+        set_field(self, "pd", pd)
+        set_field(self, "cb", cb)
+        set_field(self, "cfg", cfg)
+        set_field(self, "fading", fading)
+        set_field(self, "gain", gain)
+        set_field(self, "sweep_penalty", sweep_penalty)
+        set_field(self, "budget", budget)
 
     @property
     def gain_pair(self) -> Tuple[float, float]:

@@ -50,6 +50,8 @@ def test_config_validation():
         ArrayConfig(nt=2, nr=2, kt=1, g1=0.5, g2=1.0)
     with pytest.raises(ValueError):
         ArrayConfig(nt=2.0, nr=2, kt=1, g1=1.0, g2=1.0)
+    with pytest.raises(ValueError, match="nt must be an integer >= 1, got True"):
+        ArrayConfig(nt=True, nr=True, kt=True, g1=1.0, g2=1.0)  # a bool is no count
 
 
 # ---------------------------------------------------------------- substitute

@@ -5,11 +5,11 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
 from maxbw import beamform, cli, core, scenario
+from maxbw._frozen import replace
 from maxbw.errors import SolverError
 
 SWEEP_SCENARIO = """\
@@ -301,6 +301,20 @@ def test_out_of_range_input_exits_one_without_a_traceback(tmp_path, command, sce
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert named in proc.stderr
+
+
+@pytest.mark.parametrize("line,named", [
+    ("eirp_dbm = nan\n", "eirp_dbm must be finite, got nan"),
+    ("pt_element_dbm = 10\nnoise_figure_db = nan\n", "noise_figure_db must be finite, got nan"),
+    ("pt_element_dbm = 10\ngt_element_dbi = inf\n", "gt_element_dbi must be finite, got inf"),
+], ids=["eirp_dbm", "noise_figure_db", "gt_element_dbi"])
+def test_non_finite_budget_value_is_named(tmp_path, capsys, line, named):
+    # each used to be reported as a bad Pr/N0 of nan or inf
+    scn = tmp_path / "s.scn"
+    scn.write_text(LINK_BUDGET + line)
+    code, out, err = run(capsys, "optimize", "--scenario", str(scn))
+    assert (code, out) == (1, "")
+    assert err == f"error: {named}\n"
 
 
 def test_bad_argument_exits_one_not_two(capsys):

@@ -195,7 +195,8 @@ def run(*argv):
 
 
 def loaded():
-    print(*(m in sys.modules for m in ("numpy", "maxbw.allocate", "csv")))
+    print(*(m in sys.modules for m in ("numpy", "maxbw.allocate", "csv", "dataclasses",
+                                       "inspect")))
 
 
 run("optimize", "--preset", "fig4-left", "--verify", "--format", "json")
@@ -212,7 +213,9 @@ loaded()
 
 def test_scalar_commands_never_import_numpy(tmp_path):
     # numpy is imported only where arrays are built: allocation and tabulated
-    # laws; the allocation layer only by `allocate`, csv only for CSV inputs
+    # laws; the allocation layer only by `allocate`, csv only for CSV inputs.
+    # No command loads dataclasses, and the scalar ones not inspect either,
+    # which numpy itself imports.
     (tmp_path / "channel.scn").write_text("tc_ms = 1\nbc_mhz = 2.5\n")
     (tmp_path / "users.csv").write_text("68,30,100e6\n80,30,100e6\n")
     (tmp_path / "atoms.csv").write_text("0.5,0.5\n1.5,0.5\n")
@@ -222,7 +225,7 @@ def test_scalar_commands_never_import_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["False"] * 3 + ["True"] * 3
+    assert out.stdout.split() == ["False"] * 5 + ["True"] * 3 + ["False", "True"]
 
 
 def test_import_maxbw_loads_each_module_on_first_read():

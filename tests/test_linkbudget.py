@@ -201,6 +201,18 @@ def test_budget_mode_validation():
         LinkBudget(fc_hz=28e9, d_m=100.0, pt_element_dbm=10.0, noise_figure_db=-1.0)
 
 
+@pytest.mark.parametrize("field", ["pt_element_dbm", "eirp_dbm", "gt_element_dbi",
+                                   "gr_element_dbi", "noise_figure_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_budget_refuses_non_finite_values(field, value):
+    # these used to surface only as "Pr/N0 must be positive ..., got nan"
+    kwargs = {"pt_element_dbm": 10.0, field: value}
+    if field == "eirp_dbm":
+        del kwargs["pt_element_dbm"]
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        LinkBudget(fc_hz=28e9, d_m=100.0, **kwargs)
+
+
 def test_eirp_dbm_of():
     lb = LinkBudget(fc_hz=28e9, d_m=100.0, pt_element_dbm=12.0, gt_element_dbi=6.0)
     cfg = ArrayConfig.ideal_directional(nt=16, nr=2)
