@@ -458,18 +458,26 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
 
 
 def check_allocation(users: Sequence[UserLink], alloc: Allocation) -> None:
-    """Raise AssertionError unless budgets, fairness, and no-harm all hold."""
+    """Raise AssertionError unless there is one entry per user and budgets,
+    fairness, and no-harm all hold; raised explicitly, so it checks under -O."""
     p_budget = sum(u.pt_w for u in users)
     w_budget = sum(u.w0_hz for u in users)
     p_sum = sum(e.p_w for e in alloc.entries)
     w_sum = sum(e.w_hz for e in alloc.entries)
-    assert p_sum <= p_budget * (1.0 + 1e-9), f"power budget violated: {p_sum} > {p_budget}"
-    assert w_sum <= w_budget * (1.0 + 1e-9), f"bandwidth budget violated: {w_sum} > {w_budget}"
-    for idx, (user, entry) in enumerate(zip(users, alloc.entries)):
-        assert entry.rate_bps >= entry.baseline_bps * (1.0 - 1e-12), (
-            f"user {idx} below baseline: {entry.rate_bps} < {entry.baseline_bps}"
-        )
-    assert alloc.objective_value >= alloc.baseline_value * (1.0 - 1e-12), "objective regressed"
+    problems = []
+    if len(alloc.entries) != len(users):
+        problems.append(f"{len(alloc.entries)} entries for {len(users)} users")
+    if not p_sum <= p_budget * (1.0 + 1e-9):
+        problems.append(f"power budget violated: {p_sum} > {p_budget}")
+    if not w_sum <= w_budget * (1.0 + 1e-9):
+        problems.append(f"bandwidth budget violated: {w_sum} > {w_budget}")
+    problems += [f"user {idx} below baseline: {entry.rate_bps} < {entry.baseline_bps}"
+                 for idx, entry in enumerate(alloc.entries)
+                 if not entry.rate_bps >= entry.baseline_bps * (1.0 - 1e-12)]
+    if not alloc.objective_value >= alloc.baseline_value * (1.0 - 1e-12):
+        problems.append("objective regressed")
+    if problems:
+        raise AssertionError("; ".join(problems))
 
 
 def synthetic_gains(k: int, median_db: float, sigma_db: float, seed: int) -> List[float]:

@@ -26,6 +26,13 @@ IDEAL_DIRECTIONAL = "ideal-directional"
 RICH_SCATTERING = "rich-scattering"
 
 
+def check_count(name: str, value) -> None:
+    """ValueError unless value is an int >= 1; bool is an int subclass, but
+    True is no antenna count."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class ArrayConfig(Frozen):
     """Antenna counts plus the three scalars the optimizer consumes.
 
@@ -40,9 +47,7 @@ class ArrayConfig(Frozen):
     def __init__(self, nt: int, nr: int, kt: int, g1: float, g2: float,
                  gain_model: str = EXPLICIT):
         for name, v in (("nt", nt), ("nr", nr), ("kt", kt)):
-            # bool is an int subclass, but True is no antenna count
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            check_count(name, v)
         if not g1 >= 1.0:
             raise ValueError(f"g1 must be >= 1, got {g1}")
         if not g2 >= 1.0:

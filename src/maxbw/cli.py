@@ -183,7 +183,10 @@ def cmd_allocate(args) -> int:
     cb, fading = scenario.channel_only(mapping)
     users = allocate_mod.load_users_csv(args.users, cb, fading)
     alloc = allocate_mod.allocate_group(users, args.objective)
-    allocate_mod.check_allocation(users, alloc)
+    try:
+        allocate_mod.check_allocation(users, alloc)
+    except AssertionError as exc:
+        raise SolverError(f"allocation failed its check: {exc}") from None
 
     user_rows = [
         {

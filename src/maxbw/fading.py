@@ -213,6 +213,8 @@ class FadingModel(Frozen):
                 raise ValueError("tabulated fading needs at least one atom")
             values = np.array([v for v, _ in atoms], dtype=float)
             weights = np.array([w for _, w in atoms], dtype=float)
+            if not (np.isfinite(values).all() and np.isfinite(weights).all()):
+                raise ValueError("tabulated atom values and weights must be finite")
             if np.any(values < 0.0) or np.any(weights < 0.0):
                 raise ValueError("tabulated atoms must have value >= 0 and weight >= 0")
             wsum = weights.sum()

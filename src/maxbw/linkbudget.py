@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 from ._frozen import Frozen, set_field
 from ._lazy import LazyNumpy
-from .beamform import RICH_SCATTERING, ArrayConfig
+from .beamform import RICH_SCATTERING, ArrayConfig, check_count
 from .core import PowerDensity
 from .errors import ConfigError, read_numeric_rows
 
@@ -59,8 +59,10 @@ class PathLossModel(Frozen):
             if len(table) < 2:
                 raise ValueError("custom path loss table needs at least two points")
             pts = sorted((float(d), float(l)) for d, l in table)
-            if any(d <= 0.0 for d, _ in pts):
-                raise ValueError("custom table distances must be positive")
+            if not all(0.0 < d < math.inf for d, _ in pts):
+                raise ValueError("custom table distances must be positive and finite")
+            if not all(math.isfinite(l) for _, l in pts):
+                raise ValueError("custom table losses must be finite")
             if len({d for d, _ in pts}) != len(pts):
                 raise ValueError("custom table distances must be distinct")
             table = tuple(pts)
@@ -128,10 +130,10 @@ class LinkBudget(Frozen):
                  eirp_dbm: Optional[float] = None, gt_element_dbi: float = 0.0,
                  gr_element_dbi: float = 0.0, noise_figure_db: float = 0.0,
                  path_loss: PathLossModel = PathLossModel(FREE_SPACE)):
-        if not fc_hz > 0.0:
-            raise ValueError(f"carrier frequency must be positive, got {fc_hz}")
-        if not d_m > 0.0:
-            raise ValueError(f"distance must be positive, got {d_m}")
+        if not 0.0 < fc_hz < math.inf:
+            raise ValueError(f"carrier frequency must be positive and finite, got {fc_hz}")
+        if not 0.0 < d_m < math.inf:
+            raise ValueError(f"distance must be positive and finite, got {d_m}")
         if noise_figure_db < 0.0:
             raise ValueError(f"noise figure must be >= 0 dB, got {noise_figure_db}")
         # a NaN or infinite dB value would surface only as a bad Pr/N0
@@ -215,17 +217,15 @@ def eirp_table(row: str, nt: Optional[int] = None, w_hz: Optional[float] = None)
     """
     if row not in _EIRP_ROWS:
         raise ValueError(f"unknown EIRP table row {row!r}; valid rows: {_EIRP_ROWS}")
+    if row in (SUM_POWER, LARGE_ARRAY):
+        check_count("nt", nt)
     if row == SUM_POWER:
-        if nt is None:
-            raise ValueError("sum-power row needs nt")
         return 38.0 + 10.0 * math.log10(nt)
     if row == RF_SOC:
         return 36.0
     if row == PHASED_SOC:
         return 52.0
     if row == LARGE_ARRAY:
-        if nt is None:
-            raise ValueError("large-array row needs nt")
         return 28.0 + 20.0 * math.log10(nt)
     if w_hz is None:
         raise ValueError("fcc row needs the signaling bandwidth w_hz")
@@ -234,6 +234,6 @@ def eirp_table(row: str, nt: Optional[int] = None, w_hz: Optional[float] = None)
 
 def fcc_eirp_cap_dbm(w_hz: float) -> float:
     """Outdoor EIRP ceiling growing 10log10 with bandwidth above 100 MHz."""
-    if not w_hz > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {w_hz}")
+    if not 0.0 < w_hz < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {w_hz}")
     return 75.0 + 10.0 * math.log10(w_hz / 100e6)

@@ -1,12 +1,16 @@
 """Reallocation must conserve budgets, never harm anyone, and beat doing nothing."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from maxbw import allocate, core
+from maxbw._frozen import replace
 from maxbw.allocate import Allocation, UserLink
 from maxbw.core import CoherenceBlock
 from maxbw.errors import ConfigError
@@ -165,6 +169,37 @@ def test_check_allocation_catches_harm():
                      baseline_value=good.baseline_value)
     with pytest.raises(AssertionError):
         allocate.check_allocation([weak, strong], bad)
+
+
+def test_check_allocation_refuses_an_entry_count_other_than_the_user_count():
+    weak, strong = _user(68.0), _user(80.0)
+    good = allocate.allocate_pair(weak, strong, "sum")
+    short = replace(good, entries=good.entries[:1])
+    with pytest.raises(AssertionError, match="1 entries for 2 users"):
+        allocate.check_allocation([weak, strong], short)
+
+
+def test_check_allocation_checks_under_python_optimize():
+    # an entry of 51 W against a 2 W pooled budget; bare asserts vanish under -O
+    code = """
+import maxbw.allocate as a
+from maxbw._frozen import replace
+from maxbw.core import CoherenceBlock
+from maxbw.fading import FadingModel
+cb, ray = CoherenceBlock.from_tc_bc(tc_s=1e-3, bc_hz=2.5e6), FadingModel.rayleigh()
+users = [a.UserLink(gain_hz_per_watt=g, pt_w=1.0, w0_hz=100e6, cb=cb, fading=ray)
+         for g in (10.0 ** 6.8, 1e8)]
+good = a.allocate_pair(*users, "sum")
+bad = replace(good, entries=(replace(good.entries[0], p_w=51.0), good.entries[1]))
+try:
+    a.check_allocation(users, bad)
+except AssertionError as exc:
+    print(exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(allocate.__file__)))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.startswith("power budget violated: 5") and out.stdout.endswith(" > 2.0\n")
 
 
 # ------------------------------------------------- guided candidate search

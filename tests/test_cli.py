@@ -336,6 +336,24 @@ def test_solver_failure_exits_two(capsys, monkeypatch):
     assert "solver error" in err
 
 
+def test_allocate_turns_a_failed_check_into_a_solver_error(tmp_path, capsys, monkeypatch):
+    from maxbw import allocate
+
+    solve = allocate.allocate_group
+
+    def one_entry(users, objective):
+        good = solve(users, objective)
+        return replace(good, entries=good.entries[:1])
+
+    monkeypatch.setattr(allocate, "allocate_group", one_entry)
+    scn, users = tmp_path / "chan.scn", tmp_path / "users.csv"
+    scn.write_text(ALLOC_SCENARIO)
+    users.write_text(USERS_CSV)
+    code, out, err = run(capsys, "allocate", "--scenario", str(scn), "--users", str(users))
+    assert (code, out) == (2, "")
+    assert err == "solver error: allocation failed its check: 1 entries for 2 users\n"
+
+
 # ---------------------------------------------------------------------- sweep
 
 

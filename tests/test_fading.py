@@ -323,6 +323,11 @@ def test_tabulated_validation():
         FadingModel.tabulated([(0.5, 0.5), (1.4, 0.5)])  # mean 0.95, off by >1%
     with pytest.raises(ValueError):
         FadingModel.tabulated([(-0.5, 0.5), (2.5, 0.5)])  # negative power atom
+    # NaN atoms used to pass, and optimize then failed to bracket its optimum
+    for atoms in ([(1.0, 0.5), (math.nan, 0.5)], [(1.0, 0.5), (1.0, math.nan)],
+                  [(1.0, 0.5), (math.inf, 0.5)]):
+        with pytest.raises(ValueError, match="atom values and weights must be finite"):
+            FadingModel.tabulated(atoms)
     # mean off by 0.5% is renormalized to exactly 1
     tab = FadingModel.tabulated([(0.5025, 0.5), (1.5075, 0.5)])
     assert tab.mean_power() == pytest.approx(1.0, abs=1e-12)

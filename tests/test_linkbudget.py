@@ -78,6 +78,13 @@ def test_custom_table_validation():
         PathLossModel.custom_table([(0.0, 80.0), (10.0, 90.0)])
     with pytest.raises(ValueError):
         PathLossModel.custom_table([(10.0, 80.0), (10.0, 90.0)])
+    # an infinite distance row used to flatten the loss to 80 dB at 100 m
+    for dist in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="distances must be positive and finite"):
+            PathLossModel.custom_table([(10.0, 80.0), (dist, 112.0)])
+    for loss in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="losses must be finite"):
+            PathLossModel.custom_table([(10.0, 80.0), (100.0, loss), (1000.0, 146.0)])
 
 
 def test_custom_table_from_csv(tmp_path):
@@ -213,6 +220,14 @@ def test_budget_refuses_non_finite_values(field, value):
         LinkBudget(fc_hz=28e9, d_m=100.0, **kwargs)
 
 
+@pytest.mark.parametrize("field, name", [("fc_hz", "carrier frequency"), ("d_m", "distance")])
+def test_budget_refuses_an_infinite_carrier_or_distance(field, name):
+    # these used to surface as "Pr/N0 must be positive ..., got 0.0"
+    kwargs = {"fc_hz": 28e9, "d_m": 100.0, field: math.inf}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got inf"):
+        LinkBudget(eirp_dbm=52.0, **kwargs)
+
+
 def test_eirp_dbm_of():
     lb = LinkBudget(fc_hz=28e9, d_m=100.0, pt_element_dbm=12.0, gt_element_dbi=6.0)
     cfg = ArrayConfig.ideal_directional(nt=16, nr=2)
@@ -244,9 +259,23 @@ def test_eirp_table_missing_args():
         eirp_table("bogus")
 
 
+@pytest.mark.parametrize("row", ["sum-power", "large-array"])
+@pytest.mark.parametrize("nt", [0, 0.5, True, 4.0])
+def test_eirp_table_checks_nt_as_array_config_does(row, nt):
+    with pytest.raises(ValueError, match=f"nt must be an integer >= 1, got {nt!r}"):
+        eirp_table(row, nt=nt)
+    with pytest.raises(ValueError, match=f"nt must be an integer >= 1, got {nt!r}"):
+        ArrayConfig.ideal_directional(nt=nt, nr=1)
+
+
 def test_fcc_cap_slope():
     # 10 dB per decade of bandwidth, anchored at 75 dBm / 100 MHz
     assert fcc_eirp_cap_dbm(100e6) == pytest.approx(75.0)
     assert fcc_eirp_cap_dbm(1e9) - fcc_eirp_cap_dbm(100e6) == pytest.approx(10.0)
     with pytest.raises(ValueError):
         fcc_eirp_cap_dbm(0.0)
+    for w_hz in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            fcc_eirp_cap_dbm(w_hz)
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            eirp_table("fcc", w_hz=w_hz)
