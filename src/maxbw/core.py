@@ -57,6 +57,8 @@ SUM_RATE = "sum"
 OBJECTIVES = (MAX_WEAK, MAX_STRONG, SUM_RATE)
 
 _BISECT_MAX_ITER = 200
+_BISECT_RTOL = 1e-10
+_SIGN_BRACKET_ITER = 20
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 10.0
 
@@ -272,30 +274,64 @@ def _bisect_root(residual, what: str) -> float:
 
     The initial bracket [1e-6, 10] covers every practical coherence length;
     it is grown geometrically if a pathological input escapes it. Once
-    bracketed, the sign bisection converges unconditionally.
+    bracketed, the sign bisection converges unconditionally, to _BISECT_RTOL.
+    It returns a plain bisection's float from about 17 residuals, not 43:
+    _sign_bracket first narrows an evaluated bracket [a, b], and a midpoint
+    more than _BISECT_RTOL*b outside it is taken to lie on its side. That
+    margin covers the band where rounding blurs the residual's sign; past
+    Lc = 1e8 or 1e5 pilots the band can outgrow it, and the two roots part
+    by less than the band.
     """
     lo, hi = _BRACKET_LO, _BRACKET_HI
     for _ in range(51):  # the initial end, then up to 50 growths
-        if residual(lo) <= 0.0:
+        f_lo = residual(lo)
+        if f_lo <= 0.0:
             break
         lo *= 0.25
     else:
         raise SolverError(f"could not bracket {what} from below")
     for _ in range(51):
-        if residual(hi) >= 0.0:
+        f_hi = residual(hi)
+        if f_hi >= 0.0:
             break
         hi *= 4.0
     else:
         raise SolverError(f"could not bracket {what} from above")
+    a, b = _sign_bracket(residual, lo, f_lo, hi, f_hi) if f_lo < 0.0 else (lo, hi)
+    a, b = a - _BISECT_RTOL * b, b + _BISECT_RTOL * b
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
+        if mid >= b or (mid > a and residual(mid) >= 0.0):
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-10 * mid:
+        if hi - lo < _BISECT_RTOL * mid:
             return 0.5 * (lo + hi)
     raise SolverError(f"bisection for {what} did not converge within {_BISECT_MAX_ITER} iterations")
+
+
+def _sign_bracket(residual, a, fa, b, fb):
+    """[a, b], with fa < 0 <= fb at its ends, narrowed to evaluated ends of the
+    same signs: geometrically until b < 2a, then by Illinois regula falsi to
+    _BISECT_RTOL. It stops at a non-finite residual, a step that leaves (a, b)
+    or _SIGN_BRACKET_ITER residuals (16 at most were needed below Lc = 1e7)."""
+    side = 0  # the end the last Illinois step moved: 1 for b, -1 for a
+    for _ in range(_SIGN_BRACKET_ITER):
+        geometric = b >= 2.0 * a
+        if not geometric and b - a <= _BISECT_RTOL * b:
+            break
+        x = math.sqrt(a * b) if geometric else b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            break
+        fx = residual(x)
+        if not math.isfinite(fx):
+            break
+        if fx >= 0.0:
+            b, fb, fa = x, fx, fa * 0.5 if side == 1 else fa
+        else:
+            a, fa, fb = x, fx, fb * 0.5 if side == -1 else fb
+        side = 0 if geometric else (1 if fx >= 0.0 else -1)
+    return a, b
 
 
 @lru_cache(maxsize=4096)
@@ -340,9 +376,10 @@ def solve_continuous(pd, cb: CoherenceBlock, fading: FadingModel) -> OperatingPo
 
     Substitutes the pilot condition's alpha(rho) into the rate and bisects the
     bandwidth residual in rho, which is exact because the rate is unimodal
-    along that curve. At lc == 2 the relaxation is skipped: the pilot lattice
-    has the single point alpha = 1/2, so only the bandwidth is optimized and
-    the result carries a "lattice_only" flag.
+    along that curve; a cold root takes about 17 residuals (_bisect_root). At
+    lc == 2 the relaxation is skipped: the pilot lattice has the single point
+    alpha = 1/2, so only the bandwidth is optimized and the result carries a
+    "lattice_only" flag.
     """
     pd_hz = _pd_hz(pd)
     rho, alpha, flags, e_log1p = _solve_rho_on_curve(cb.lc, fading)

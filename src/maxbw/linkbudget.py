@@ -93,10 +93,10 @@ class PathLossModel(Frozen):
 
 def path_loss_db(model: PathLossModel, fc_hz: float, d_m: float) -> float:
     """Loss in dB at carrier fc_hz and distance d_m (>= 1 m, model validity)."""
-    if not fc_hz > 0.0:
-        raise ValueError(f"carrier frequency must be positive, got {fc_hz}")
-    if not d_m >= 1.0:
-        raise ValueError(f"distance must be >= 1 m for these models, got {d_m}")
+    if not 0.0 < fc_hz < math.inf:
+        raise ValueError(f"carrier frequency must be positive and finite, got {fc_hz}")
+    if not 1.0 <= d_m < math.inf:
+        raise ValueError(f"distance must be finite and >= 1 m for these models, got {d_m}")
     if model.kind == FREE_SPACE:
         return 20.0 * math.log10(4.0 * math.pi * d_m * fc_hz / SPEED_OF_LIGHT)
     if model.kind == BLOCKED_LOS:

@@ -482,6 +482,197 @@ def test_operating_point_is_frozen():
         point.rate_bps = 0.0
 
 
+# -------------------------------------------------------------- root finding
+
+
+def _plain_bisect_root(residual, what):
+    """Oracle for core._bisect_root: the plain bisection, which evaluates the
+    residual at every midpoint. Same bracket, midpoints and stopping test."""
+    lo, hi = core._BRACKET_LO, core._BRACKET_HI
+    for _ in range(51):
+        if residual(lo) <= 0.0:
+            break
+        lo *= 0.25
+    else:
+        raise SolverError(f"could not bracket {what} from below")
+    for _ in range(51):
+        if residual(hi) >= 0.0:
+            break
+        hi *= 4.0
+    else:
+        raise SolverError(f"could not bracket {what} from above")
+    for _ in range(core._BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-10 * mid:
+            return 0.5 * (lo + hi)
+    raise SolverError(f"bisection for {what} did not converge")
+
+
+def _curve_residual(lc, fading):
+    # _solve_rho_on_curve's residual; core._bandwidth_residual is looked up
+    # at each call, so a monkeypatched counter sees it
+    return lambda r: core._bandwidth_residual(r, core.alpha_given_rho(r, lc) * lc, fading)
+
+
+def _pilot_residual(n, fading):
+    # _solve_rho_fixed_pilots's residual
+    return lambda r: core._bandwidth_residual(r, float(n), fading)
+
+
+def _root_laws():
+    # Rayleigh, deterministic, a 64-atom law and a two-atom law with a zero atom
+    return _four_laws(np.random.default_rng(11))
+
+
+def _relative_gap(a, b):
+    return abs(a - b) / b
+
+
+def test_on_curve_root_equals_the_plain_bisection():
+    # at Lc = 8940800.04 (Rayleigh) a bisection that skips every midpoint
+    # outside the narrowed bracket, with no margin, was 5.8e-11 off
+    rng = np.random.default_rng(21)
+    lcs = np.exp(rng.uniform(math.log(2.0), math.log(1e8), 400))
+    for lc in np.concatenate([[2.0000001, 2.5, 8940800.037654812, 99999999.0], lcs]):
+        lc = float(lc)
+        for fading in _root_laws():
+            rho = core._solve_rho_on_curve(lc, fading)[0]
+            assert rho == _plain_bisect_root(_curve_residual(lc, fading), "x"), (lc, fading.kind)
+
+
+@pytest.mark.parametrize("law", [0, 1, 2, 3], ids=["rayleigh", "deterministic", "tabulated64",
+                                                   "two-atom"])
+def test_fixed_pilot_root_equals_the_plain_bisection(law):
+    fading = _root_laws()[law]
+    rng = np.random.default_rng(24 + law)
+    larger = np.unique(np.round(np.exp(rng.uniform(math.log(1e3), math.log(1e5), 100))))
+    for n in [*range(1, 1001), *map(int, larger)]:
+        rho = core._solve_rho_fixed_pilots(n, fading)[0]
+        assert rho == _plain_bisect_root(_pilot_residual(n, fading), "x"), n
+
+
+def test_roots_stay_close_to_the_plain_bisection_beyond_the_exact_range():
+    # Above Lc = 1e8 and n = 1e5 the residual's rounding can flip its sign
+    # at a midpoint that the plain bisection evaluates and the narrowed one
+    # takes as known; the roots then part by about that blur
+    rng = np.random.default_rng(22)
+    laws = _root_laws()
+    for j, lc in enumerate(np.exp(rng.uniform(math.log(1e8), math.log(1e9), 200))):
+        residual = _curve_residual(float(lc), laws[j % 4])
+        gap = _relative_gap(core._bisect_root(residual, "x"), _plain_bisect_root(residual, "x"))
+        assert gap <= 1e-9, (lc, laws[j % 4].kind)
+    for j, n in enumerate(np.exp(rng.uniform(math.log(1e5), math.log(1e7), 200))):
+        residual = _pilot_residual(round(float(n)), laws[j % 4])
+        gap = _relative_gap(core._bisect_root(residual, "x"), _plain_bisect_root(residual, "x"))
+        assert gap <= 1e-9, (n, laws[j % 4].kind)
+
+
+def _count_residuals(monkeypatch):
+    """Count core._bandwidth_residual calls, as _count_rates counts rates."""
+    calls = [0]
+    original = core._bandwidth_residual
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(core, "_bandwidth_residual", counted)
+    return calls
+
+
+def test_a_cold_root_stays_within_its_residual_budget(monkeypatch):
+    # the plain bisection takes about 43 residuals per root
+    rng = np.random.default_rng(23)
+    laws = _root_laws()
+    residuals = []
+    calls = _count_residuals(monkeypatch)
+    for j, lc in enumerate(np.exp(rng.uniform(math.log(2.0), math.log(1e16), 1000))):
+        calls[0] = 0
+        core._bisect_root(_curve_residual(float(lc), laws[j % 4]), "x")
+        residuals.append(calls[0])
+    for j, n in enumerate(np.exp(rng.uniform(0.0, math.log(1e7), 400))):
+        calls[0] = 0
+        core._bisect_root(_pilot_residual(round(float(n)), laws[j % 4]), "x")
+        residuals.append(calls[0])
+    assert float(np.median(residuals)) <= 20.0
+    assert max(residuals) <= 45
+
+
+def _same_root(residual):
+    """core._bisect_root against the oracle: the same float, or a SolverError
+    from both."""
+    try:
+        expected = _plain_bisect_root(residual, "x")
+    except SolverError:
+        with pytest.raises(SolverError):
+            core._bisect_root(residual, "x")
+        return None
+    got = core._bisect_root(residual, "x")
+    assert got == expected
+    return got
+
+
+@pytest.mark.parametrize("root", [1e-6, 10.0, math.sqrt(1e-6 * 10.0)],
+                         ids=["at-lo", "at-hi", "at-first-narrowing-step"])
+def test_a_residual_of_exactly_zero_gives_the_plain_root(root):
+    # at lo the narrowing is skipped; at hi and at the first geometric step
+    # the regula falsi step lands on the end and stops the narrowing
+    got = _same_root(lambda r: r - root)
+    assert got == pytest.approx(root, rel=1e-9)
+
+
+def test_a_residual_of_zero_from_lo_on_gives_the_plain_root():
+    # zero on [1e-6, 2e-6]: a narrowing from lo would end on two zero
+    # residuals, where the regula falsi step divides by zero
+    assert _same_root(lambda r: max(0.0, r - 2e-6)) < 1.001e-6
+
+
+def test_bracket_growth_on_either_side_gives_the_plain_root():
+    # no unit-mean law puts the on-curve root above 10 (deterministic fading
+    # at Lc = 2 gives 1.82), so growth takes synthetic residuals
+    assert _same_root(lambda r: math.log(r / 3e3)) == pytest.approx(3e3, rel=1e-9)
+    assert _same_root(lambda r: math.log(r / 3e-11)) == pytest.approx(3e-11, rel=1e-9)
+    # a residual that stays positive or negative: both raise
+    _same_root(lambda r: 1.0)
+    _same_root(lambda r: -1.0)
+
+
+@pytest.mark.parametrize("lc", [0.99 * 2.0**53, 2.0**53])
+def test_a_root_below_the_initial_bracket_stays_close_to_the_plain_bisection(lc):
+    # the two-atom law with a zero atom puts the on-curve root below 1e-6 near
+    # 2**53; there 1 - E[1/(1 + sX)] has lost most of its digits, and the two
+    # roots part by 4.9e-6 and 6.7e-7
+    residual = _curve_residual(lc, _root_laws()[3])
+    rho = core._bisect_root(residual, "x")
+    assert rho < core._BRACKET_LO
+    assert _relative_gap(rho, _plain_bisect_root(residual, "x")) <= 1e-5
+
+
+@pytest.mark.parametrize("window", [(1e-3, 0.1), (1e-4, 0.04), (0.05, 0.0506), (0.0, math.inf)],
+                         ids=["around-root-and-first-step", "below-root", "around-root", "all"])
+def test_a_nan_residual_gives_the_plain_root_or_its_error(window):
+    # a NaN counts as below the root in both: the narrowing stops at the
+    # first one, and the bisection evaluates inside what is left
+    base = _curve_residual(1e4, RAY)  # root near 0.0505
+
+    def residual(r):
+        return math.nan if window[0] <= r <= window[1] else base(r)
+
+    _same_root(residual)
+
+
+def test_a_nan_at_one_narrowing_step_above_the_root_gives_the_plain_root():
+    # the narrowing stops at a NaN instead of taking its point as below the
+    # root; the plain bisection never evaluates that point
+    first = math.sqrt(core._BRACKET_LO * core._BRACKET_HI)  # the first geometric step
+    got = _same_root(lambda r: math.nan if r == first else math.log(r / 1e-3))
+    assert got == pytest.approx(1e-3, rel=1e-9)
+
+
 # ------------------------------------------------------- guided pilot search
 
 

@@ -228,6 +228,22 @@ def test_budget_refuses_an_infinite_carrier_or_distance(field, name):
         LinkBudget(eirp_dbm=52.0, **kwargs)
 
 
+@pytest.mark.parametrize("model", [PathLossModel.free_space(), PathLossModel.umi_nlos(),
+                                   PathLossModel.custom_table([(10.0, 80.0), (1000.0, 146.0)])],
+                         ids=["freespace", "umi", "custom"])
+@pytest.mark.parametrize("fc_hz, d_m, message", [
+    (math.inf, 100.0, "carrier frequency must be positive and finite, got inf"),
+    (math.nan, 100.0, "carrier frequency must be positive and finite, got nan"),
+    (28e9, math.inf, "distance must be finite and >= 1 m for these models, got inf"),
+    (28e9, math.nan, "distance must be finite and >= 1 m for these models, got nan"),
+    (28e9, 0.5, "distance must be finite and >= 1 m for these models, got 0.5"),
+])
+def test_path_loss_refuses_a_non_finite_carrier_or_distance(model, fc_hz, d_m, message):
+    # an infinite carrier or distance used to give an infinite loss
+    with pytest.raises(ValueError, match=message):
+        path_loss_db(model, fc_hz, d_m)
+
+
 def test_eirp_dbm_of():
     lb = LinkBudget(fc_hz=28e9, d_m=100.0, pt_element_dbm=12.0, gt_element_dbi=6.0)
     cfg = ArrayConfig.ideal_directional(nt=16, nr=2)

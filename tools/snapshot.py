@@ -58,6 +58,11 @@ The library panel, drawn with `random.Random` from fixed seeds:
   1e5-1e7 instead: there the pilot guide misses by two counts or more on
   part of the rho axis, and the guided search hands those rates off to the
   slope search of `rate_fixed_bandwidth`.
+- The roots of the two cached solves under `solve_continuous` and
+  `discretize`, as `float.hex`: `core._solve_rho_on_curve` at 40 Lc
+  log-spaced in 2.5-1e6 and `core._solve_rho_fixed_pilots` at 35 pilot
+  counts log-spaced in 1-1000, on Rayleigh, deterministic and a 64-atom
+  tabulated law.
 
 A point is what a call chose: the bandwidth and pilot ratio of the
 continuous optimum, the pilot count at a fixed bandwidth, the (m, n) step
@@ -177,7 +182,10 @@ LINKS, PAIRS, GROUPS = 600, 120, 30
 WIDE = 3
 LAWS = ("rayleigh", "deterministic", "tabulated")
 FUNCTIONS = ("solve_continuous", "rate_fixed_bandwidth", "discretize", "exhaustive_search",
-             "allocate_pair", "allocate_group")
+             "allocate_pair", "allocate_group", "_solve_rho_on_curve", "_solve_rho_fixed_pilots")
+# the coherence lengths and pilot counts whose roots are recorded, log-spaced
+ROOT_LCS = tuple(2.5 * 400_000.0 ** (k / 39) for k in range(40))
+ROOT_PILOTS = tuple(sorted({round(1000.0 ** (k / 39)) for k in range(40)}))
 
 
 def write_inputs(folder: str) -> None:
@@ -266,11 +274,11 @@ def _log_uniform(rng, lo, hi):
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def _atoms():
+def _atoms(count=32):
     rng = random.Random(20171)
-    values = sorted(rng.gammavariate(1.5, 1.0) for _ in range(32))
+    values = sorted(rng.gammavariate(1.5, 1.0) for _ in range(count))
     mean = sum(values) / len(values)
-    return [(v / mean, 1.0 / 32) for v in values]
+    return [(v / mean, 1.0 / count) for v in values]
 
 
 def panel():
@@ -331,6 +339,17 @@ def panel():
         alloc = (allocate.allocate_pair(*users, objective) if size == 2
                  else allocate.allocate_group(users, objective))
         out[name].append(allocation(alloc))
+
+    roots = {"rayleigh": models["rayleigh"], "deterministic": models["deterministic"],
+             "tabulated64": FadingModel.tabulated(_atoms(64))}
+    for kind, fading in roots.items():
+        for lc in ROOT_LCS:
+            rho, alpha, flags, e_log1p = core._solve_rho_on_curve(lc, fading)
+            out["_solve_rho_on_curve"].append(
+                [[kind, lc, rho.hex(), alpha.hex(), list(flags)], [e_log1p]])
+        for n in ROOT_PILOTS:
+            rho, e_log1p = core._solve_rho_fixed_pilots(n, fading)
+            out["_solve_rho_fixed_pilots"].append([[kind, n, rho.hex()], [e_log1p]])
     return out
 
 
