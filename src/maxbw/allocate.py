@@ -20,14 +20,14 @@ of that user's baseline, and scores the rest in one _rates_flat call: one
 vectorized search per coherence length and fading law, both users' points
 together, on each distinct (rho, W) once. A point's rate has the same bits
 in any call, so the pass picks what scoring every candidate alone would.
-Each winner is then re-scored on the scalar path, fixed_bandwidth_rate,
-once per allocate_group call for each (user, power, bandwidth). Both use
-the integer pilot search core._guided_pilots: the cached argmax guide of
-each coherence length and law is built once and reused.
-Each search is one five-count probe from the guide's count; a rate whose
-probe cannot certify its count hands off to core._best_pilots, the slope
-search, and ties go to the lower count. So the scalar re-score has the bits
-of core.rate_fixed_bandwidth.
+The vector search is core._guided_pilots: from a cached argmax guide of
+each coherence length and law, one five-count probe per point, and a point
+whose probe cannot certify its count hands off to core._best_pilots, the
+slope search. Each winner is then re-scored on the scalar path,
+fixed_bandwidth_rate, which is core.rate_fixed_bandwidth and so the slope
+search, once per allocate_group call for each (user, power, bandwidth).
+Both searches give ties to the lower count and agree up to Lc = 1e8; above
+it they can pick counts within core.PILOT_RTOL of each other.
 """
 
 from __future__ import annotations
@@ -107,13 +107,9 @@ class Allocation(Frozen):
 
 
 def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.OperatingPoint:
-    """Rate at pinned power and bandwidth, integer pilot count optimized.
-
-    core.rate_fixed_bandwidth from the user's pilot guide, not a slope search:
-    equal up to Lc = 1e8, then within core.PILOT_RTOL of the pilot maximum.
-    """
-    return core._fixed_bandwidth_point(user.pd_hz(p_w), w_hz, user.cb, user.fading,
-                                       core._guided_pilots)
+    """Rate at pinned power and bandwidth, integer pilot count optimized:
+    core.rate_fixed_bandwidth at the user's Pr/N0."""
+    return core.rate_fixed_bandwidth(user.pd_hz(p_w), w_hz, user.cb, user.fading)
 
 
 def _entry(user: UserLink, p_w: float, w_hz: float,

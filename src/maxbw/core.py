@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Tuple
 from ._frozen import Frozen, set_field
 from ._lazy import LazyNumpy, is_array
 from .errors import SolverError
-from .fading import FadingModel, _log1p_inv1p, _log1p_slope
+from .fading import FadingModel, _log1p_slope
 
 np = LazyNumpy(globals())
 
@@ -44,9 +44,9 @@ R_ALPHA_TOL = 1e-12
 _MAX_LC = 2.0 ** 53
 
 # Above Lc = 1e8, neighbouring pilot counts near the maximum can differ by
-# less than the rate's rounding, so the five-count probe that ends every pilot
-# search can certify a count this far short of it, relative (at most 1.1e-11
-# measured; README gives the measurement).
+# less than the rate's rounding, so a pilot search can end on a count this far
+# short of it, relative: at most 3.6e-15 measured for the slope search and
+# 1.2e-11 for the allocation layer's guided search (README).
 PILOT_RTOL = 1e-10
 
 # The objectives of the allocation layer (allocate.py), kept here so that the
@@ -240,11 +240,14 @@ def condition_residuals(rho: float, alpha: float, lc: float, fading: FadingModel
 
 
 def _bandwidth_residual(rho: float, al: float, fading: FadingModel) -> float:
-    """condition_residuals' r_w, which sees the pilots only through al = alpha*Lc."""
+    """condition_residuals' r_w, which sees the pilots only through al = alpha*Lc:
+    E[ln(1 + sX)] - (1 + d)/d * s E[X/(1 + sX)], with d = 1 + (1 + al) rho and
+    s = al rho^2 / d. s E[X/(1 + sX)] is 1 - E[1/(1 + sX)] without the
+    cancellation, so the root stays exact where s is small (large Lc and al)."""
     denom = 1.0 + (1.0 + al) * rho
     snr = al * rho * rho / denom
-    log1p, inv1p = _log1p_inv1p(fading, snr)
-    return log1p - (1.0 + denom) / denom * (1.0 - inv1p)
+    log1p, slope = _log1p_slope(fading, snr)
+    return log1p - (1.0 + denom) / denom * snr * slope
 
 
 def alpha_given_rho(rho: float, lc: float) -> float:
@@ -434,24 +437,29 @@ def _lattice_point(pd_hz: float, w: float, n: int, lc: float, rate_bps: float,
 def _best_pilots(rho, w, lc: float, fading: FadingModel):
     """Rate-maximizing integer pilot count at fixed bandwidth, and its rate.
 
-    The search for callers that see a coherence length once or a few times,
-    and the hand-off of _guided_pilots, the allocation layer's search.
-
     At fixed bandwidth the rate is concave in the pilot count, so its slope
     _pilot_slope falls through one root, and the argmax is the floor or the
-    ceiling of it. _slope_bracket narrows the root to one count, and one
-    _probe_pilots from the bracket's lower end picks the argmax; equal rates
-    keep the lower count. rho and w are broadcastable arrays, or floats,
-    which stay Python floats. Exact up to Lc = 1e8, then within PILOT_RTOL.
-    Where the slope and every rate round to 0.0 (per-symbol SNR below about
-    1e-160) each count ties, and the search ends on count 1.
+    ceiling of it. _slope_bracket narrows the root to counts lo and lo + 1,
+    and the better of their two rates picks the argmax; equal rates keep lo.
+    rho and w are broadcastable arrays, scored in one rate call, or floats,
+    scored in two, which stay Python floats. Exact up to Lc = 1e8, then
+    within PILOT_RTOL. Where the slope and every rate round to 0.0
+    (per-symbol SNR below about 1e-160) each count ties, and the search ends
+    on count 1.
     """
+    n_hi = _max_pilots(lc)
     if not (is_array(rho) or is_array(w)):
-        return _probe_pilots(rho, w, lc, fading, _slope_bracket(rho, lc, fading))[:2]
+        lo = _slope_bracket(rho, lc, fading)
+        r_lo, r_up = (_rates(rho, w, n / lc, lc, fading) for n in (lo, min(lo + 1.0, n_hi)))
+        return (int(lo), r_lo) if r_lo >= r_up else (int(lo) + 1, r_up)
     rho, w = np.broadcast_arrays(rho, w)
     shape, rho, w = rho.shape, rho.ravel(), w.ravel()
-    n, best, _ = _probe_pilots(rho, w, lc, fading, _slope_brackets(rho, lc, fading))
-    return n.reshape(shape), best.reshape(shape)
+    lo = _slope_brackets(rho, lc, fading)
+    trial = np.stack([lo, np.minimum(lo + 1.0, n_hi)], axis=1)
+    rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
+    up = rates[:, 1] > rates[:, 0]
+    best = np.where(up, rates[:, 1], rates[:, 0])
+    return (lo + up).astype(int).reshape(shape), best.reshape(shape)
 
 
 def _pilot_slope(rho, al, lc: float, fading: FadingModel):
@@ -557,55 +565,29 @@ def _pilot_guide(lc: float, fading: FadingModel):
 
 
 def _guided_pilots(rho, w, lc: float, fading: FadingModel):
-    """_best_pilots for floats, or 1-d arrays of one length, from one
-    _probe_pilots at the guide's count, interpolated in log10(rho) and
-    clamped at the guide's ends: the allocation layer's search. A rho whose
-    count the probe cannot certify, where the guide missed by two counts or
-    more, is handed off to _best_pilots, whose slope search ends with a
-    second probe. Equal to _best_pilots up to Lc = 1e8; above, rounding can
-    certify another count within PILOT_RTOL."""
+    """_best_pilots over 1-d arrays of one length from the guide's count,
+    interpolated in log10(rho) and clamped at the guide's ends: the
+    allocation layer's candidate search. One rate call scores the five
+    counts around each start, clipped to [1, n_hi], and keeps the first best,
+    so ties go to the lower count. That count is certified where it beats
+    the count below and is not beaten by the count above, or lies on count
+    1 or n_hi: the rate is log-concave in alpha at fixed W, so such a local
+    maximum is the global one. Where the guide missed by two counts or
+    more, the count is not certified, and _best_pilots, the slope search,
+    takes that rho instead. Equal to _best_pilots up to Lc = 1e8; above,
+    rounding can certify another count within PILOT_RTOL."""
     log_rho, guide = _pilot_guide(lc, fading)
-    if not is_array(rho):
-        x = math.log10(rho) if rho > 0.0 else -math.inf
-        n, best, certified = _probe_pilots(rho, w, lc, fading,
-                                           float(round(np.interp(x, log_rho, guide))))
-        return (n, best) if certified else _best_pilots(rho, w, lc, fading)
-    n, best, certified = _probe_pilots(rho, w, lc, fading,
-                                       np.interp(np.log10(rho), log_rho, guide).round())
-    if not certified.all():
-        miss = ~certified
+    n_hi = _max_pilots(lc)
+    start = np.interp(np.log10(rho), log_rho, guide).round()
+    trial = np.clip(start[:, None] + np.arange(-2.0, 3.0), 1.0, n_hi)
+    rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
+    k = rates.argmax(axis=1)  # the first, so the lowest, of equal rates
+    rows = np.arange(rho.size)
+    n, best = trial[rows, k].astype(int), rates[rows, k]
+    miss = ~(((k > 0) | (n == 1)) & ((k < 4) | (n == n_hi)))
+    if miss.any():
         n[miss], best[miss] = _best_pilots(rho[miss], w[miss], lc, fading)
     return n, best
-
-
-def _probe_pilots(rho, w, lc: float, fading: FadingModel, n):
-    """(count, rate, certified): the first best of counts n - 2 .. n + 2,
-    clipped to [1, n_hi], so ties go to the lower count. rho, w and n are
-    floats, scored in five scalar rate calls, or 1-d arrays of one length,
-    scored in one.
-
-    A count is certified where it lies strictly inside the window, or on
-    count 1 or n_hi: it beats the count below and is not beaten by the count
-    above. The rate is log-concave in alpha at fixed W, so such a local
-    maximum is the global one; in floats, above Lc = 1e8, rounding can
-    certify a count up to PILOT_RTOL short of it.
-    """
-    n_hi = _max_pilots(lc)
-    if is_array(rho):
-        trial = np.clip(n[:, None] + np.arange(-2.0, 3.0), 1.0, n_hi)
-        rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
-        rows = np.arange(rho.size)
-        k = rates.argmax(axis=1)  # the first, so the lowest, of equal rates
-        best_n, best, lo, hi = trial[rows, k], rates[rows, k], trial[:, 0], trial[:, -1]
-    else:
-        trial = [min(max(n + step, 1.0), n_hi) for step in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-        rates = [_rates(rho, w, m / lc, lc, fading) for m in trial]
-        k = rates.index(max(rates))
-        best_n, best, lo, hi = trial[k], rates[k], trial[0], trial[-1]
-    certified = ((best_n > lo) | (best_n == 1.0)) & ((best_n < hi) | (best_n == n_hi))
-    if is_array(rho):
-        return best_n.astype(int), best, certified
-    return int(best_n), float(best), certified
 
 
 def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) -> OperatingPoint:
@@ -659,8 +641,8 @@ def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -
     Every bandwidth takes its best pilot count from the search of
     rate_fixed_bandwidth, run on 2**14 bandwidths at a time: each step of
     its slope search scores only the bandwidths whose bracket is still open,
-    and one probe scores them all. The first bandwidth with the largest rate
-    wins: the maximum over the whole box, so
+    and one rate call scores every bandwidth's two counts. The first
+    bandwidth with the largest rate wins: the maximum over the whole box, so
     no lattice neighbor inside it can beat it. A "maximum_at_edge" flag marks
     a rate still increasing at m_max, meaning the bracket was too small.
     """
@@ -687,17 +669,10 @@ def rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, fading: FadingMode
     """Best rate at a pinned bandwidth, optimizing only the integer pilot count.
 
     The count comes from the root of the rate's slope in the pilot count
-    (_best_pilots): 14 or fewer slope evaluations, then five rate
-    evaluations. Exact on the pilot lattice up to Lc = 1e8, then within
-    PILOT_RTOL.
+    (_best_pilots): 14 or fewer slope evaluations, then the rates of the two
+    counts around the root. Exact on the pilot lattice up to Lc = 1e8, then
+    within PILOT_RTOL.
     """
-    return _fixed_bandwidth_point(pd, w_hz, cb, fading, _best_pilots)
-
-
-def _fixed_bandwidth_point(pd, w_hz: float, cb: CoherenceBlock, fading: FadingModel,
-                           search) -> OperatingPoint:
-    """rate_fixed_bandwidth with the pilot search passed in: _best_pilots or
-    _guided_pilots, equal on floats up to Lc = 1e8, within PILOT_RTOL above."""
     pd_hz = _pd_hz(pd)
     if not w_hz > 0.0:
         raise ValueError(f"bandwidth must be positive, got {w_hz}")
@@ -705,5 +680,5 @@ def _fixed_bandwidth_point(pd, w_hz: float, cb: CoherenceBlock, fading: FadingMo
     if rho > _MAX_RHO:
         raise ValueError(f"Pr/N0 {pd_hz} Hz over bandwidth {w_hz} Hz is a per-symbol SNR "
                          f"above {_MAX_RHO:.4g}, whose square overflows")
-    n, rate_bps = search(rho, w_hz, cb.lc, fading)
+    n, rate_bps = _best_pilots(rho, w_hz, cb.lc, fading)
     return _lattice_point(pd_hz, w_hz, n, cb.lc, rate_bps)

@@ -1,12 +1,13 @@
 """Small-scale fading models and the channel-power expectations used by rate formulas.
 
 Every model describes the distribution of the channel power gain (|h|^2 for a
-complex gain h) normalized to unit mean. Rate evaluation needs two expectations,
-E[ln(1 + s X)] and E[1/(1 + s X)], and the pilot search a third,
-E[X/(1 + s X)], the derivative of the first in s; all are computed here so
-callers never touch the distribution directly. Deterministic and tabulated
-models sum over their atoms. Rayleigh (X ~ Exp(1)) uses the exact forms, with
-x = 1/s (Abramowitz & Stegun 5.1.1, 5.1.11, 5.1.22):
+complex gain h) normalized to unit mean. Rate evaluation needs E[ln(1 + s X)],
+and the bandwidth residual and the pilot search its derivative in s,
+E[X/(1 + s X)] (_log1p_slope); E[1/(1 + s X)] is offered too. All are
+computed here so callers never touch the distribution directly.
+Deterministic and tabulated models sum over their atoms. Rayleigh
+(X ~ Exp(1)) uses the exact forms, with x = 1/s (Abramowitz & Stegun 5.1.1,
+5.1.11, 5.1.22):
 
     E[ln(1 + s X)] = e^x E1(x),    E[1/(1 + s X)] = x e^x E1(x),
     E[X/(1 + s X)] = x (1 - x e^x E1(x)).
@@ -163,19 +164,6 @@ def _rayleigh_array(s, slope=False):
     return g.reshape(s.shape), e.reshape(s.shape)
 
 
-def _log1p_inv1p(model, s):
-    """(model.expected_log1p(s), model.expected_inv1p(s)), to the same bits.
-
-    For Rayleigh both come from one evaluation of e^x E1(x); other models make
-    the two calls. A module function rather than a method, so that the solvers
-    keep working with any object that has the two expectation methods.
-    """
-    if model.kind != RAYLEIGH:
-        return model.expected_log1p(s), model.expected_inv1p(s)
-    s = _require_scale(s)
-    return _rayleigh(s) if type(s) is float else _rayleigh_array(s)
-
-
 def _log1p_slope(model, s):
     """(E[ln(1 + s X)], E[X/(1 + s X)]): expected_log1p and its derivative in
     s, on a float or a 1-d array, with no 1 - E[1/(1 + s X)] cancellation."""
@@ -196,7 +184,9 @@ class FadingModel(Frozen):
     """Unit-mean channel power distribution.
 
     kind: one of "rayleigh", "deterministic", "tabulated".
-    atoms: for tabulated models, ((value, weight), ...) with weights summing to 1.
+    atoms: for tabulated models, ((value, weight), ...) as given, with weights
+    summing to 1 within 1e-9 and a mean within 1% of 1. The expectations use
+    them renormalized to unit total weight and unit mean.
     """
 
     __slots__ = ("kind", "atoms", "_values", "_weights", "_moments", "_hash")
@@ -220,6 +210,9 @@ class FadingModel(Frozen):
             wsum = weights.sum()
             if abs(wsum - 1.0) > 1e-9:
                 raise ValueError(f"tabulated weights must sum to 1, got {wsum}")
+            # the table as given, so that a model rebuilt from its own atoms is
+            # the same model: renormalizing is not idempotent in the last bits
+            atoms = tuple(zip(values.tolist(), weights.tolist()))
             weights = weights / wsum
             mean = float(weights @ values)
             if abs(mean - 1.0) > 0.01:
@@ -229,7 +222,6 @@ class FadingModel(Frozen):
                 )
             # renormalize exactly to unit mean; downstream formulas assume it
             values = values / mean
-            atoms = tuple(zip(values.tolist(), weights.tolist()))
             moments = (float(weights @ values), float(weights @ (values * values)))
         set_field(self, "kind", kind)
         set_field(self, "atoms", atoms)

@@ -35,11 +35,20 @@ def test_baseline_rates_frozen():
     assert b[1] == pytest.approx(82126777.15501831, rel=1e-9)
 
 
-def test_fixed_bandwidth_rate_is_core_path():
-    u = _user(75.0)
-    mine = allocate.fixed_bandwidth_rate(u, 2.0, 80e6)
-    ref = core.rate_fixed_bandwidth(u.gain_hz_per_watt * 2.0, 80e6, CB, RAY)
-    assert mine == ref
+@pytest.mark.parametrize("lc", [2500.0, 1e9, 1e11, 1e13, 1e15, 2.0**53])
+def test_fixed_bandwidth_rate_is_core_path(lc):
+    # the re-scores take the slope search at every accepted Lc, past 1e8 too,
+    # where the guided search could certify another count
+    rng = np.random.default_rng([int(math.log2(lc)), 38])
+    cb = CoherenceBlock(lc=lc, bc_hz=2.5e6)
+    for fading in (RAY, FadingModel.deterministic(),
+                   FadingModel.tabulated([(0.5, 0.5), (1.5, 0.5)])):
+        for _ in range(20):
+            u = UserLink(gain_hz_per_watt=10.0 ** rng.uniform(6.0, 10.0), pt_w=1.0,
+                         w0_hz=1e8, cb=cb, fading=fading)
+            p, w = 10.0 ** rng.uniform(-2.0, 1.0), 2.5e6 * float(rng.integers(1, 400))
+            mine = allocate.fixed_bandwidth_rate(u, p, w)
+            assert mine == core.rate_fixed_bandwidth(u.gain_hz_per_watt * p, w, cb, fading)
 
 
 # ----------------------------------------------------------------- pair cases
@@ -379,8 +388,7 @@ def test_each_point_is_scored_once_per_call(monkeypatch):
         return fixed(user, p_w, w_hz)
 
     def counted_guided(rho, w, *rest):
-        if isinstance(rho, np.ndarray):
-            searches.append((rho.size, len(set(zip(rho.tolist(), w.tolist())))))
+        searches.append((rho.size, len(set(zip(rho.tolist(), w.tolist())))))
         return guided(rho, w, *rest)
 
     monkeypatch.setattr(allocate, "_rates_flat", counted_rates)

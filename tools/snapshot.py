@@ -62,7 +62,9 @@ The library panel, drawn with `random.Random` from fixed seeds:
   `discretize`, as `float.hex`: `core._solve_rho_on_curve` at 40 Lc
   log-spaced in 2.5-1e6 and `core._solve_rho_fixed_pilots` at 35 pilot
   counts log-spaced in 1-1000, on Rayleigh, deterministic and a 64-atom
-  tabulated law.
+  tabulated law; then, on the same laws, the on-curve roots at Lc = 1e7,
+  1e8, ..., 1e13 and the fixed-pilot roots at n = 1e4, 1e5, ..., 1e13,
+  where rounding in the residual shows first.
 
 A point is what a call chose: the bandwidth and pilot ratio of the
 continuous optimum, the pilot count at a fixed bandwidth, the (m, n) step
@@ -186,6 +188,9 @@ FUNCTIONS = ("solve_continuous", "rate_fixed_bandwidth", "discretize", "exhausti
 # the coherence lengths and pilot counts whose roots are recorded, log-spaced
 ROOT_LCS = tuple(2.5 * 400_000.0 ** (k / 39) for k in range(40))
 ROOT_PILOTS = tuple(sorted({round(1000.0 ** (k / 39)) for k in range(40)}))
+# and far out, one per decade, recorded after the others
+FAR_LCS = tuple(10.0 ** k for k in range(7, 14))
+FAR_PILOTS = tuple(10 ** k for k in range(4, 14))
 
 
 def write_inputs(folder: str) -> None:
@@ -342,14 +347,15 @@ def panel():
 
     roots = {"rayleigh": models["rayleigh"], "deterministic": models["deterministic"],
              "tabulated64": FadingModel.tabulated(_atoms(64))}
-    for kind, fading in roots.items():
-        for lc in ROOT_LCS:
-            rho, alpha, flags, e_log1p = core._solve_rho_on_curve(lc, fading)
-            out["_solve_rho_on_curve"].append(
-                [[kind, lc, rho.hex(), alpha.hex(), list(flags)], [e_log1p]])
-        for n in ROOT_PILOTS:
-            rho, e_log1p = core._solve_rho_fixed_pilots(n, fading)
-            out["_solve_rho_fixed_pilots"].append([[kind, n, rho.hex()], [e_log1p]])
+    for lcs, pilots in ((ROOT_LCS, ROOT_PILOTS), (FAR_LCS, FAR_PILOTS)):
+        for kind, fading in roots.items():
+            for lc in lcs:
+                rho, alpha, flags, e_log1p = core._solve_rho_on_curve(lc, fading)
+                out["_solve_rho_on_curve"].append(
+                    [[kind, lc, rho.hex(), alpha.hex(), list(flags)], [e_log1p]])
+            for n in pilots:
+                rho, e_log1p = core._solve_rho_fixed_pilots(n, fading)
+                out["_solve_rho_fixed_pilots"].append([[kind, n, rho.hex()], [e_log1p]])
     return out
 
 
