@@ -18,16 +18,17 @@ pass over power offsets, bandwidth caps and lattice steps. It rules out each
 candidate where an upper bound on a user's rate (_rate_bound) falls short
 of that user's baseline, and scores the rest in one _rates_flat call: one
 vectorized search per coherence length and fading law, both users' points
-together, on each distinct (rho, W) once. A point's rate has the same bits
-in any call, so the pass picks what scoring every candidate alone would.
-The vector search is core._guided_pilots: from a cached argmax guide of
+together, on each distinct (rho, W) once. A point's count and rate have the
+same bits in any call, so the pass picks what scoring every candidate alone
+would. The search is core._guided_pilots: from a cached argmax guide of
 each coherence length and law, one five-count probe per point, and a point
 whose probe cannot certify its count hands off to core._best_pilots, the
-slope search. Each winner is then re-scored on the scalar path,
-fixed_bandwidth_rate, which is core.rate_fixed_bandwidth and so the slope
-search, once per allocate_group call for each (user, power, bandwidth).
-Both searches give ties to the lower count and agree up to Lc = 1e8; above
-it they can pick counts within core.PILOT_RTOL of each other.
+slope search. It is the only scoring path: the baselines and every
+reported entry take their counts and rates from it, so feasibility is an
+exact rate >= baseline. The public fixed_bandwidth_rate, the scalar slope
+search, gives rates within a few ulps of it and the same counts up to
+Lc = 1e7; above it the two can pick counts within core.PILOT_RTOL of each
+other.
 """
 
 from __future__ import annotations
@@ -112,49 +113,49 @@ def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.Operat
     return core.rate_fixed_bandwidth(user.pd_hz(p_w), w_hz, user.cb, user.fading)
 
 
-def _entry(user: UserLink, p_w: float, w_hz: float,
-           baseline_bps: Optional[float] = None) -> AllocationEntry:
-    """The user's entry at (p_w, w_hz); with no baseline_bps, its own rate is the baseline."""
-    point = fixed_bandwidth_rate(user, p_w, w_hz)
-    return AllocationEntry(p_w=p_w, w_hz=w_hz, rate_bps=point.rate_bps,
-                           pilot_count=point.pilot_count,
-                           baseline_bps=point.rate_bps if baseline_bps is None else baseline_bps)
-
-
 def _baseline_entries(users: Sequence[UserLink]) -> List[AllocationEntry]:
-    """Each user at its own (Pt, W0) with only the pilots optimized."""
+    """Each user at its own (Pt, W0) with only the pilots optimized, all in
+    one _rates_flat call, so in the candidate pass's arithmetic. Pr/N0 and
+    the per-symbol SNR are refused as core.rate_fixed_bandwidth refuses them."""
     if not users:
         raise ValueError("need at least one user")
-    return [_entry(u, u.pt_w, u.w0_hz) for u in users]
+    for u in users:
+        core._fixed_rho(core._pd_hz(u.pd_hz(u.pt_w)), u.w0_hz)
+    scored = _rates_flat(users, [(np.array([u.pt_w]), np.array([u.w0_hz])) for u in users])
+    return [AllocationEntry(p_w=u.pt_w, w_hz=u.w0_hz, rate_bps=float(r[0]),
+                            pilot_count=int(n[0]), baseline_bps=float(r[0]))
+            for u, (n, r) in zip(users, scored)]
 
 
 def baseline_rates(users: Sequence[UserLink]) -> List[float]:
-    """Each user's rate at its own (Pt, W0) with only the pilots optimized."""
+    """Each user's rate at its own (Pt, W0) with only the pilots optimized,
+    by the allocation layer's search (_baseline_entries)."""
     return [e.rate_bps for e in _baseline_entries(users)]
 
 
-def _rates_flat(users: Sequence[UserLink], points) -> List[np.ndarray]:
-    """Pilot-optimized rates of each user at its own points, a (powers,
-    bandwidths) pair of arrays per user, as one array per user. The users of
-    one coherence length and fading law share one _guided_pilots call, which
-    searches each distinct (rho, W) among their points once: a user's rate
-    depends on its point through rho = g p / W and W alone, and a rate's
-    bits do not depend on what else is in its call."""
+def _rates_flat(users: Sequence[UserLink], points) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Best pilot counts and their rates of each user at its own points, a
+    (powers, bandwidths) pair of arrays per user, as one (counts, rates) pair
+    of arrays per user. The users of one coherence length and fading law
+    share one _guided_pilots call, which searches each distinct (rho, W)
+    among their points once: a user's point depends on its power and
+    bandwidth through rho = g p / W and W alone, and a point's bits do not
+    depend on what else is in its call."""
     groups = {}
     for i, user in enumerate(users):
         groups.setdefault((user.cb.lc, user.fading), []).append(i)
-    rates = [None] * len(users)
+    scored = [None] * len(users)
     for (lc, fading), members in groups.items():
         rho = np.concatenate([users[i].gain_hz_per_watt * points[i][0] / points[i][1]
                               for i in members])
         w = np.concatenate([points[i][1] for i in members])
         # both floats enter the complex key unchanged, so equal keys are equal points
         _, first, back = np.unique(rho + 1j * w, return_index=True, return_inverse=True)
-        flat = core._guided_pilots(rho[first], w[first], lc, fading)[1][back]
+        counts, rates = (v[back] for v in core._guided_pilots(rho[first], w[first], lc, fading))
         for i in members:
             n = points[i][1].size
-            rates[i], flat = flat[:n], flat[n:]
-    return rates
+            scored[i], counts, rates = (counts[:n], rates[:n]), counts[n:], rates[n:]
+    return scored
 
 
 def _rate_bound(user: UserLink, p_w: np.ndarray, w_hz: np.ndarray) -> np.ndarray:
@@ -260,78 +261,70 @@ def _candidates(weak: UserLink, strong: UserLink, p_budget: float, w_budget: flo
 def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budget: float,
                        base_weak: float, base_strong: float, objective: str,
                        offsets_db: np.ndarray, m_center: Optional[int] = None):
-    """Top feasible candidates of _candidates, or None.
+    """The best feasible candidate of _candidates as (value, weak entry,
+    strong entry), or None.
 
     A candidate is kept where both users' _rate_bound, with a 1e-9 margin,
     reach their baselines; any other could not be feasible. The kept
     candidates' points go to one _rates_flat call, both users', and a
-    candidate ruled out reads -inf, so every candidate that is not feasible,
-    ruled out or scored, has the value -inf, and the values are those of
+    candidate is feasible where each user's rate reaches its baseline,
+    scored in the same arithmetic. Every candidate that is not feasible,
+    ruled out or scored, has the value -inf, so the values are those of
     scoring every candidate.
     """
     cands = _candidates(weak, strong, p_budget, w_budget, offsets_db, m_center)
     if cands is None:
         return None
     p_w, w_w, p_s, w_s = cands
-    floor_w, floor_s = base_weak * (1.0 - 1e-9), base_strong * (1.0 - 1e-9)
-    keep = ((_rate_bound(weak, p_w, w_w) * (1.0 + 1e-9) >= floor_w)
-            & (_rate_bound(strong, p_s, w_s) * (1.0 + 1e-9) >= floor_s))
+    keep = ((_rate_bound(weak, p_w, w_w) * (1.0 + 1e-9) >= base_weak)
+            & (_rate_bound(strong, p_s, w_s) * (1.0 + 1e-9) >= base_strong))
     if not keep.any():
         return None
-    r_w, r_s = np.full(p_w.size, -np.inf), np.full(p_w.size, -np.inf)
-    r_w[keep], r_s[keep] = _rates_flat((weak, strong), [(p_w[keep], w_w[keep]),
-                                                        (p_s[keep], w_s[keep])])
-    feasible = (r_w >= floor_w) & (r_s >= floor_s)
+    points = [(p_w[keep], w_w[keep]), (p_s[keep], w_s[keep])]
+    scored = _rates_flat((weak, strong), points)
+    (_, r_w), (_, r_s) = scored
+    feasible = (r_w >= base_weak) & (r_s >= base_strong)
     if not feasible.any():
         return None
-    vals = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
-                                         [r_w, r_s], objective), -np.inf)
-    # The argsort is unstable, so the order of equal values, and so which of
-    # them reach the top 4, depends on the layout of vals: it keeps every
-    # candidate, in _candidates' order. A stable sort would move some
-    # allocations to other points with the same objective.
-    order = np.argsort(vals)[::-1]
-    top = order[: min(4, int(feasible.sum()))]
-    return [
-        (float(vals[i]), float(p_w[i]), float(w_w[i]), float(p_s[i]), float(w_s[i]))
-        for i in top
-    ]
+    vals = np.full(p_w.size, -np.inf)
+    vals[keep] = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
+                                               [r_w, r_s], objective), -np.inf)
+    # The argsort is unstable, so which of equal values comes last depends
+    # on the layout of vals: it keeps every candidate, in _candidates' order.
+    # A stable sort would move some allocations to other points with the
+    # same objective.
+    i = np.argsort(vals)[-1]
+    j = np.count_nonzero(keep[:i])  # the winner among the scored points
+    return (float(vals[i]),
+            *(AllocationEntry(p_w=float(p[j]), w_hz=float(w[j]), rate_bps=float(r[j]),
+                              pilot_count=int(n[j]), baseline_bps=base)
+              for (p, w), (n, r), base in zip(points, scored, (base_weak, base_strong))))
 
 
 def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget: float,
-                          seed1: AllocationEntry, seed2: AllocationEntry, objective: str,
-                          rescore) -> Tuple[AllocationEntry, AllocationEntry, Tuple[str, ...]]:
+                          seed1: AllocationEntry, seed2: AllocationEntry, objective: str
+                          ) -> Tuple[AllocationEntry, AllocationEntry, Tuple[str, ...]]:
     """seed1, seed2: the users' baseline entries; the baseline split is always
-    feasible and seeds the search. rescore, called as _entry, re-scores each
-    winner of the candidate pass on the scalar path."""
+    feasible and seeds the search. Each pass's best candidate becomes the
+    incumbent where its value beats the incumbent's."""
     weak_first = u1.gain_hz_per_watt <= u2.gain_hz_per_watt  # _objective's weak and strong
     weak, strong = (u1, u2) if weak_first else (u2, u1)
     best_weak, best_strong = (seed1, seed2) if weak_first else (seed2, seed1)
     base_weak, base_strong = best_weak.baseline_bps, best_strong.baseline_bps
-    gains = [weak.gain_hz_per_watt, strong.gain_hz_per_watt]
+    best_val = _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
+                          [best_weak.rate_bps, best_strong.rate_bps], objective)
 
     def incumbent_db():
         return 10.0 * math.log10(best_weak.p_w / weak.pt_w)
-
-    best_val = _objective(gains, [best_weak.rate_bps, best_strong.rate_bps], objective)
 
     hi_db = 10.0 * math.log10(p_budget / weak.pt_w)
 
     def consider(offsets_db, m_center=None):
         nonlocal best_val, best_weak, best_strong
-        candidates = _best_over_offsets(weak, strong, p_budget, w_budget, base_weak, base_strong,
-                                        objective, offsets_db, m_center)
-        for val, p_w, w_w, p_s, w_s in candidates or []:
-            if val <= best_val * (1.0 - 1e-9):
-                continue
-            cand_weak = rescore(weak, p_w, w_w, base_weak)
-            cand_strong = rescore(strong, p_s, w_s, base_strong)
-            if cand_weak.rate_bps < base_weak or cand_strong.rate_bps < base_strong:
-                continue  # vectorized pass was optimistic at the tolerance edge
-            val_exact = _objective(gains, [cand_weak.rate_bps, cand_strong.rate_bps], objective)
-            if val_exact > best_val:
-                best_val = val_exact
-                best_weak, best_strong = cand_weak, cand_strong
+        best = _best_over_offsets(weak, strong, p_budget, w_budget, base_weak, base_strong,
+                                  objective, offsets_db, m_center)
+        if best is not None and best[0] > best_val:
+            best_val, best_weak, best_strong = best
 
     consider(_power_offsets(1.0, hi_db))
 
@@ -397,8 +390,7 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     1e-6 relative. Rounds stop when none is, after at most 20. Weak and
     strong are as the module says, in the group and in each pair. A
     heuristic, but it starts from the baseline, so the result can never be
-    worse than no reallocation. Each (user, p_w, w_hz) is scored on the
-    scalar path once per call.
+    worse than no reallocation.
     """
     _check_objective(objective)
     users = list(users)
@@ -416,17 +408,6 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     # a pair's solve depends only on the pair and its budgets: a repeat is
     # looked up, not solved again
     solved = {}
-    # a re-score depends only on the user and the point: each is made once,
-    # the baselines first, and both tables die with the call
-    slot = {id(u): i for i, u in enumerate(users)}
-    scored = {(i, e.p_w, e.w_hz): e for i, e in enumerate(seeds)}
-
-    def rescore(user, p_w, w_hz, baseline_bps):
-        key = (slot[id(user)], p_w, w_hz)
-        if key not in scored:
-            scored[key] = _entry(user, p_w, w_hz, baseline_bps)
-        return scored[key]
-
     for _round in range(20):
         improved = False
         for i, j in pairs:
@@ -436,7 +417,7 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
             if key not in solved:
                 solved[key] = _allocate_pair_budget(
                     users[i], users[j], p_budget, w_budget,
-                    seeds[i], seeds[j], objective, rescore,
+                    seeds[i], seeds[j], objective,
                 )
             ei, ej, pair_flags = solved[key]
             trial = list(entries)

@@ -122,7 +122,7 @@ def cmd_optimize(args) -> int:
             ok = all(core.rate(pd_sub, i * sub_cb.bc_hz, j / sub_cb.lc, sub_cb, res.fading)
                      <= lattice.rate_bps * (1 + 1e-12)  # no 3x3 neighbor wins by more
                      for i in range(max(1, m - 1), m + 2)
-                     for j in range(max(1, n - 1), min(n + 2, math.ceil(sub_cb.lc))))
+                     for j in range(max(1, n - 1), min(n + 2, core._max_pilots(sub_cb.lc) + 1)))
             report["verified_local_max"] = ok
             if not ok:
                 raise SolverError("lattice certificate failed: a neighbor beats the "

@@ -674,11 +674,17 @@ def rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, fading: FadingMode
     within PILOT_RTOL.
     """
     pd_hz = _pd_hz(pd)
+    n, rate_bps = _best_pilots(_fixed_rho(pd_hz, w_hz), w_hz, cb.lc, fading)
+    return _lattice_point(pd_hz, w_hz, n, cb.lc, rate_bps)
+
+
+def _fixed_rho(pd_hz: float, w_hz: float) -> float:
+    """The per-symbol SNR pd/W of a pinned bandwidth, refused where W is not
+    positive or where the SNR's square overflows (_MAX_RHO)."""
     if not w_hz > 0.0:
         raise ValueError(f"bandwidth must be positive, got {w_hz}")
     rho = pd_hz / w_hz
     if rho > _MAX_RHO:
         raise ValueError(f"Pr/N0 {pd_hz} Hz over bandwidth {w_hz} Hz is a per-symbol SNR "
                          f"above {_MAX_RHO:.4g}, whose square overflows")
-    n, rate_bps = _best_pilots(rho, w_hz, cb.lc, fading)
-    return _lattice_point(pd_hz, w_hz, n, cb.lc, rate_bps)
+    return rho

@@ -17,7 +17,7 @@ help. Exit code, stdout and stderr are those of a fresh `python -m maxbw.cli`
 process: a SystemExit gives its code, an escaping exception a traceback and
 exit 1, and warnings go to stderr under a fresh process's filters.
 
-The 188 commands: `optimize` in three formats with and without `--verify`, and
+The 192 commands: `optimize` in three formats with and without `--verify`, and
 `baselines` in three formats, on all 7 presets; `sweep` in csv and json on
 fig2, fig6a and fig6b; `presets list` and `presets verify`; `allocate` on
 2-, 3- and 4-user tables over Rayleigh, deterministic and tabulated
@@ -29,7 +29,13 @@ local climb misses, and on four link budgets: a rich-scattering array with
 element power over free space, a partially combining array (kt = 16,
 g1 = 8) by EIRP behind a blockage, a rich-scattering array by EIRP, which
 the CLI refuses with exit 1, and a custom path-loss table with total
-transmit power, total receive gain and g2 = 2; `maxbw --help` and
+transmit power, total receive gain and g2 = 2; `optimize` on three links
+whose lattice result carries a flag or takes a branch no other command
+prints: a continuous optimum below one coherence bandwidth
+(`bandwidth_floor`, with `--verify`), the same with every rate underflowed
+(`bandwidth_floor;rate_underflow`) and Lc = 2 (with `--verify`); an
+`allocate --objective max-strong` pair whose power split lands on the grid's
+edge (`power_grid_edge`); `maxbw --help` and
 `allocate --help`; and eighteen bad inputs that the CLI refuses with exit 1
 and an `error:` line: dB values past a float (Pr/N0, a swept Pr/N0, an
 EIRP, a user's gain and power), a CSV field past the reader's size limit
@@ -55,9 +61,8 @@ The library panel, drawn with `random.Random` from fixed seeds:
   0.1-3 MHz, each user's baseline bandwidth 5-200 Bc, Pt = 1 W and gains
   log-normal around 75 dB(Hz/W) with sigma 8 dB. A third
   of the pairs, one in each law and each objective per nine, take Lc in
-  1e5-1e7 instead: there the pilot guide misses by two counts or more on
-  part of the rho axis, and the guided search hands those rates off to the
-  slope search of `rate_fixed_bandwidth`.
+  1e5-1e7 instead. None of their points reaches the guided search's
+  hand-off; the next panel does.
 - The roots of the two cached solves under `solve_continuous` and
   `discretize`, as `float.hex`: `core._solve_rho_on_curve` at 40 Lc
   log-spaced in 2.5-1e6 and `core._solve_rho_fixed_pilots` at 35 pilot
@@ -65,13 +70,19 @@ The library panel, drawn with `random.Random` from fixed seeds:
   tabulated law; then, on the same laws, the on-curve roots at Lc = 1e7,
   1e8, ..., 1e13 and the fixed-pilot roots at n = 1e4, 1e5, ..., 1e13,
   where rounding in the residual shows first.
+- `core._guided_pilots`, the allocation layer's pilot search, on 200
+  log-spaced rho in 1e-8-1e8 at W = 1 MHz, at Lc = 1e6 and 1e7 on the three
+  laws of the first panel. There the pilot guide misses by two counts or
+  more on part of the rho axis, and the search hands those points off to
+  the slope search: 24 and 62 of the 200 on Rayleigh.
 
 A point is what a call chose: the bandwidth and pilot ratio of the
 continuous optimum, the pilot count at a fixed bandwidth, the (m, n) step
 and pilot count of a lattice result with its flags, or every user's power,
-bandwidth and pilot count with an allocation's flags. The rates are the
-rate of a single link, or an allocation's objective and baseline values
-and every user's rate and baseline.
+bandwidth and pilot count with an allocation's flags, or the law, Lc and
+every count of a guided search. The rates are the rate of a single link,
+an allocation's objective and baseline values and every user's rate and
+baseline, or a guided search's rates.
 """
 
 from __future__ import annotations
@@ -152,6 +163,15 @@ BAD_USERS = {
     "users_pt_overflow.csv": "68,30,100e6\n80,4000,100e6\n",
     "users_huge_field.csv": "68,30,100e6\n80,30," + _HUGE + "\n",
 }
+# outputs that carry a flag, or take a branch, that no command above prints
+EDGES = {
+    "floor.scn": "pr_n0_dbhz = 60\nlc = 1000\nbc_mhz = 100\n",
+    "underflow.scn": "pr_n0_dbhz = -2900\nlc = 1e6\nbc_mhz = 10\n",
+    "lc2.scn": "pr_n0_dbhz = 80\nlc = 2\nbc_mhz = 1\n",
+    "edge_channel.scn": "lc = 3930.5502709142665\nbc_mhz = 1.8615416238398044\n"
+                        "fading = rayleigh\n",
+    "users_edge.csv": "110.2636,12.7353,14338190\n83.2630,28.3248,455812340\n",
+}
 _ATOMS = "pr_n0_dbhz = 80\ntc_ms = 1\nbc_mhz = 10\nfading = tabulated\nfading_csv = "
 _LOSSES = ("fc_ghz = 28\ndistance_m = 100\neirp_dbm = 52\ntc_ms = 1\nbc_mhz = 10\n"
            "pathloss = custom\npathloss_csv = ")
@@ -184,7 +204,8 @@ LINKS, PAIRS, GROUPS = 600, 120, 30
 WIDE = 3
 LAWS = ("rayleigh", "deterministic", "tabulated")
 FUNCTIONS = ("solve_continuous", "rate_fixed_bandwidth", "discretize", "exhaustive_search",
-             "allocate_pair", "allocate_group", "_solve_rho_on_curve", "_solve_rho_fixed_pilots")
+             "allocate_pair", "allocate_group", "_solve_rho_on_curve", "_solve_rho_fixed_pilots",
+             "_guided_pilots")
 # the coherence lengths and pilot counts whose roots are recorded, log-spaced
 ROOT_LCS = tuple(2.5 * 400_000.0 ** (k / 39) for k in range(40))
 ROOT_PILOTS = tuple(sorted({round(1000.0 ** (k / 39)) for k in range(40)}))
@@ -198,7 +219,8 @@ def write_inputs(folder: str) -> None:
     rng = random.Random(20171)
     values = sorted(rng.gammavariate(1.5, 1.0) for _ in range(64))
     mean = sum(values) / len(values)
-    files = dict(USERS, **SCENARIOS, **BUDGETS, **BAD_USERS, **BAD_SCENARIOS, **BAD_TABLES)
+    files = dict(USERS, **SCENARIOS, **BUDGETS, **BAD_USERS, **BAD_SCENARIOS, **BAD_TABLES,
+                 **EDGES)
     files["huge_table.csv"] = "1.0," + _HUGE + "\n"
     files["pathloss.csv"] = "distance_m,loss_db\n10,80\n100,112\n1000,146\n"
     files["atoms.csv"] = "value,weight\n" + "".join(f"{v / mean!r},{1 / 64!r}\n" for v in values)
@@ -236,6 +258,11 @@ def commands():
     for scn in ("trap_lc779.scn", "trap_lc217862.scn", "trap_lc254.scn", "trap_lc8.scn",
                 *BUDGETS):
         cmds.append(["optimize", "--scenario", scn, "--verify", "--format", "json"])
+    cmds += [["optimize", "--scenario", "floor.scn", "--verify"],
+             ["optimize", "--scenario", "underflow.scn"],
+             ["optimize", "--scenario", "lc2.scn", "--verify"],
+             ["allocate", "--scenario", "edge_channel.scn", "--users", "users_edge.csv",
+              "--objective", "max-strong"]]
     for scn in BAD_SCENARIOS:
         cmds.append(["sweep" if scn.endswith("sweep.scn") else "optimize", "--scenario", scn])
     for users in BAD_USERS:
@@ -289,6 +316,8 @@ def _atoms(count=32):
 def panel():
     """The results of every call of the library panel, by function, as lists
     of [point, rates]."""
+    import numpy as np
+
     from maxbw import allocate, core
     from maxbw.fading import FadingModel
 
@@ -356,6 +385,12 @@ def panel():
             for n in pilots:
                 rho, e_log1p = core._solve_rho_fixed_pilots(n, fading)
                 out["_solve_rho_fixed_pilots"].append([[kind, n, rho.hex()], [e_log1p]])
+
+    rho = np.logspace(-8.0, 8.0, 200)
+    for kind in LAWS:
+        for lc in (1e6, 1e7):
+            counts, rates = core._guided_pilots(rho, np.full(rho.size, 1e6), lc, models[kind])
+            out["_guided_pilots"].append([[kind, lc, counts.tolist()], rates.tolist()])
     return out
 
 
