@@ -37,7 +37,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from . import core
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from ._lazy import LazyNumpy
 from .core import MAX_STRONG, MAX_WEAK, OBJECTIVES, SUM_RATE, CoherenceBlock
 from .errors import ConfigError, read_numeric_rows
@@ -73,11 +73,7 @@ class UserLink(Frozen):
         if not w0_hz / cb.bc_hz <= _MAX_STEPS:
             raise ValueError(f"baseline bandwidth must be at most 2**53 coherence bandwidths "
                              f"of {cb.bc_hz} Hz, got {w0_hz}")
-        set_field(self, "gain_hz_per_watt", gain_hz_per_watt)
-        set_field(self, "pt_w", pt_w)
-        set_field(self, "w0_hz", w0_hz)
-        set_field(self, "cb", cb)
-        set_field(self, "fading", fading)
+        Frozen.__init__(self, gain_hz_per_watt, pt_w, w0_hz, cb, fading)
 
     def pd_hz(self, p_w: float) -> float:
         return self.gain_hz_per_watt * p_w
@@ -88,11 +84,7 @@ class AllocationEntry(Frozen):
 
     def __init__(self, p_w: float, w_hz: float, rate_bps: float, pilot_count: Optional[int],
                  baseline_bps: float):
-        set_field(self, "p_w", p_w)
-        set_field(self, "w_hz", w_hz)
-        set_field(self, "rate_bps", rate_bps)
-        set_field(self, "pilot_count", pilot_count)
-        set_field(self, "baseline_bps", baseline_bps)
+        Frozen.__init__(self, p_w, w_hz, rate_bps, pilot_count, baseline_bps)
 
 
 class Allocation(Frozen):
@@ -100,11 +92,7 @@ class Allocation(Frozen):
 
     def __init__(self, entries: Tuple[AllocationEntry, ...], objective: str,
                  objective_value: float, baseline_value: float, flags: Tuple[str, ...] = ()):
-        set_field(self, "entries", entries)
-        set_field(self, "objective", objective)
-        set_field(self, "objective_value", objective_value)
-        set_field(self, "baseline_value", baseline_value)
-        set_field(self, "flags", flags)
+        Frozen.__init__(self, entries, objective, objective_value, baseline_value, flags)
 
 
 def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.OperatingPoint:

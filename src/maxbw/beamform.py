@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from . import core
-from ._frozen import Frozen, replace, set_field
+from ._frozen import Frozen, replace
 from .core import LOG2E, CoherenceBlock, OperatingPoint, ClosedForm
 from .errors import ConfigError
 from .fading import FadingModel
@@ -58,12 +58,7 @@ class ArrayConfig(Frozen):
             raise ValueError(f"g2 = {g2} exceeds nr = {nr}")
         if gain_model not in (EXPLICIT, IDEAL_DIRECTIONAL, RICH_SCATTERING):
             raise ValueError(f"unknown gain model {gain_model!r}")
-        set_field(self, "nt", nt)
-        set_field(self, "nr", nr)
-        set_field(self, "kt", kt)
-        set_field(self, "g1", g1)
-        set_field(self, "g2", g2)
-        set_field(self, "gain_model", gain_model)
+        Frozen.__init__(self, nt, nr, kt, g1, g2, gain_model)
 
     @classmethod
     def siso(cls) -> "ArrayConfig":
@@ -101,14 +96,16 @@ class ArrayConfig(Frozen):
 
 
 class SubstitutedProblem(Frozen):
-    """Scalar-problem view of an array link."""
+    """Scalar-problem view of an array link.
+
+    gain: G1*G2, multiplies the power density.
+    sweep_penalty: Kt*G2, divides the coherence length.
+    """
 
     __slots__ = ("lc_tilde", "gain", "sweep_penalty")
 
     def __init__(self, lc_tilde: float, gain: float, sweep_penalty: float):
-        set_field(self, "lc_tilde", lc_tilde)
-        set_field(self, "gain", gain)  # G1*G2, multiplies the power density
-        set_field(self, "sweep_penalty", sweep_penalty)  # Kt*G2, divides the coherence length
+        Frozen.__init__(self, lc_tilde, gain, sweep_penalty)
 
     @property
     def gain_pair(self) -> Tuple[float, float]:

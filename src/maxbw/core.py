@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from ._lazy import LazyNumpy, is_array
 from .errors import SolverError
 from .fading import FadingModel, _log1p_slope
@@ -43,7 +43,7 @@ R_ALPHA_TOL = 1e-12
 # search could not step from one count to the next.
 _MAX_LC = 2.0 ** 53
 
-# Above Lc = 1e8, neighbouring pilot counts near the maximum can differ by
+# Above Lc = 1e7, neighbouring pilot counts near the maximum can differ by
 # less than the rate's rounding, so a pilot search can end on a count this far
 # short of it, relative: at most 3.6e-15 measured for the slope search and
 # 1.2e-11 for the allocation layer's guided search (README).
@@ -86,7 +86,7 @@ class PowerDensity(Frozen):
         if not 0.0 < pr_over_n0_hz <= _MAX_PD_HZ:
             raise ValueError(f"Pr/N0 must be positive and at most 1e150 Hz, "
                              f"got {pr_over_n0_hz}")
-        set_field(self, "pr_over_n0_hz", pr_over_n0_hz)
+        Frozen.__init__(self, pr_over_n0_hz)
 
 
 def _pd_hz(pd) -> float:
@@ -124,9 +124,7 @@ class CoherenceBlock(Frozen):
                 raise ValueError(
                     f"inconsistent coherence block: tc*bc = {product} but lc = {lc}"
                 )
-        set_field(self, "lc", lc)
-        set_field(self, "bc_hz", bc_hz)
-        set_field(self, "tc_s", tc_s)
+        Frozen.__init__(self, lc, bc_hz, tc_s)
 
     @classmethod
     def from_tc_bc(cls, tc_s: float, bc_hz: float) -> "CoherenceBlock":
@@ -139,8 +137,7 @@ class EstimationQuality(Frozen):
     __slots__ = ("est_power", "err_power")
 
     def __init__(self, est_power: float, err_power: float):
-        set_field(self, "est_power", est_power)
-        set_field(self, "err_power", err_power)
+        Frozen.__init__(self, est_power, err_power)
 
 
 def estimation_quality(rho: float, alpha: float, lc: float) -> EstimationQuality:
@@ -158,13 +155,7 @@ class OperatingPoint(Frozen):
 
     def __init__(self, w_hz: float, alpha: float, rho: float, rho_eff: float, rate_bps: float,
                  pilot_count: Optional[int] = None, flags: Tuple[str, ...] = ()):
-        set_field(self, "w_hz", w_hz)
-        set_field(self, "alpha", alpha)
-        set_field(self, "rho", rho)
-        set_field(self, "rho_eff", rho_eff)
-        set_field(self, "rate_bps", rate_bps)
-        set_field(self, "pilot_count", pilot_count)
-        set_field(self, "flags", flags)
+        Frozen.__init__(self, w_hz, alpha, rho, rho_eff, rate_bps, pilot_count, flags)
 
 
 class ClosedForm(NamedTuple):
@@ -442,7 +433,7 @@ def _best_pilots(rho, w, lc: float, fading: FadingModel):
     ceiling of it. _slope_bracket narrows the root to counts lo and lo + 1,
     and the better of their two rates picks the argmax; equal rates keep lo.
     rho and w are broadcastable arrays, scored in one rate call, or floats,
-    scored in two, which stay Python floats. Exact up to Lc = 1e8, then
+    scored in two, which stay Python floats. Exact up to Lc = 1e7, then
     within PILOT_RTOL. Where the slope and every rate round to 0.0
     (per-symbol SNR below about 1e-160) each count ties, and the search ends
     on count 1.
@@ -574,8 +565,8 @@ def _guided_pilots(rho, w, lc: float, fading: FadingModel):
     1 or n_hi: the rate is log-concave in alpha at fixed W, so such a local
     maximum is the global one. Where the guide missed by two counts or
     more, the count is not certified, and _best_pilots, the slope search,
-    takes that rho instead. Equal to _best_pilots up to Lc = 1e8; above,
-    rounding can certify another count within PILOT_RTOL."""
+    takes that rho instead. Equal to the array _best_pilots up to Lc = 1e8;
+    above, rounding can certify another count within PILOT_RTOL."""
     log_rho, guide = _pilot_guide(lc, fading)
     n_hi = _max_pilots(lc)
     start = np.interp(np.log10(rho), log_rho, guide).round()
@@ -670,7 +661,7 @@ def rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, fading: FadingMode
 
     The count comes from the root of the rate's slope in the pilot count
     (_best_pilots): 14 or fewer slope evaluations, then the rates of the two
-    counts around the root. Exact on the pilot lattice up to Lc = 1e8, then
+    counts around the root. Exact on the pilot lattice up to Lc = 1e7, then
     within PILOT_RTOL.
     """
     pd_hz = _pd_hz(pd)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from ._lazy import LazyNumpy, is_array
 from .errors import read_numeric_rows
 
@@ -223,14 +223,9 @@ class FadingModel(Frozen):
             # renormalize exactly to unit mean; downstream formulas assume it
             values = values / mean
             moments = (float(weights @ values), float(weights @ (values * values)))
-        set_field(self, "kind", kind)
-        set_field(self, "atoms", atoms)
-        set_field(self, "_values", values)
-        set_field(self, "_weights", weights)
-        set_field(self, "_moments", moments)
-        # hashed once, as every solver cache keys on the model; floats hash alike
-        # in every process, strs do not, so a pickled model keeps a valid hash
-        set_field(self, "_hash", hash(atoms))
+        # the hash is taken once, as every solver cache keys on the model; floats
+        # hash alike in every process, strs do not, so a pickled model keeps a valid hash
+        Frozen.__init__(self, kind, atoms, values, weights, moments, hash(atoms))
 
     def __hash__(self):
         return self._hash

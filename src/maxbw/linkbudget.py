@@ -10,7 +10,7 @@ import math
 import warnings
 from typing import Optional, Tuple
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from ._lazy import LazyNumpy
 from .beamform import RICH_SCATTERING, ArrayConfig, check_count
 from .core import PowerDensity
@@ -66,8 +66,7 @@ class PathLossModel(Frozen):
             if len({d for d, _ in pts}) != len(pts):
                 raise ValueError("custom table distances must be distinct")
             table = tuple(pts)
-        set_field(self, "kind", kind)
-        set_field(self, "table", table)
+        Frozen.__init__(self, kind, table)
 
     @classmethod
     def free_space(cls) -> "PathLossModel":
@@ -145,14 +144,8 @@ class LinkBudget(Frozen):
                 raise ValueError(f"{name} must be finite, got {value}")
         if (pt_element_dbm is None) == (eirp_dbm is None):
             raise ConfigError("a link budget needs exactly one of pt_element_dbm and eirp_dbm")
-        set_field(self, "fc_hz", fc_hz)
-        set_field(self, "d_m", d_m)
-        set_field(self, "pt_element_dbm", pt_element_dbm)
-        set_field(self, "eirp_dbm", eirp_dbm)
-        set_field(self, "gt_element_dbi", gt_element_dbi)
-        set_field(self, "gr_element_dbi", gr_element_dbi)
-        set_field(self, "noise_figure_db", noise_figure_db)
-        set_field(self, "path_loss", path_loss)
+        Frozen.__init__(self, fc_hz, d_m, pt_element_dbm, eirp_dbm, gt_element_dbi, gr_element_dbi,
+                        noise_figure_db, path_loss)
 
 
 def eirp_dbm_of(lb: LinkBudget, cfg: ArrayConfig) -> float:

@@ -13,7 +13,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from . import linkbudget
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen
 from .beamform import (
     EXPLICIT,
     IDEAL_DIRECTIONAL,
@@ -93,13 +93,7 @@ class Resolved(Frozen):
     def __init__(self, pd: PowerDensity, cb: CoherenceBlock, cfg: ArrayConfig,
                  fading: FadingModel, gain: float, sweep_penalty: float,
                  budget: Optional[linkbudget.LinkBudget]):
-        set_field(self, "pd", pd)
-        set_field(self, "cb", cb)
-        set_field(self, "cfg", cfg)
-        set_field(self, "fading", fading)
-        set_field(self, "gain", gain)
-        set_field(self, "sweep_penalty", sweep_penalty)
-        set_field(self, "budget", budget)
+        Frozen.__init__(self, pd, cb, cfg, fading, gain, sweep_penalty, budget)
 
     @property
     def gain_pair(self) -> Tuple[float, float]:

@@ -3,11 +3,13 @@ immutability, pickling and replace, one table row per type."""
 
 import copy
 import inspect
+import pathlib
 import pickle
 
 import pytest
 
-from maxbw._frozen import replace
+import maxbw
+from maxbw._frozen import Frozen, replace
 from maxbw.allocate import Allocation, AllocationEntry, UserLink
 from maxbw.beamform import ArrayConfig, SubstitutedProblem
 from maxbw.core import CoherenceBlock, EstimationQuality, OperatingPoint, PowerDensity
@@ -82,6 +84,35 @@ def test_construction_equality_and_repr(cls, args, text):
     # a tuple of the same fields is another class, never equal
     fields = tuple(getattr(value, name) for name in inspect.signature(cls).parameters)
     assert value != fields and fields != value
+
+
+@pytest.mark.parametrize("cls,args,text", ROWS, ids=IDS)
+def test_every_slot_is_set_private_ones_included(cls, args, text):
+    value = cls(*args)
+    for twin in (value, pickle.loads(pickle.dumps(value))):
+        for name in cls._slots:
+            getattr(twin, name)  # an unset slot raises AttributeError
+
+
+class _Pair(Frozen):  # takes Frozen.__init__ as it is, one value per slot
+    __slots__ = ("a", "_b")
+
+
+def test_frozen_init_stores_one_value_per_slot_or_refuses():
+    pair = _Pair(1, 2)
+    assert (pair.a, pair._b) == (1, 2) and repr(pair) == "_Pair(a=1)"
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError, match=f"_Pair stores 2 slots, got {len(values)} values"):
+            _Pair(*values)
+
+
+def test_only_the_frozen_module_stores_fields():
+    # every value type stores its fields through Frozen.__init__
+    folder = pathlib.Path(maxbw.__file__).parent
+    for path in sorted(folder.glob("*.py")):
+        if path.name != "_frozen.py":
+            source = path.read_text()
+            assert "set_field" not in source and "object.__setattr__" not in source, path.name
 
 
 @pytest.mark.parametrize("cls,args,text", ROWS, ids=IDS)

@@ -75,14 +75,19 @@ The library panel, drawn with `random.Random` from fixed seeds:
   laws of the first panel. There the pilot guide misses by two counts or
   more on part of the rho axis, and the search hands those points off to
   the slope search: 24 and 62 of the 200 on Rayleigh.
+- `core._best_pilots`, the array slope search, on 213 log-spaced rho in
+  1e-200-1e12 at W = 1 MHz, at Lc = 2.5, 2500, 1e6, 1e8, 1e11 and 2^53 on
+  the three laws. The low end is the run of underflowed slopes down to
+  count 1, and the large Lc are past the searches' exact range, where no
+  other record reaches the array search.
 
 A point is what a call chose: the bandwidth and pilot ratio of the
 continuous optimum, the pilot count at a fixed bandwidth, the (m, n) step
 and pilot count of a lattice result with its flags, or every user's power,
 bandwidth and pilot count with an allocation's flags, or the law, Lc and
-every count of a guided search. The rates are the rate of a single link,
-an allocation's objective and baseline values and every user's rate and
-baseline, or a guided search's rates.
+every count of a guided or slope search. The rates are the rate of a single
+link, an allocation's objective and baseline values and every user's rate
+and baseline, or a pilot search's rates.
 """
 
 from __future__ import annotations
@@ -205,13 +210,15 @@ WIDE = 3
 LAWS = ("rayleigh", "deterministic", "tabulated")
 FUNCTIONS = ("solve_continuous", "rate_fixed_bandwidth", "discretize", "exhaustive_search",
              "allocate_pair", "allocate_group", "_solve_rho_on_curve", "_solve_rho_fixed_pilots",
-             "_guided_pilots")
+             "_guided_pilots", "_best_pilots")
 # the coherence lengths and pilot counts whose roots are recorded, log-spaced
 ROOT_LCS = tuple(2.5 * 400_000.0 ** (k / 39) for k in range(40))
 ROOT_PILOTS = tuple(sorted({round(1000.0 ** (k / 39)) for k in range(40)}))
 # and far out, one per decade, recorded after the others
 FAR_LCS = tuple(10.0 ** k for k in range(7, 14))
 FAR_PILOTS = tuple(10 ** k for k in range(4, 14))
+# the coherence lengths of the array slope search's records, up to the largest accepted
+BEST_LCS = (2.5, 2500.0, 1e6, 1e8, 1e11, 2.0 ** 53)
 
 
 def write_inputs(folder: str) -> None:
@@ -391,6 +398,12 @@ def panel():
         for lc in (1e6, 1e7):
             counts, rates = core._guided_pilots(rho, np.full(rho.size, 1e6), lc, models[kind])
             out["_guided_pilots"].append([[kind, lc, counts.tolist()], rates.tolist()])
+
+    rho = np.logspace(-200.0, 12.0, 213)
+    for kind in LAWS:
+        for lc in BEST_LCS:
+            counts, rates = core._best_pilots(rho, 1e6, lc, models[kind])
+            out["_best_pilots"].append([[kind, lc, counts.tolist()], rates.tolist()])
     return out
 
 
