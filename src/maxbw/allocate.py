@@ -126,9 +126,9 @@ def _rates_flat(users: Sequence[UserLink], points) -> List[Tuple[np.ndarray, np.
     (powers, bandwidths) pair of arrays per user, as one (counts, rates) pair
     of arrays per user. The users of one coherence length and fading law
     share one _guided_pilots call, which searches each distinct (rho, W)
-    among their points once: a user's point depends on its power and
-    bandwidth through rho = g p / W and W alone, and a point's bits do not
-    depend on what else is in its call."""
+    among their points once, in _distinct's sorted order: a user's point
+    depends on its power and bandwidth through rho = g p / W and W alone,
+    and a point's bits do not depend on what else is in its call."""
     groups = {}
     for i, user in enumerate(users):
         groups.setdefault((user.cb.lc, user.fading), []).append(i)
@@ -137,13 +137,28 @@ def _rates_flat(users: Sequence[UserLink], points) -> List[Tuple[np.ndarray, np.
         rho = np.concatenate([users[i].gain_hz_per_watt * points[i][0] / points[i][1]
                               for i in members])
         w = np.concatenate([points[i][1] for i in members])
-        # both floats enter the complex key unchanged, so equal keys are equal points
-        _, first, back = np.unique(rho + 1j * w, return_index=True, return_inverse=True)
+        first, back = _distinct(rho, w)
         counts, rates = (v[back] for v in core._guided_pilots(rho[first], w[first], lc, fading))
         for i in members:
             n = points[i][1].size
             scored[i], counts, rates = (counts[:n], rates[:n]), counts[n:], rates[n:]
     return scored
+
+
+def _distinct(rho, w):
+    """np.unique(rho + 1j * w, return_index=True, return_inverse=True)[1:]:
+    the indices of the distinct points (rho, W), in the complex key's sorted
+    order, and each point's position among them. Both floats enter the key
+    unchanged, so equal keys are equal points; a stable sort keeps each run
+    of equal keys at its first."""
+    key = np.empty(rho.size, complex)
+    key.real, key.imag = rho, w
+    order = key.argsort(kind="stable")
+    new = _run_starts(key[order])
+    back = np.empty(key.size, int)
+    back[order] = new.cumsum()
+    back -= 1
+    return order[new], back
 
 
 def _rate_bound(user: UserLink, p_w: np.ndarray, w_hz: np.ndarray) -> np.ndarray:
@@ -165,20 +180,41 @@ def _cap_steps(user: UserLink, p_w):
     this or one less, clipped to the budget, which is near its lattice argmax
     but not always on it: at 90 dB-Hz, Lc = 1000 and Bc = 0.1 MHz the cap is
     84,563 steps and the argmax 84,819, with a rate 7e-7 higher.
-    Clipped to 2**53 before the int cast: a larger cap exceeds every budget.
-    Pr/N0 is checked as core.PowerDensity does."""
+    A float, clipped to 2**53, up to which every step count is exact: a
+    larger cap exceeds every budget. Pr/N0 is checked as core.PowerDensity
+    does."""
     pd = user.gain_hz_per_watt * np.asarray(p_w, dtype=float)
     # a NaN or nonpositive minimum fails, else the maximum decides; no empty minimum
     if pd.size:
         core._pd_hz(float(pd.max() if pd.min() > 0.0 else pd.min()))
     rho = core._solve_rho_on_curve(user.cb.lc, user.fading)[0]
-    return np.clip(np.ceil(pd / rho / user.cb.bc_hz - 1e-9), 1, _MAX_STEPS).astype(int)
+    return np.minimum(np.maximum(np.ceil(pd / rho / user.cb.bc_hz - 1e-9), 1.0), _MAX_STEPS)
 
 
 def _power_offsets(step: float, hi_db: float) -> np.ndarray:
-    grid = np.arange(_OFFSET_LO_DB, hi_db + 1e-12, step)
-    # the baseline power and the full-budget corner must be reachable exactly
-    return np.unique(np.concatenate([grid, [0.0, hi_db]]))
+    """Power offsets in dB from _OFFSET_LO_DB up to hi_db, step apart, with
+    0.0 and hi_db added: the baseline power and the full-budget corner must
+    be reachable exactly. Ascending, each value once: np.unique's grid,
+    without its call overhead or its import of numpy.ma."""
+    grid = np.concatenate([np.arange(_OFFSET_LO_DB, hi_db + 1e-12, step), [0.0, hi_db]])
+    grid.sort()
+    return grid[_run_starts(grid)]
+
+
+def _fine_offsets(center_db: float, hi_db: float) -> np.ndarray:
+    """The refine pass's offsets: 0.1 dB apart within 1 dB of center_db,
+    clipped to [_OFFSET_LO_DB, hi_db], ascending, each value once."""
+    fine = np.maximum(center_db + np.arange(-1.0, 1.0 + 1e-12, 0.1), _OFFSET_LO_DB)
+    np.minimum(fine, hi_db, out=fine)
+    return fine[_run_starts(fine)]
+
+
+def _run_starts(ascending):
+    """Marks each element of a sorted array that differs from the one before."""
+    new = np.empty(ascending.size, bool)
+    new[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
+    return new
 
 
 def _segment(lo: np.ndarray, hi: np.ndarray, max_points: int):
@@ -186,16 +222,21 @@ def _segment(lo: np.ndarray, hi: np.ndarray, max_points: int):
     every step when there are at most max_points, else
     np.linspace(lo, hi, max_points).round(), and lo alone when hi <= lo.
 
-    Returns (steps, mask) of shape (rows, max_points); mask marks the steps
-    that exist, ascending along each row.
+    Returns (steps, mask) of shape (rows, max_points), the steps as floats;
+    mask marks the steps that exist, ascending along each row.
     """
     j = np.arange(max_points)
-    lo, span = lo[:, None], (hi - lo)[:, None]
-    # linspace's operations, j * step + lo. Its last point misses hi by a few
-    # ulps where linspace sets hi itself, which round() removes. The steps lie
-    # more than one apart, so rounding leaves no duplicate to drop.
-    spread = (j * (span / (max_points - 1)) + lo).round().astype(int)
-    return np.where(span < max_points, lo + j, spread), j <= np.maximum(span, 0)
+    span = hi - lo
+    steps = lo[:, None] + j
+    mask = j <= np.maximum(span, 0.0)[:, None]
+    spread = span >= max_points
+    if np.count_nonzero(spread):
+        # linspace's operations, j * step + lo. Its last point misses hi by a
+        # few ulps where linspace sets hi itself, which rint removes. The
+        # steps lie more than one apart, so rounding leaves no duplicate.
+        wide = j * (span[spread, None] / (max_points - 1)) + lo[spread, None]
+        steps[spread] = np.rint(wide, out=wide)
+    return steps, mask
 
 
 def _candidates(weak: UserLink, strong: UserLink, p_budget: float, w_budget: float,
@@ -205,22 +246,25 @@ def _candidates(weak: UserLink, strong: UserLink, p_budget: float, w_budget: flo
     Candidates are (p_weak, w_weak, p_strong, w_strong) with both bandwidths
     on their lattices, w_strong taking what the budget leaves up to its own
     beneficial maximum. They are built in one array pass over (offset,
-    strong cap, weak step), in that order.
+    strong cap, weak step), in that order. Step counts stay exact floats.
 
     Returns the four candidate vectors. A user's point can recur among the
     candidates; _rates_flat searches each distinct one once.
     """
     bc_w, bc_s = weak.cb.bc_hz, strong.cb.bc_hz
     # one scalar power per offset: numpy's array power can differ in the last bit
-    p_w = np.array([weak.pt_w * db_to_linear(off) for off in offsets_db])
-    p_w = p_w[p_budget - p_w > 0.0]
+    powers = (weak.pt_w * db_to_linear(off) for off in offsets_db)
+    p_w = np.array([p for p in powers if p_budget - p > 0.0])
+    p_s = p_budget - p_w
     cap_w = _cap_steps(weak, p_w)
-    cap_s = _cap_steps(strong, p_budget - p_w)
+    cap_s = _cap_steps(strong, p_s)
     # each W0 is at most 2**53 of its own user's Bc, but the pair budget in
-    # the other user's steps need not be: clip it like the caps
-    m_hi = np.minimum(cap_w, int(min((w_budget - bc_s) // bc_w, _MAX_STEPS)))
-    keep = m_hi >= 1
-    p_w, cap_w, cap_s, m_hi = p_w[keep], cap_w[keep], cap_s[keep], m_hi[keep]
+    # the other user's steps need not be: clip it like the caps. Every cap
+    # is at least 1, so a budget of at least one step keeps every offset.
+    m_budget = int(min((w_budget - bc_s) // bc_w, _MAX_STEPS))
+    if m_budget < 1 or not p_w.size:
+        return None
+    m_hi = np.minimum(cap_w, m_budget)
 
     if m_center is None:
         lo, hi, k = 1, m_hi, 24
@@ -230,20 +274,19 @@ def _candidates(weak: UserLink, strong: UserLink, p_budget: float, w_budget: flo
     # where both caps fit the budget, only cap_w - 1 and cap_w are tried; m_hi
     # is then cap_w, or cap_w - 1 where the budget test rounds the other way
     fits = cap_w * bc_w + cap_s * bc_s <= w_budget
-    ms, mask = _segment(np.where(fits, np.maximum(1, cap_w - 1), lo), np.where(fits, m_hi, hi), k)
+    ms, mask = _segment(np.where(fits, np.maximum(cap_w - 1.0, 1.0), lo), np.where(fits, m_hi, hi), k)
 
     w_w = ms * bc_w
-    avail = np.minimum((w_budget - w_w) // bc_s, _MAX_STEPS).astype(int)
-    # the strong user takes cap_s - 1 or cap_s, lower first (see _cap_steps)
-    caps = cap_s[:, None, None] - np.array([[1], [0]])
-    n_s = np.minimum(caps, avail[:, None, :])
-    valid = (caps >= 1) & (n_s >= 1) & mask[:, None, :]
-    row, _, col = np.nonzero(valid)
+    # unclipped: n_s takes the lesser of this and a cap, which is at most 2**53
+    avail = (w_budget - w_w) // bc_s
+    # the strong user takes cap_s - 1 or cap_s, lower first (see _cap_steps);
+    # a step it can take leaves it both a cap and a bandwidth of at least one
+    n_s = np.minimum(cap_s[:, None, None] - np.array([[1.0], [0.0]]), avail[:, None, :])
+    valid = (n_s >= 1.0) & mask[:, None, :]
+    row, _, col = valid.nonzero()
     if not row.size:
         return None
-
-    p_w_all = p_w[row]
-    return p_w_all, w_w[row, col], p_budget - p_w_all, n_s[valid] * bc_s
+    return p_w[row], w_w[row, col], p_s[row], n_s[valid] * bc_s
 
 
 def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budget: float,
@@ -264,25 +307,25 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     if cands is None:
         return None
     p_w, w_w, p_s, w_s = cands
-    keep = ((_rate_bound(weak, p_w, w_w) * (1.0 + 1e-9) >= base_weak)
-            & (_rate_bound(strong, p_s, w_s) * (1.0 + 1e-9) >= base_strong))
-    if not keep.any():
+    kept = ((_rate_bound(weak, p_w, w_w) * (1.0 + 1e-9) >= base_weak)
+            & (_rate_bound(strong, p_s, w_s) * (1.0 + 1e-9) >= base_strong)).nonzero()[0]
+    if not kept.size:
         return None
-    points = [(p_w[keep], w_w[keep]), (p_s[keep], w_s[keep])]
+    points = [(p_w[kept], w_w[kept]), (p_s[kept], w_s[kept])]
     scored = _rates_flat((weak, strong), points)
     (_, r_w), (_, r_s) = scored
     feasible = (r_w >= base_weak) & (r_s >= base_strong)
-    if not feasible.any():
+    if not np.count_nonzero(feasible):
         return None
     vals = np.full(p_w.size, -np.inf)
-    vals[keep] = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
+    vals[kept] = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
                                                [r_w, r_s], objective), -np.inf)
     # The argsort is unstable, so which of equal values comes last depends
     # on the layout of vals: it keeps every candidate, in _candidates' order.
     # A stable sort would move some allocations to other points with the
     # same objective.
-    i = np.argsort(vals)[-1]
-    j = np.count_nonzero(keep[:i])  # the winner among the scored points
+    i = vals.argsort()[-1]
+    j = kept.searchsorted(i)  # the winner among the scored points
     return (float(vals[i]),
             *(AllocationEntry(p_w=float(p[j]), w_hz=float(w[j]), rate_bps=float(r[j]),
                               pilot_count=int(n[j]), baseline_bps=base)
@@ -319,8 +362,7 @@ def _allocate_pair_budget(u1: UserLink, u2: UserLink, p_budget: float, w_budget:
     # refine the power split to 0.1 dB around the incumbent, still scanning
     # the full bandwidth segment: the best split can sit on the feasibility
     # boundary far from the coarse winner's bandwidth
-    consider(np.unique(np.clip(incumbent_db() + np.arange(-1.0, 1.0 + 1e-12, 0.1),
-                               _OFFSET_LO_DB, hi_db)))
+    consider(_fine_offsets(incumbent_db(), hi_db))
 
     # unit-stride bandwidth polish at the winning power split
     consider(np.array([incumbent_db()]), m_center=max(1, round(best_weak.w_hz / weak.cb.bc_hz)))

@@ -569,16 +569,32 @@ def _guided_pilots(rho, w, lc: float, fading: FadingModel):
     above, rounding can certify another count within PILOT_RTOL."""
     log_rho, guide = _pilot_guide(lc, fading)
     n_hi = _max_pilots(lc)
-    start = np.interp(np.log10(rho), log_rho, guide).round()
-    trial = np.clip(start[:, None] + np.arange(-2.0, 3.0), 1.0, n_hi)
-    rates = _rates(rho[:, None], w[:, None], trial / lc, lc, fading)
+    start = np.interp(np.log10(rho), log_rho, guide)
+    np.rint(start, out=start)
+    trial = start[:, None] + _probe_offsets()
+    np.maximum(trial, 1.0, out=trial)
+    np.minimum(trial, n_hi, out=trial)
+    # each point's rho and W repeated along its row: a broadcast costs more
+    rates = _rates(rho.repeat(5).reshape(trial.shape), w.repeat(5).reshape(trial.shape),
+                   trial / lc, lc, fading)
     k = rates.argmax(axis=1)  # the first, so the lowest, of equal rates
-    rows = np.arange(rho.size)
-    n, best = trial[rows, k].astype(int), rates[rows, k]
-    miss = ~(((k > 0) | (n == 1)) & ((k < 4) | (n == n_hi)))
-    if miss.any():
+    pick = np.arange(0, rates.size, 5)
+    pick += k
+    n, best = trial.take(pick), rates.take(pick)
+    # a best count at an end of the probe but not of [1, n_hi] is not certified
+    miss = ((k == 0) & (n > 1.0)) | ((k == 4) & (n < n_hi))
+    n = n.astype(int)
+    if np.count_nonzero(miss):
         n[miss], best[miss] = _best_pilots(rho[miss], w[miss], lc, fading)
     return n, best
+
+
+@lru_cache(maxsize=None)
+def _probe_offsets():
+    """The five counts of _guided_pilots' probe, relative to its start."""
+    offsets = np.arange(-2.0, 3.0)
+    offsets.flags.writeable = False  # shared by every call
+    return offsets
 
 
 def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) -> OperatingPoint:

@@ -78,13 +78,12 @@ def _require_scale(s):
     return checked
 
 
-def _exp_e1_series(x, exp, log):
-    """e^x E1(x) = e^x (Ein(x) - gamma - ln x) for x < 2, on a float with
-    math's exp and log or on an array with numpy's."""
+def _exp_e1_series(x: float) -> float:
+    """e^x E1(x) = e^x (Ein(x) - gamma - ln x) for a float x < 2."""
     ein = 0.0
     for c in _EIN:
         ein = (ein + c) * x
-    return exp(x) * (ein - _EULER_GAMMA - log(x))
+    return math.exp(x) * (ein - _EULER_GAMMA - math.log(x))
 
 
 def _rayleigh(s: float, slope=False):
@@ -96,7 +95,7 @@ def _rayleigh(s: float, slope=False):
         return s, (1.0 - 2.0 * s if slope else 1.0 - s)
     x = 1.0 / s
     if s > _SERIES_ABOVE:
-        g = _exp_e1_series(x, math.exp, math.log)
+        g = _exp_e1_series(x)
         return g, ((1.0 - x * g) / s if slope else x * g)
     depth = 5 + math.ceil(100.0 / x)
     f = x + (2 * depth - 1)
@@ -149,19 +148,53 @@ def _laguerre_sums(s, *ks):
     return [np.concatenate(sums) for sums in zip(*blocks)] if len(blocks) > 1 else blocks[0]
 
 
+@lru_cache(maxsize=None)
+def _series_terms():
+    """_EIN as 0-d arrays, which numpy adds to an array without converting a
+    Python float on every step."""
+    return tuple(np.array(c) for c in _EIN)
+
+
 def _rayleigh_array(s, slope=False):
-    """_rayleigh(s, slope) elementwise over a float ndarray of checked scales."""
+    """_rayleigh(s, slope) elementwise over a float ndarray of checked scales,
+    in one pass: the Laguerre rule on the scales up to 1/2 and the series
+    above. The series runs _exp_e1_series's Horner steps in place, with its
+    47 roundings, so each point has the bits of _rayleigh's operations on
+    numpy's exp and log."""
     flat = s.reshape(-1)
     series = flat > _SERIES_ABOVE
-    if not series.any():
-        sums = _laguerre_sums(flat, 1, 2) if slope else _laguerre_sums(flat, 1)
-        return (flat * sums[0]).reshape(s.shape), sums[-1].reshape(s.shape)
+    above = np.count_nonzero(series)
+    if not above:
+        g, e = _rule_pair(flat, slope)
+        return g.reshape(s.shape), e.reshape(s.shape)
     g, e = np.empty_like(flat), np.empty_like(flat)
-    x = 1.0 / flat[series]
-    g[series] = gx = _exp_e1_series(x, np.exp, np.log)
-    e[series] = (1.0 - x * gx) / flat[series] if slope else x * gx
-    g[~series], e[~series] = _rayleigh_array(flat[~series], slope)
+    big = flat[series]
+    x = 1.0 / big
+    first, *rest = _series_terms()
+    gx = x * first  # the first step, (0.0 + c) * x
+    for c in rest:
+        gx += c
+        gx *= x
+    gx -= _EULER_GAMMA
+    gx -= np.log(x)
+    gx *= np.exp(x)
+    g[series] = gx
+    gx *= x
+    if slope:
+        np.subtract(1.0, gx, out=gx)
+        gx /= big
+    e[series] = gx
+    if above < flat.size:
+        low = ~series
+        g[low], e[low] = _rule_pair(flat[low], slope)
     return g.reshape(s.shape), e.reshape(s.shape)
+
+
+def _rule_pair(s, slope):
+    """_rayleigh_array's pair on a 1-d array of scales up to 1/2, by the
+    Laguerre rule."""
+    sums = _laguerre_sums(s, 1, 2) if slope else _laguerre_sums(s, 1)
+    return s * sums[0], sums[-1]
 
 
 def _log1p_slope(model, s):

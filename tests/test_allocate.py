@@ -715,6 +715,45 @@ def test_power_offsets_hit_exact_endpoints():
     assert np.all(np.diff(offs) > 0)
 
 
+def test_offset_grids_are_np_unique_grids():
+    # both grids drop repeats from a sorted grid instead of calling np.unique,
+    # and must give its values, bits and order: incumbents near -20 dB, near
+    # hi_db and at 0.0, hi_db below -20 dB and on the 1 dB grid
+    rng = np.random.default_rng(3232)
+    hi = np.concatenate([rng.uniform(-30.0, 30.0, 1000), rng.integers(-25, 25, 400),
+                         rng.uniform(-25.0, -20.0, 200), rng.uniform(0.0, 6.0, 400)])
+    center = np.concatenate([rng.uniform(-21.0, -19.0, 500), hi[500:1000] + rng.uniform(-1.0, 1.0, 500),
+                             np.zeros(300), rng.uniform(-25.0, 30.0, 700)])
+    for i, (c, h) in enumerate(zip(center.tolist(), hi.tolist())):
+        for step in (1.0, 0.1):
+            want = np.unique(np.concatenate([np.arange(allocate._OFFSET_LO_DB, h + 1e-12, step),
+                                             [0.0, h]]))
+            got = allocate._power_offsets(step, h)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (i, step)
+        want = np.unique(np.clip(c + np.arange(-1.0, 1.0 + 1e-12, 0.1), allocate._OFFSET_LO_DB, h))
+        got = allocate._fine_offsets(c, h)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+
+
+def test_each_scoring_call_enters_the_rayleigh_kernel_once(monkeypatch):
+    # allocate-mix's links (Lc = 2500, Rayleigh), where the guide hands no
+    # point to the slope search: the baselines and the coarse, refine and
+    # polish passes each score their points in one kernel pass
+    from maxbw import fading as fading_module
+
+    core._pilot_guide(CB.lc, RAY)  # built once, by the slope search
+    kernel, calls = fading_module._rayleigh_array, []
+    monkeypatch.setattr(fading_module, "_rayleigh_array",
+                        lambda s, slope=False: calls.append(s.size) or kernel(s, slope))
+    monkeypatch.setattr(core, "_best_pilots", lambda *args: pytest.fail("a slope search ran"))
+    rng = np.random.default_rng(2500)
+    for i in range(6):
+        gains = np.sort(75.0 + 6.0 * rng.standard_normal(2))
+        calls.clear()
+        allocate.allocate_pair(_user(gains[0]), _user(gains[1]), allocate.OBJECTIVES[i % 3])
+        assert len(calls) == 4, (i, calls)
+
+
 def test_cap_steps_brackets_continuous_optimum():
     u = _user(80.0)
     cap = allocate._cap_steps(u, 1.0)
