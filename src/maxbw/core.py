@@ -61,6 +61,9 @@ _BISECT_RTOL = 1e-10
 _SIGN_BRACKET_ITER = 20
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 10.0
+# The step of _bisect_root's walk from a guess. On the tests' panel of cached
+# roots, steps of 1.1 and 1.5 took 0.3 and 0.5 more residuals per on-curve root.
+_WALK_STEP = 1.25
 
 
 # The largest Pr/N0 accepted, 1e150 Hz or 1500 dB-Hz. The presets sit near
@@ -263,35 +266,44 @@ def _pilot_ratio(rho, lc: float):
     return (1.0 + rho) / ((np.sqrt(root) if is_array(root) else math.sqrt(root)) + b)
 
 
-def _bisect_root(residual, what: str) -> float:
+def _bisect_root(residual, what: str, guess: Optional[float] = None) -> float:
     """Root of a residual that is negative below it and positive above it.
 
     The initial bracket [1e-6, 10] covers every practical coherence length;
     it is grown geometrically if a pathological input escapes it. Once
     bracketed, the sign bisection converges unconditionally, to _BISECT_RTOL.
-    It returns a plain bisection's float from about 17 residuals, not 43:
-    _sign_bracket first narrows an evaluated bracket [a, b], and a midpoint
-    more than _BISECT_RTOL*b outside it is taken to lie on its side. That
-    margin covers the band where rounding blurs the residual's sign; past
-    Lc = 1e8 or 1e5 pilots the band can outgrow it, and the two roots part
-    by less than the band.
+    It returns a plain bisection's float from about 12 residuals from a
+    guess, or about 17 without one, not 43: _sign_bracket first narrows an
+    evaluated bracket [a, b], and a midpoint more than _BISECT_RTOL*b
+    outside it is taken to lie on its side. That margin covers the band
+    where rounding blurs the residual's sign; past Lc = 1e8 or 1e5 pilots
+    the band can outgrow it, and the two roots part by less than the band.
+
+    A guess inside (1e-6, 10) is evaluated and walked from by steps of
+    _WALK_STEP to the first sign change, which becomes [a, b]; the
+    bisection still runs over [1e-6, 10], whose ends it never evaluates.
+    Only a walk that would leave (1e-6, 10) or meets a non-finite residual
+    evaluates those ends, and grows them, as it does without a guess.
     """
     lo, hi = _BRACKET_LO, _BRACKET_HI
-    for _ in range(51):  # the initial end, then up to 50 growths
-        f_lo = residual(lo)
-        if f_lo <= 0.0:
-            break
-        lo *= 0.25
-    else:
-        raise SolverError(f"could not bracket {what} from below")
-    for _ in range(51):
-        f_hi = residual(hi)
-        if f_hi >= 0.0:
-            break
-        hi *= 4.0
-    else:
-        raise SolverError(f"could not bracket {what} from above")
-    a, b = _sign_bracket(residual, lo, f_lo, hi, f_hi) if f_lo < 0.0 else (lo, hi)
+    ends = None if guess is None else _walk_to_sign_change(residual, guess)
+    if ends is None:
+        for _ in range(51):  # the initial end, then up to 50 growths
+            f_lo = residual(lo)
+            if f_lo <= 0.0:
+                break
+            lo *= 0.25
+        else:
+            raise SolverError(f"could not bracket {what} from below")
+        for _ in range(51):
+            f_hi = residual(hi)
+            if f_hi >= 0.0:
+                break
+            hi *= 4.0
+        else:
+            raise SolverError(f"could not bracket {what} from above")
+        ends = lo, f_lo, hi, f_hi
+    a, b = _sign_bracket(residual, *ends) if ends[1] < 0.0 else (lo, hi)
     a, b = a - _BISECT_RTOL * b, b + _BISECT_RTOL * b
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -302,6 +314,25 @@ def _bisect_root(residual, what: str) -> float:
         if hi - lo < _BISECT_RTOL * mid:
             return 0.5 * (lo + hi)
     raise SolverError(f"bisection for {what} did not converge within {_BISECT_MAX_ITER} iterations")
+
+
+def _walk_to_sign_change(residual, x):
+    """(a, fa, b, fb) with fa < 0 <= fb and b = a*_WALK_STEP, by steps of
+    _WALK_STEP from x, down where its residual is >= 0 and up where it is
+    below; None at a non-finite residual or a step that leaves (1e-6, 10)."""
+    if not _BRACKET_LO < x < _BRACKET_HI:
+        return None
+    fx = residual(x)
+    step = _WALK_STEP if fx < 0.0 else 1.0 / _WALK_STEP
+    while math.isfinite(fx):
+        y = x * step
+        if not _BRACKET_LO < y < _BRACKET_HI:
+            return None
+        fy = residual(y)
+        if (fy < 0.0) != (fx < 0.0) and math.isfinite(fy):
+            return (x, fx, y, fy) if step > 1.0 else (y, fy, x, fx)
+        x, fx = y, fy
+    return None
 
 
 def _sign_bracket(residual, a, fa, b, fb):
@@ -334,16 +365,22 @@ def _solve_rho_on_curve(lc: float, fading: FadingModel):
 
     Returns (rho, alpha, flags, E[ln(1 + rho_eff X)]). rho is the root of the
     bandwidth residual along the alpha(rho) curve, whose residuals are checked
-    here, so that a cache hit makes no kernel call. At lc == 2 the pilot ratio
-    is pinned to 1/2 instead.
+    here, so that a cache hit makes no kernel call. The root starts from the
+    first-order optimum (4/(kappa^2 Lc))^(1/3), kappa the law's kurtosis,
+    which the walk of _bisect_root brackets in about two residuals. At
+    lc == 2 the pilot ratio is pinned to 1/2 instead.
     """
     if lc == 2.0:
         rho = _solve_rho_fixed_pilots(1, fading)[0]  # alpha*Lc = 0.5*2.0
         alpha, flags = 0.5, ("lattice_only",)
     else:
-        # condition_residuals' r_w, without its point check and its r_alpha
-        rho = _bisect_root(lambda r: _bandwidth_residual(r, alpha_given_rho(r, lc) * lc, fading),
-                           f"the bandwidth optimum (lc={lc})")
+        # condition_residuals' r_w, without its point check and its r_alpha;
+        # lc comes from a checked CoherenceBlock and r is a positive midpoint,
+        # so alpha_given_rho's checks could not fire
+        kappa = fading.kurtosis()
+        rho = _bisect_root(lambda r: _bandwidth_residual(r, _pilot_ratio(r, lc) * lc, fading),
+                           f"the bandwidth optimum (lc={lc})",
+                           (4.0 / (kappa * kappa * lc)) ** (1.0 / 3.0))
         alpha, flags = alpha_given_rho(rho, lc), ()
         r_w, r_alpha = condition_residuals(rho, alpha, lc, fading)
         if abs(r_w) > R_W_TOL or abs(r_alpha) > R_ALPHA_TOL:
@@ -358,10 +395,14 @@ def _solve_rho_on_curve(lc: float, fading: FadingModel):
 def _solve_rho_fixed_pilots(n: int, fading: FadingModel):
     """(rho_n, E[ln(1 + rho_eff X)] at rho_n), the bandwidth optimum with n pilots
     per tile. The residual sees the pilots only through alpha*Lc = n, so rho_n
-    depends on n and the fading law alone, not on Lc or Pr/N0."""
+    depends on n and the fading law alone, not on Lc or Pr/N0. The root
+    starts from sqrt(2/(kappa n)), where the residual's large-n balance
+    kappa s/2 = 1/d holds (kappa the law's kurtosis): a guess from the
+    cache key alone, so that no root depends on the order of the calls."""
     al = float(n)
     rho = _bisect_root(lambda r: _bandwidth_residual(r, al, fading),
-                       f"the fixed-pilot bandwidth optimum (n={n})")
+                       f"the fixed-pilot bandwidth optimum (n={n})",
+                       math.sqrt(2.0 / (fading.kurtosis() * al)))
     return rho, fading.expected_log1p(_rho_eff(rho, al, 1.0))
 
 
@@ -370,7 +411,8 @@ def solve_continuous(pd, cb: CoherenceBlock, fading: FadingModel) -> OperatingPo
 
     Substitutes the pilot condition's alpha(rho) into the rate and bisects the
     bandwidth residual in rho, which is exact because the rate is unimodal
-    along that curve; a cold root takes about 17 residuals (_bisect_root). At
+    along that curve; a cold root starts from the first-order optimum and
+    takes about 12 residuals, its final check included (_bisect_root). At
     lc == 2 the relaxation is skipped: the pilot lattice has the single point
     alpha = 1/2, so only the bandwidth is optimized and the result carries a
     "lattice_only" flag.

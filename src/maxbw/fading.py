@@ -14,11 +14,12 @@ Deterministic and tabulated models sum over their atoms. Rayleigh
 
 A scalar scale never becomes a 0-d array. Rayleigh and deterministic scalars
 use `math` only, so they need no numpy; math.log1p can differ from numpy's
-array log1p in the last bit. Tabulated scalars apply numpy's log1p to s times
-the atom array and take one dot product with the weights, which gives the
-bits of their array path: arrays reduce over nodes and atoms one row at a
-time (_row_dots), so a point's bits do not depend on the other points of
-the call either.
+array log1p in the last bit. Tabulated scalars apply numpy's log1p to the
+atom array times s, form the slope's 1 + sX and its quotient in place, and
+take one dot product with the weights per expectation: the array path's
+operations in fewer numpy calls, so they give its bits. Arrays reduce over
+nodes and atoms one row at a time (_row_dots), so a point's bits do not
+depend on the other points of the call either.
 """
 
 from __future__ import annotations
@@ -206,11 +207,15 @@ def _log1p_slope(model, s):
         return (_rayleigh if on_float else _rayleigh_array)(s, slope=True)
     if model.kind == DETERMINISTIC:
         return (math if on_float else np).log1p(s), 1.0 / (1.0 + s)
+    values, weights = model._values, model._weights
+    if on_float:  # the array path's operations, in fewer numpy calls
+        scaled = values * s
+        g = np.log1p(scaled)
+        scaled += 1.0
+        np.divide(values, scaled, out=scaled)
+        return float(g.dot(weights)), float(scaled.dot(weights))
     scaled = model._scaled_atoms(s)
-    g, q = np.log1p(scaled), model._values / (1.0 + scaled)
-    if on_float:
-        return float(g @ model._weights), float(q @ model._weights)
-    return _row_dots(g, model._weights), _row_dots(q, model._weights)
+    return _row_dots(np.log1p(scaled), weights), _row_dots(values / (1.0 + scaled), weights)
 
 
 class FadingModel(Frozen):
@@ -302,8 +307,9 @@ class FadingModel(Frozen):
             return (_rayleigh(s) if type(s) is float else _rayleigh_array(s))[0]
         if self.kind == DETERMINISTIC:
             return (math if type(s) is float else np).log1p(s)
-        terms = np.log1p(self._scaled_atoms(s))
-        return float(terms @ self._weights) if type(s) is float else _row_dots(terms, self._weights)
+        if type(s) is float:
+            return float(np.log1p(self._values * s).dot(self._weights))
+        return _row_dots(np.log1p(self._scaled_atoms(s)), self._weights)
 
     def expected_inv1p(self, s):
         """E[1/(1 + s X)]; same conventions as expected_log1p."""

@@ -665,16 +665,37 @@ def test_a_cold_root_stays_within_its_residual_budget(monkeypatch):
     assert max(residuals) <= 45
 
 
-def _same_root(residual):
-    """core._bisect_root against the oracle: the same float, or a SolverError
-    from both."""
+def test_cached_roots_start_from_the_first_order_estimate(monkeypatch):
+    # residuals per cached root, computed past the caches on the four root
+    # laws, Lc log-uniform in 2-2**53 and n in 1-1e13; from the blind bracket
+    # [1e-6, 10] the median was 18, the on-curve root's final check included:
+    # the estimate saves the two ends and about five geometric steps
+    rng = np.random.default_rng(31)
+    laws = _root_laws()
+    residuals = []
+    calls = _count_residuals(monkeypatch)
+    for j, lc in enumerate(np.exp(rng.uniform(math.log(2.0), math.log(2.0**53), 300))):
+        calls[0] = 0
+        core._solve_rho_on_curve.__wrapped__(float(lc), laws[j % 4])
+        residuals.append(calls[0])
+    for j, n in enumerate(np.exp(rng.uniform(0.0, math.log(1e13), 300))):
+        calls[0] = 0
+        core._solve_rho_fixed_pilots.__wrapped__(max(1, round(float(n))), laws[j % 4])
+        residuals.append(calls[0])
+    assert float(np.median(residuals)) <= 13.0
+    assert max(residuals) <= 45
+
+
+def _same_root(residual, guess=None):
+    """core._bisect_root, from guess if one is given, against the oracle: the
+    same float, or a SolverError from both."""
     try:
         expected = _plain_bisect_root(residual, "x")
     except SolverError:
         with pytest.raises(SolverError):
-            core._bisect_root(residual, "x")
+            core._bisect_root(residual, "x", guess)
         return None
-    got = core._bisect_root(residual, "x")
+    got = core._bisect_root(residual, "x", guess)
     assert got == expected
     return got
 
@@ -734,6 +755,56 @@ def test_a_nan_at_one_narrowing_step_above_the_root_gives_the_plain_root():
     first = math.sqrt(core._BRACKET_LO * core._BRACKET_HI)  # the first geometric step
     got = _same_root(lambda r: math.nan if r == first else math.log(r / 1e-3))
     assert got == pytest.approx(1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("wrong", [lambda g: 1e-3 * g, lambda g: 1e3 * g, lambda g: 1e-7,
+                                   lambda g: 20.0],
+                         ids=["too-low", "too-high", "below-bracket", "above-bracket"])
+def test_a_wrong_guess_gives_the_plain_root(wrong):
+    # the walk may take many steps from a far guess, or leave (1e-6, 10) and
+    # fall back to the bracket's ends, but the bisection's float is the same
+    for fading in _root_laws():
+        kappa = fading.kurtosis()
+        for lc in (3.0, 1e4, 1e9):
+            _same_root(_curve_residual(lc, fading), wrong((4.0 / (kappa * kappa * lc)) ** (1.0 / 3.0)))
+        for n in (1, 100, 10**7):
+            _same_root(_pilot_residual(n, fading), wrong(math.sqrt(2.0 / (kappa * n))))
+
+
+def test_a_nan_or_zero_at_the_guess_gives_the_plain_root():
+    base = _curve_residual(1e4, RAY)  # root near 0.0505
+    for guess in (0.01, 0.0505, 0.3):
+        # a NaN at the guess: the walk stops before its first step
+        _same_root(lambda r: math.nan if r == guess else base(r), guess)
+        # a root exactly at the guess: the walk's bracket ends on it
+        assert _same_root(lambda r: r - guess, guess) == pytest.approx(guess, rel=1e-9)
+        # a zero on a stretch around the guess counts as above the root, and
+        # both end on the stretch's lower edge
+        edge = 0.7 * guess
+        flat = _same_root(lambda r: min(0.0, math.log(r / edge)) + max(0.0, math.log(r / guess)),
+                          guess)
+        assert flat == pytest.approx(edge, rel=1e-9)
+    # a NaN at the walk's second step down, and a NaN everywhere
+    _same_root(lambda r: math.nan if 0.063 <= r <= 0.065 else base(r), 0.1)
+    _same_root(lambda r: math.nan, 0.05)
+
+
+def test_cached_roots_do_not_depend_on_the_order_of_the_calls():
+    # each root starts from its own key's estimate, never from a neighbour's
+    # root, so the roots past n = 1e12, which can part from the plain
+    # bisection, come out the same whichever fills the cache first
+    pilots = sorted({*map(int, np.geomspace(1.0, 1e13, 40)), *map(int, np.geomspace(5e11, 2e12, 20))})
+    lcs = np.geomspace(2.5, 2.0**53, 40).tolist()
+    roots = []
+    for order in (1, -1):
+        core._solve_rho_on_curve.cache_clear()
+        core._solve_rho_fixed_pilots.cache_clear()
+        roots.append({(k, key): solve(key, fading)[0]
+                      for k, fading in enumerate(_root_laws())
+                      for solve, keys in ((core._solve_rho_fixed_pilots, pilots),
+                                          (core._solve_rho_on_curve, lcs))
+                      for key in keys[::order]})
+    assert roots[0] == roots[1]
 
 
 # ------------------------------------------------------- guided pilot search

@@ -546,7 +546,15 @@ def test_array_kernels_give_a_point_the_same_bits_in_any_call(model):
                               full[alone])
 
 
-@pytest.mark.parametrize("model", BIT_MODELS[2:] + [FadingModel.tabulated(TAB_ATOMS)],
+def _seeded_table(size):
+    # gamma atoms under Dirichlet weights, scaled to unit mean
+    rng = np.random.default_rng(size)
+    values, weights = rng.gamma(1.5, 1.0, size), rng.dirichlet(np.ones(size))
+    return FadingModel.tabulated(zip((values / (weights @ values)).tolist(), weights.tolist()))
+
+
+@pytest.mark.parametrize("model", BIT_MODELS[2:] + [FadingModel.tabulated(TAB_ATOMS)]
+                         + [_seeded_table(size) for size in (2, 3, 17, 100, 200)],
                          ids=lambda m: f"tabulated{len(m.atoms)}")
 def test_tabulated_scalars_give_the_bits_of_their_array_path(model):
     # the module docstring's promise; a matrix-vector product over the atoms
@@ -554,3 +562,5 @@ def test_tabulated_scalars_give_the_bits_of_their_array_path(model):
     for kernel in _array_kernels(model):
         full = kernel(BIT_SCALES)
         assert [kernel(s) for s in BIT_SCALES.tolist()] == full.tolist()
+        assert [kernel(s) for s in BIT_SCALES[::9].tolist()] == \
+            [kernel(np.array([s]))[0] for s in BIT_SCALES[::9].tolist()]
