@@ -64,7 +64,7 @@ _BRACKET_HI = 10.0
 # The step of _bisect_root's walk from a guess. On the tests' panel of cached
 # roots, steps of 1.1 and 1.5 took 0.3 and 0.5 more residuals per on-curve root.
 _WALK_STEP = 1.25
-
+_ROOT_RTOL = 1e-7  # the fixed-pilot root's error, relative, with a margin (discretize)
 
 # The largest Pr/N0 accepted, 1e150 Hz or 1500 dB-Hz. The presets sit near
 # 80-110 dB-Hz; near 3000 dB-Hz the squared SNR in rho_eff overflows, and the
@@ -642,42 +642,42 @@ def _probe_offsets():
 def discretize(op: OperatingPoint, cb: CoherenceBlock, pd, fading: FadingModel) -> OperatingPoint:
     """The rate maximum over the (W = m*Bc, integer pilots) lattice.
 
-    With n pilots the rate is unimodal in W and peaks at W_n = pd/rho_n, where
-    rho_n depends on n and the fading law alone (_solve_rho_fixed_pilots). So
-    count n's best step is floor or ceil of W_n/Bc; one more each way covers
-    the root's 1e-10 error. Its lattice rates are at most the rate at W_n,
-    R(n) = (1 - n/Lc) * W_n * E[log2(1 + rho_eff X)], or at W = Bc when
-    W_n < Bc. That bound is unimodal in n, so the scan runs both ways from
-    its peak and stops a side once the bound can no longer beat the best
-    lattice rate found, equal included: no count beyond can win, and of
-    equal rates the first scored is kept. The peak is at floor(alpha*Lc) or
-    the next count; if Bc exceeds the continuous optimum's bandwidth it is the
-    best count at W = Bc, and the result carries a "bandwidth_floor" flag: the
-    relaxation's interior optimum does not exist on the lattice. The result
-    carries only such lattice flags, never the flags of op.
+    With n pilots the rate is unimodal in W and peaks at W_n = pd/rho_n (rho_n
+    depends on n and the law alone), so count n's rates are at most R(n), the
+    rate at W_n, or at W = Bc if W_n < Bc. R(n) is unimodal in n: the scan runs
+    both ways from its peak and stops a side once R(n), tested before scoring n
+    where W_n >= Bc, cannot beat the best rate, equal included; of equal rates
+    the first scored is kept. n scores floor and ceil of x = W_n/Bc, widened
+    by _ROOT_RTOL for the root's error (at most 1.8e-8 up to 2^53 pilots).
+    Steps near x differ by at least 0.4/(d x^2) relative, d = 1 + (1 + n)
+    rho_n; past d x^2 = 2^40 (about 1,700 ulps) a step further out can round
+    equal and win as the first scored, so there n scores floor(x) - 1 to
+    ceil(x) + 1. The peak is at floor(alpha*Lc) or the next count, or if W* <
+    Bc at the best count at W = Bc, flagged "bandwidth_floor"; op's flags drop.
     """
     if cb.bc_hz is None:
         raise ValueError("discretize needs a coherence block with bc_hz set")
-    pd_hz, lc, bc = _pd_hz(pd), cb.lc, cb.bc_hz
-    n_hi = _max_pilots(lc)
-    flags = ()
-    if op.w_hz / bc < 1.0:
-        flags = ("bandwidth_floor",)
-        n0 = _best_pilots(pd_hz / bc, bc, lc, fading)[0]  # the bound peaks on W = Bc
-    else:
-        n0 = min(max(math.floor(op.alpha * lc), 1), n_hi)
-
+    pd_hz, lc, bc, n_hi = _pd_hz(pd), cb.lc, cb.bc_hz, _max_pilots(cb.lc)
+    flags = ("bandwidth_floor",) if op.w_hz / bc < 1.0 else ()
+    n0 = (_best_pilots(pd_hz / bc, bc, lc, fading)[0] if flags  # the bound peaks on W = Bc
+          else min(max(math.floor(op.alpha * lc), 1), n_hi))
     best = (-math.inf, 1, 1)
     for n, step in ((n0, -1), (n0 + 1, 1)):
         while 1 <= n <= n_hi:
             rho_n, e_log1p = _solve_rho_fixed_pilots(n, fading)
             w_n = pd_hz / rho_n
+            bound = _rate_product(n / lc, w_n, e_log1p)
+            if w_n >= bc and bound * (1.0 + 1e-12) <= best[0]:
+                break
+            x = w_n / bc
+            near = (1.0 + (1.0 + n) * rho_n) * x * x < 2.0 ** 40
+            lo = math.floor(x * (1.0 - _ROOT_RTOL)) if near else math.floor(x) - 1
+            hi = math.ceil(x * (1.0 + _ROOT_RTOL)) if near else math.ceil(x) + 1
             rates = [(_rates(pd_hz / (m * bc), m * bc, n / lc, lc, fading), m, n)
-                     for m in range(max(1, math.floor(w_n / bc) - 1), math.ceil(w_n / bc) + 2)]
+                     for m in range(max(1, lo), hi + 1)]
             best = max(best, *rates, key=lambda t: t[0])  # ties keep the first
-            # when W_n < Bc the scored steps are m = 1, 2 and the rate falls in W
-            bound = rates[0][0] if w_n < bc else _rate_product(n / lc, w_n, e_log1p)
-            if bound * (1.0 + 1e-12) <= best[0]:
+            # when W_n < Bc the rate falls in W, so m = 1 bounds the count
+            if (rates[0][0] if w_n < bc else bound) * (1.0 + 1e-12) <= best[0]:
                 break
             n += step
     rate_bps, m, n = best

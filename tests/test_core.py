@@ -1081,6 +1081,112 @@ def test_discretize_stops_on_underflowed_rates(monkeypatch):
     assert "bandwidth_floor" in point.flags
 
 
+def _scanned_discretize(op, cb, pd, fading):
+    """Oracle for core.discretize: its scan before a count's bound was checked
+    ahead of scoring it, with four bandwidth steps per count, floor(W_n/Bc) - 1
+    to ceil(W_n/Bc) + 1, and the bound tested only after them."""
+    pd_hz, lc, bc = core._pd_hz(pd), cb.lc, cb.bc_hz
+    n_hi = core._max_pilots(lc)
+    flags = ()
+    if op.w_hz / bc < 1.0:
+        flags = ("bandwidth_floor",)
+        n0 = core._best_pilots(pd_hz / bc, bc, lc, fading)[0]
+    else:
+        n0 = min(max(math.floor(op.alpha * lc), 1), n_hi)
+    best = (-math.inf, 1, 1)
+    for n, step in ((n0, -1), (n0 + 1, 1)):
+        while 1 <= n <= n_hi:
+            rho_n, e_log1p = core._solve_rho_fixed_pilots(n, fading)
+            w_n = pd_hz / rho_n
+            rates = [(core._rates(pd_hz / (m * bc), m * bc, n / lc, lc, fading), m, n)
+                     for m in range(max(1, math.floor(w_n / bc) - 1), math.ceil(w_n / bc) + 2)]
+            best = max(best, *rates, key=lambda t: t[0])
+            bound = rates[0][0] if w_n < bc else core._rate_product(n / lc, w_n, e_log1p)
+            if bound * (1.0 + 1e-12) <= best[0]:
+                break
+            n += step
+    rate_bps, m, n = best
+    return core._lattice_point(pd_hz, m * bc, n, lc, rate_bps, flags)
+
+
+def _lattice_bits(point):
+    return point.w_hz, point.pilot_count, point.rate_bps.hex(), point.flags
+
+
+def _winning_step(pd, cb, fading):
+    """x = W_n/Bc of the count that discretize picks on this link."""
+    op = core.solve_continuous(pd, cb, fading)
+    n = core.discretize(op, cb, pd, fading).pilot_count
+    return pd / core._solve_rho_fixed_pilots(n, fading)[0] / cb.bc_hz
+
+
+def _oracle_links():
+    """(fading, Lc, Bc, Pr/N0): a seeded panel on the four laws, the climb
+    traps, an underflowed link, links below one coherence bandwidth, links
+    whose winning W_n/Bc lies within 1e-12 of an integer, and links past
+    2**20 steps, where the scan keeps four steps per count."""
+    rng = np.random.default_rng(35)
+    laws = _four_laws(np.random.default_rng(11))
+    links = [(FadingModel(kind), lc, bc, pd) for kind, lc, bc, pd in CLIMB_TRAPS]
+    links.append((RAY, 1e6, 1e7, 10.0 ** (-290.0)))
+    for j in range(160):
+        lc_hi = 1e8 if j % 10 == 9 else 1e6
+        lc = float(np.exp(rng.uniform(math.log(2.0), math.log(lc_hi))))
+        links.append((laws[j % 4], lc, float(10.0 ** rng.uniform(3.0, 8.0)),
+                      float(10.0 ** rng.uniform(2.0, 12.0))))
+    for j in range(48):
+        fading, lc = laws[j % 4], float(np.exp(rng.uniform(math.log(2.0), math.log(1e5))))
+        pd = float(10.0 ** rng.uniform(4.0, 10.0))
+        w_star = core.solve_continuous(pd, CoherenceBlock(lc=lc), fading).w_hz
+        if j < 16:  # W*/Bc below 1: bandwidth_floor, with w_n < Bc on the counts scored
+            links.append((fading, lc, w_star / float(np.exp(rng.uniform(-7.0, 0.0))), pd))
+        elif j < 32:  # the winning count's W_n/Bc at an integer, or 1e-12 to either side
+            bc = w_star / float(np.exp(rng.uniform(0.0, math.log(1e3))))
+            x = _winning_step(pd, CoherenceBlock(lc=lc, bc_hz=bc), fading)
+            links.append((fading, lc, x * bc / (max(1, round(x)) + (j % 3 - 1) * 1e-12), pd))
+        else:  # W*/Bc in 2**20-2**30
+            steps = float(np.exp(rng.uniform(20.0, 30.0) * math.log(2.0)))
+            links.append((fading, lc, w_star / steps, pd))
+    return links
+
+
+def test_discretize_matches_the_four_step_scan():
+    # testing each count's bound before scoring it, and scoring only the
+    # floor and ceiling of x = W_n/Bc where d x**2 < 2**40, leave every
+    # lattice result's bits unchanged
+    for fading, lc, bc, pd in _oracle_links():
+        cb = CoherenceBlock(lc=lc, bc_hz=bc)
+        op = core.solve_continuous(pd, cb, fading)
+        expected = _lattice_bits(_scanned_discretize(op, cb, pd, fading))
+        assert _lattice_bits(core.discretize(op, cb, pd, fading)) == expected, (
+            fading.kind, lc, bc, pd)
+
+
+def test_discretize_scores_few_lattice_points(monkeypatch):
+    # link-lattice-like links with warm roots: the four-step scan, which also
+    # scored the count it stopped on, took a median of 16 rates here, max 20
+    rng = np.random.default_rng(36)
+    laws = _three_laws(np.random.default_rng(11))
+    links = []
+    for j in range(60):
+        fading, lc = laws[j % 3], float(np.exp(rng.uniform(math.log(300.0), math.log(3e4))))
+        pd = float(10.0 ** rng.uniform(7.0, 10.0))
+        w_star = core.solve_continuous(pd, CoherenceBlock(lc=lc), fading).w_hz
+        cb = CoherenceBlock(lc=lc, bc_hz=w_star / float(np.exp(rng.uniform(math.log(100.0),
+                                                                             math.log(1e4)))))
+        op = core.solve_continuous(pd, cb, fading)
+        core.discretize(op, cb, pd, fading)
+        links.append((op, cb, pd, fading))
+    calls = _count_rates(monkeypatch, 100)
+    counts = []
+    for op, cb, pd, fading in links:
+        calls["_rates"] = 0
+        core.discretize(op, cb, pd, fading)
+        counts.append(calls["_rates"])
+    assert float(np.median(counts)) <= 4.0
+    assert max(counts) <= 10
+
+
 def test_guided_pilots_below_the_guide_take_the_golden_search(monkeypatch):
     # rho = 5e-9 lies below the guide's 1e-8, where a walk from the guide's
     # end would run toward Lc/2 one count at a time; the search hands off to

@@ -51,6 +51,12 @@ The library panel, drawn with `random.Random` from fixed seeds:
   large-Lc closed form for rho*. Each link calls `solve_continuous`,
   `rate_fixed_bandwidth` at 1 GHz, `discretize` on the continuous optimum,
   and `exhaustive_search` with m_max = max(4, 2 ceil(W*/Bc)).
+- 3 LATTICE_EDGES more `discretize` calls, on links drawn as the first
+  panel's but from a stream of their own, past its W*/Bc range: W*/Bc
+  log-uniform in 0.01-4, where counts peak below one coherence bandwidth;
+  W*/Bc in 2^20-2^30, where `discretize` scores four bandwidth steps per
+  count; and a Bc that puts W_n/Bc of the count `discretize` picks at an
+  integer, or 1e-12 below or above it, for W_n/Bc up to about 1e3.
 - WIDE more `rate_fixed_bandwidth` calls per link, from a stream of their
   own, cycling through the three laws: the per-symbol SNR rho log-uniform
   in 1e-20-1e12, Lc in 2-1e8 and W in 1e5-1e10 Hz.
@@ -206,6 +212,7 @@ BAD_TABLES = {
 }
 
 LINKS, PAIRS, GROUPS = 600, 120, 30
+LATTICE_EDGES = 36
 WIDE = 3
 LAWS = ("rayleigh", "deterministic", "tabulated")
 FUNCTIONS = ("solve_continuous", "rate_fixed_bandwidth", "discretize", "exhaustive_search",
@@ -352,6 +359,24 @@ def panel():
         m_max = max(4, 2 * math.ceil(steps))
         out["exhaustive_search"].append(
             lattice(core.exhaustive_search(pd, cb, fading, m_max), cb.bc_hz))
+
+    rng = random.Random(1502)
+    for i in range(3 * LATTICE_EDGES):
+        fading, lc = models[LAWS[i % 3]], _log_uniform(rng, 2.0, 1e5)
+        pd = _log_uniform(rng, 1e5, 1e10)
+        w_star = core.solve_continuous(pd, core.CoherenceBlock(lc=lc), fading).w_hz
+        if i < LATTICE_EDGES:
+            bc = w_star / _log_uniform(rng, 1e-2, 4.0)
+        elif i < 2 * LATTICE_EDGES:
+            bc = w_star / _log_uniform(rng, 2.0 ** 20, 2.0 ** 30)
+        else:
+            cb = core.CoherenceBlock(lc=lc, bc_hz=w_star / _log_uniform(rng, 1.0, 1e3))
+            n = core.discretize(core.solve_continuous(pd, cb, fading), cb, pd, fading).pilot_count
+            steps = pd / core._solve_rho_fixed_pilots(n, fading)[0] / cb.bc_hz
+            bc = steps * cb.bc_hz / (max(1, round(steps)) + (i // 3 % 3 - 1) * 1e-12)
+        cb = core.CoherenceBlock(lc=lc, bc_hz=bc)
+        op = core.solve_continuous(pd, cb, fading)
+        out["discretize"].append(lattice(core.discretize(op, cb, pd, fading), bc))
 
     rng = random.Random(1701)
     for i in range(WIDE * LINKS):
