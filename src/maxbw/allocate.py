@@ -20,7 +20,9 @@ of that user's baseline, and scores the rest in one _rates_flat call: one
 vectorized search per coherence length and fading law, both users' points
 together, on each distinct (rho, W) once. A point's count and rate have the
 same bits in any call, so the pass picks what scoring every candidate alone
-would. The search is core._guided_pilots: from a cached argmax guide of
+would. Of candidates with equal values the pass picks the first in the
+order they are built, as the pilot searches give ties to the lower count.
+The search is core._guided_pilots: from a cached argmax guide of
 each coherence length and law, one five-count probe per point, and a point
 whose probe cannot certify its count hands off to core._best_pilots, the
 slope search. It is the only scoring path: the baselines and every
@@ -299,8 +301,10 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     reach their baselines; any other could not be feasible. The kept
     candidates' points go to one _rates_flat call, both users', and a
     candidate is feasible where each user's rate reaches its baseline,
-    scored in the same arithmetic. Every candidate that is not feasible,
-    ruled out or scored, has the value -inf, so the values are those of
+    scored in the same arithmetic. Ties go to the first best feasible
+    candidate in _candidates' order: the lower power offset, then the
+    strong user's cap - 1 before its cap, then the weak user's lower step.
+    A candidate ruled out could not be feasible, so the pick is that of
     scoring every candidate.
     """
     cands = _candidates(weak, strong, p_budget, w_budget, offsets_db, m_center)
@@ -317,16 +321,10 @@ def _best_over_offsets(weak: UserLink, strong: UserLink, p_budget: float, w_budg
     feasible = (r_w >= base_weak) & (r_s >= base_strong)
     if not np.count_nonzero(feasible):
         return None
-    vals = np.full(p_w.size, -np.inf)
-    vals[kept] = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
-                                               [r_w, r_s], objective), -np.inf)
-    # The argsort is unstable, so which of equal values comes last depends
-    # on the layout of vals: it keeps every candidate, in _candidates' order.
-    # A stable sort would move some allocations to other points with the
-    # same objective.
-    i = vals.argsort()[-1]
-    j = kept.searchsorted(i)  # the winner among the scored points
-    return (float(vals[i]),
+    vals = np.where(feasible, _objective([weak.gain_hz_per_watt, strong.gain_hz_per_watt],
+                                         [r_w, r_s], objective), -np.inf)
+    j = int(vals.argmax())
+    return (float(vals[j]),
             *(AllocationEntry(p_w=float(p[j]), w_hz=float(w[j]), rate_bps=float(r[j]),
                               pilot_count=int(n[j]), baseline_bps=base)
               for (p, w), (n, r), base in zip(points, scored, (base_weak, base_strong))))

@@ -188,7 +188,7 @@ def closed_form_mimo(cfg: ArrayConfig, lc: float) -> ClosedForm:
 
     rho (per antenna) = (4*Kt*G2/Lc)^(1/3) / (G1*G2),
     alpha             = (Kt*G2/(2*Lc))^(1/3),
-    rate_factor       = (1 - (4*Kt*G2/Lc)^(1/3)) * G1*G2 * log2(e),
+    rate_factor       = (1 - 1.5*(4*Kt*G2/Lc)^(1/3)) * G1*G2 * log2(e),
     with the rate itself being rate_factor * Pr/N0. Reduces to the scalar
     closed forms when Kt = G1 = G2 = 1.
     """
@@ -198,5 +198,5 @@ def closed_form_mimo(cfg: ArrayConfig, lc: float) -> ClosedForm:
     return ClosedForm(
         rho=x / gain,
         alpha=(penalty / (2.0 * lc)) ** (1.0 / 3.0),
-        rate_factor=(1.0 - x) * gain * LOG2E,
+        rate_factor=(1.0 - 1.5 * x) * gain * LOG2E,
     )

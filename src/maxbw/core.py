@@ -428,13 +428,15 @@ def closed_form_first_order(lc: float) -> ClosedForm:
     """Leading-order optimum for large Lc.
 
     rho = (4/Lc)^(1/3), alpha = (2*Lc)^(-1/3), and the rate approaches
-    rate_factor * Pr/N0 with rate_factor = (1 - (4/Lc)^(1/3)) * log2(e).
+    rate_factor * Pr/N0 with rate_factor = (1 - 1.5*rho) * log2(e): the
+    rate's relative penalty is 3*(2*Lc)^(-1/3), alpha from the pilots and
+    2*alpha from the estimation error, up to O(Lc^(-2/3)).
     """
     if not lc >= 2.0:
         raise ValueError(f"coherence length must be >= 2, got {lc}")
     rho = (4.0 / lc) ** (1.0 / 3.0)
     alpha = (2.0 * lc) ** (-1.0 / 3.0)
-    return ClosedForm(rho=rho, alpha=alpha, rate_factor=(1.0 - rho) * LOG2E)
+    return ClosedForm(rho=rho, alpha=alpha, rate_factor=(1.0 - 1.5 * rho) * LOG2E)
 
 
 def closed_form_refined(lc: float) -> RefinedForm:

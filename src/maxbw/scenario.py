@@ -88,16 +88,11 @@ def _typed(mapping: Dict[str, str]) -> Dict[str, object]:
 class Resolved(Frozen):
     """Solver-ready view of one scenario point."""
 
-    __slots__ = ("pd", "cb", "cfg", "fading", "gain", "sweep_penalty", "budget")
+    __slots__ = ("pd", "cb", "fading", "gain", "sweep_penalty")
 
-    def __init__(self, pd: PowerDensity, cb: CoherenceBlock, cfg: ArrayConfig,
-                 fading: FadingModel, gain: float, sweep_penalty: float,
-                 budget: Optional[linkbudget.LinkBudget]):
-        Frozen.__init__(self, pd, cb, cfg, fading, gain, sweep_penalty, budget)
-
-    @property
-    def gain_pair(self) -> Tuple[float, float]:
-        return (self.gain, self.sweep_penalty)
+    def __init__(self, pd: PowerDensity, cb: CoherenceBlock, fading: FadingModel, gain: float,
+                 sweep_penalty: float):
+        Frozen.__init__(self, pd, cb, fading, gain, sweep_penalty)
 
 
 def _coherence(v: Dict[str, object]) -> CoherenceBlock:
@@ -176,8 +171,7 @@ def resolve(mapping: Dict[str, str], overrides: Optional[Dict[str, float]] = Non
     if direct:
         pd = PowerDensity(linkbudget.db_to_linear(v["pr_n0_dbhz"]))
         # density is taken as already beamformed; only the sweep penalty remains
-        return Resolved(pd=pd, cb=cb, cfg=cfg, fading=fading,
-                        gain=1.0, sweep_penalty=cfg.gain_pair[1], budget=None)
+        return Resolved(pd=pd, cb=cb, fading=fading, gain=1.0, sweep_penalty=cfg.gain_pair[1])
 
     if "fc_ghz" not in v or "distance_m" not in v:
         raise ConfigError("need pr_n0_dbhz, or a link budget with fc_ghz and distance_m")
@@ -207,8 +201,7 @@ def resolve(mapping: Dict[str, str], overrides: Optional[Dict[str, float]] = Non
         path_loss=_pathloss(v),
     )
     pd, (gain, penalty) = linkbudget.power_density(lb, cfg)
-    return Resolved(pd=pd, cb=cb, cfg=cfg, fading=fading,
-                    gain=gain, sweep_penalty=penalty, budget=lb)
+    return Resolved(pd=pd, cb=cb, fading=fading, gain=gain, sweep_penalty=penalty)
 
 
 def channel_only(mapping: Dict[str, str]) -> Tuple[CoherenceBlock, FadingModel]:

@@ -53,9 +53,9 @@ def _rate_at(preset_name: str, d_m: float) -> float:
     return point.rate_bps
 
 
-def _rate_1ghz_at(preset_name: str, d_m: float) -> float:
+def _rate_1ghz_at(preset_name: str, d_m: float, **overrides) -> float:
     mapping = scenario.preset(preset_name)
-    res = scenario.resolve(mapping, overrides={"distance_m": d_m})
+    res = scenario.resolve(mapping, overrides={"distance_m": d_m, **overrides})
     point = beamform.fixed_bandwidth_with_gains(
         res.pd, 1e9, res.cb, res.gain, res.sweep_penalty, res.fading)
     return point.rate_bps
@@ -156,6 +156,11 @@ def test_07_coverage_anchors_at_28_and_39_ghz():
 def test_08_regulatory_ceiling_sustains_1_gbps_to_860_m():
     crossing = _distance_where("fcc-28ghz", _rate_1ghz_at, 1e9, 100.0, 3000.0)
     assert crossing == pytest.approx(860.0, rel=0.20), f"crossing {crossing:.1f} m"
+    # the same ceiling at 39 GHz, and the frequency ratio test_07 checks
+    at_39 = _distance_where("fcc-28ghz", lambda name, d_m: _rate_1ghz_at(name, d_m, fc_ghz=39.0),
+                            1e9, 100.0, 3000.0)
+    assert at_39 == pytest.approx(680.0, rel=0.20), f"crossing {at_39:.1f} m"
+    assert crossing / at_39 == pytest.approx(1.26, rel=0.03)
 
 
 def test_09_noncoherent_baseline_ordering_and_formulas():

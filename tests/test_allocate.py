@@ -188,6 +188,22 @@ def test_check_allocation_refuses_an_entry_count_other_than_the_user_count():
         allocate.check_allocation([weak, strong], short)
 
 
+def test_check_allocation_names_each_broken_rule():
+    weak, strong = _user(68.0), _user(80.0)
+    good = allocate.allocate_pair(weak, strong, "sum")
+    allocate.check_allocation([weak, strong], good)
+    over = replace(good, entries=(replace(good.entries[0], p_w=1.5, w_hz=150e6), good.entries[1]))
+    with pytest.raises(AssertionError) as info:
+        allocate.check_allocation([weak, strong], over)
+    power, bandwidth = str(info.value).split("; ")
+    assert power.startswith("power budget violated: ") and power.endswith(" > 2.0")
+    assert bandwidth.startswith("bandwidth budget violated: ")
+    assert bandwidth.endswith(" > 200000000.0")
+    worse = replace(good, objective_value=good.baseline_value * 0.99)
+    with pytest.raises(AssertionError, match="^objective regressed$"):
+        allocate.check_allocation([weak, strong], worse)
+
+
 def test_check_allocation_checks_under_python_optimize():
     # an entry of 51 W against a 2 W pooled budget; bare asserts vanish under -O
     code = """
@@ -558,6 +574,102 @@ def test_the_rate_bound_changes_no_candidate_pass(monkeypatch):
     assert [allocate._best_over_offsets(*case) for case in cases] == pruned
     assert sum(x is not None for x in pruned) > len(cases) // 2
     assert 2 * pruned_points < sum(scored)
+
+
+# ------------------------------------------------------------------ tie rule
+
+
+def _first_best(weak, strong, p_budget, w_budget, base_weak, base_strong, objective,
+                offsets_db, m_center=None):
+    """Every candidate scored, then walked in _candidates' order, keeping the
+    first of the greatest feasible value: the reference for the tie rule of
+    _best_over_offsets. Also returns how many feasible candidates hold that
+    value."""
+    cands = allocate._candidates(weak, strong, p_budget, w_budget, offsets_db, m_center)
+    if cands is None:
+        return None, 0
+    p_w, w_w, p_s, w_s = cands
+    scored = allocate._rates_flat((weak, strong), [(p_w, w_w), (p_s, w_s)])
+    (_, r_w), (_, r_s) = scored
+    gains = [weak.gain_hz_per_watt, strong.gain_hz_per_watt]
+    values = [allocate._objective(gains, [float(a), float(b)], objective)
+              if a >= base_weak and b >= base_strong else -math.inf for a, b in zip(r_w, r_s)]
+    best = max(values)
+    if best == -math.inf:
+        return None, 0
+    j = values.index(best)
+    entries = (allocate.AllocationEntry(p_w=float(p[j]), w_hz=float(w[j]), rate_bps=float(r[j]),
+                                        pilot_count=int(n[j]), baseline_bps=base)
+               for p, w, (n, r), base in zip((p_w, p_s), (w_w, w_s), scored, (base_weak, base_strong)))
+    return (best, *entries), values.count(best)
+
+
+def _check_first_best(cases):
+    """Asserts that each candidate pass picks as _first_best does; returns
+    how many of the passes held a tie for the best value."""
+    tied = 0
+    for case in cases:
+        want, count = _first_best(*case)
+        assert allocate._best_over_offsets(*case) == want, case[6]
+        tied += count > 1
+    return tied
+
+
+def _pass_cases(rng, pairs):
+    # each pair under every objective, over the coarse grid, a fine grid
+    # around a drawn offset and a polish window around the baseline split
+    cases = []
+    for weak, strong in pairs:
+        bases = [e.rate_bps for e in allocate._baseline_entries([weak, strong])]
+        p_budget, w_budget = weak.pt_w + strong.pt_w, weak.w0_hz + strong.w0_hz
+        hi_db = 10.0 * math.log10(p_budget / weak.pt_w)
+        grids = [(allocate._power_offsets(1.0, hi_db), None),
+                 (allocate._fine_offsets(rng.uniform(-6.0, hi_db), hi_db), None),
+                 (np.array([0.0]), round(weak.w0_hz / weak.cb.bc_hz))]
+        cases += [(weak, strong, p_budget, w_budget, *bases, objective, offsets, m_center)
+                  for objective in allocate.OBJECTIVES for offsets, m_center in grids]
+    return cases
+
+
+def _tie_pairs(rng, count):
+    # pairs as the snapshot draws them: Lc log-uniform in 1e2-1e7, Bc in
+    # 0.1-3 MHz, W0 in 5-200 Bc, gains 75 +- 8 dB, the three laws in turn
+    atoms = np.sort(rng.gamma(2.0, 1.0, 16))
+    laws = [RAY, FadingModel.deterministic(),
+            FadingModel.tabulated([(v / atoms.mean(), 1.0 / 16) for v in atoms])]
+    pairs = []
+    for i in range(count):
+        lc, bc = np.exp(rng.uniform(np.log([1e2, 1e5]), np.log([1e7, 3e6])))
+        cb = CoherenceBlock(lc=float(lc), bc_hz=float(bc))
+        users = [UserLink(gain_hz_per_watt=10.0 ** ((75.0 + 8.0 * rng.standard_normal()) / 10.0),
+                          pt_w=1.0, w0_hz=float(np.exp(rng.uniform(np.log(5.0), np.log(200.0))) * bc),
+                          cb=cb, fading=laws[i % 3]) for _ in range(2)]
+        pairs.append(sorted(users, key=lambda u: u.gain_hz_per_watt))
+    return pairs
+
+
+def test_ties_go_to_the_first_best_candidate():
+    # under max-weak the strong user's cap - 1 and cap tie wherever both are
+    # feasible, under max-strong the weak steps that leave the strong user
+    # its cap, and identical users tie in their own ways; the pass must pick
+    # as the walk in candidate order does
+    rng = np.random.default_rng(3630)
+    pairs = _tie_pairs(rng, 12)
+    pairs += [(_user(75.0), _user(75.0)), (_user(68.0, w0_hz=40e6), _user(68.0, w0_hz=40e6))]
+    assert _check_first_best(_pass_cases(rng, pairs)) > 20
+
+
+def test_ties_go_to_the_first_best_candidate_on_rounded_rates(monkeypatch):
+    # rates rounded down to whole Mbit/s tie on most candidates of every
+    # objective; a rounded rate is still below the rate bound
+    rates_flat = allocate._rates_flat
+    monkeypatch.setattr(allocate, "_rates_flat", lambda users, points: [
+        (n, np.floor(r / 1e6) * 1e6) for n, r in rates_flat(users, points)])
+    rng = np.random.default_rng(3637)
+    pairs = [sorted(_seeded_users(rng, 2, law=i % 3), key=lambda u: u.gain_hz_per_watt)
+             for i in range(6)]
+    cases = _pass_cases(rng, pairs)
+    assert _check_first_best(cases) > len(cases) // 2
 
 
 def test_group_solves_each_pair_budget_once(monkeypatch):

@@ -263,8 +263,18 @@ def test_closed_form_mimo_values():
     x = (4.0 * 64.0 / lc) ** (1.0 / 3.0)
     assert form.rho == pytest.approx(x / 64.0, rel=1e-15)
     assert form.alpha == pytest.approx((64.0 / (2.0 * lc)) ** (1.0 / 3.0), rel=1e-15)
-    assert form.rate_factor == pytest.approx((1.0 - x) * 64.0 * math.log2(math.e),
+    assert form.rate_factor == pytest.approx((1.0 - 1.5 * x) * 64.0 * math.log2(math.e),
                                              rel=1e-15)
+
+
+@pytest.mark.parametrize("lc", [1e4, 1e6, 1e8, 1e10])
+def test_closed_form_mimo_rate_factor_is_the_numeric_rate_to_second_order(lc):
+    # the scalar bound on the substituted problem, Lc / (Kt G2) = Lc / 8
+    pd = 1e8
+    cfg = ArrayConfig.ideal_directional(nt=4, nr=2)
+    rate = beamform.solve_mimo(pd, CoherenceBlock(lc=lc), cfg, DET).rate_bps
+    form = beamform.closed_form_mimo(cfg, lc)
+    assert abs(rate / (pd * form.rate_factor) - 1.0) < 5.0 * (lc / 8.0) ** (-2 / 3)
 
 
 def test_closed_form_mimo_exhausted():

@@ -516,6 +516,24 @@ def test_presets_verify_all_pass(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_presets_verify_fails_a_preset_that_cannot_solve_or_leaves_its_range(capsys, monkeypatch):
+    monkeypatch.setitem(scenario.PRESETS, "no-link", {"tc_ms": "1", "bc_mhz": "10"})
+    monkeypatch.setitem(scenario.PRESETS, "off-range",
+                        {"pr_n0_dbhz": "80", "tc_ms": "1", "bc_mhz": "10"})
+    monkeypatch.setitem(scenario.PRESET_EXPECTATIONS, "off-range", [("w_opt_hz", 1.0, 2.0)])
+    code, out, _ = run(capsys, "presets", "verify", "--name", "no-link")
+    assert code == 1
+    assert out == "FAIL no-link: need pr_n0_dbhz, or a link budget with fc_ghz and distance_m\n"
+    code, out, _ = run(capsys, "presets", "verify", "--name", "off-range")
+    assert code == 1
+    assert out.startswith("FAIL off-range: w_opt_hz=") and out.endswith(" not in [1, 2]\n")
+    code, out, _ = run(capsys, "presets", "verify")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 9
+    assert [line.split()[:2] for line in lines if line.startswith("FAIL")] == [
+        ["FAIL", "no-link:"], ["FAIL", "off-range:"]]
+
+
 def test_presets_verify_single(capsys):
     code, out, _ = run(capsys, "presets", "verify", "--name", "fig4-left")
     assert code == 0

@@ -195,8 +195,17 @@ def test_closed_form_first_order_formulas():
     cf = core.closed_form_first_order(lc)
     assert cf.rho == pytest.approx((4 / lc) ** (1 / 3), rel=1e-15)
     assert cf.alpha == pytest.approx((2 * lc) ** (-1 / 3), rel=1e-15)
-    assert cf.rate_factor == pytest.approx((1 - (4 / lc) ** (1 / 3)) * math.log2(math.e),
+    assert cf.rate_factor == pytest.approx((1 - 1.5 * (4 / lc) ** (1 / 3)) * math.log2(math.e),
                                            rel=1e-15)
+
+
+@pytest.mark.parametrize("lc", [1e4, 1e6, 1e8, 1e10])
+def test_first_order_rate_factor_is_the_numeric_rate_to_second_order(lc):
+    # the penalty is 3 (2 Lc)^(-1/3) = 1.5 rho, alpha from the pilots and
+    # 2 alpha from the estimation error; what is left is O(Lc^(-2/3))
+    pd = 1e8
+    rate = core.solve_continuous(pd, CoherenceBlock(lc=lc), DET).rate_bps
+    assert abs(rate / (pd * core.closed_form_first_order(lc).rate_factor) - 1.0) < 5.0 * lc ** (-2 / 3)
 
 
 def test_closed_form_refined_formulas():

@@ -19,7 +19,6 @@ from maxbw.scenario import Resolved
 
 CB = CoherenceBlock(1000.0, 1e6, 1e-3)
 RAYLEIGH = FadingModel("rayleigh")
-SISO = ArrayConfig(1, 1, 1, 1.0, 1.0)
 ENTRY = AllocationEntry(0.5, 2e8, 3e8, 12, 2.5e8)
 
 # (type, positional arguments, repr): each repr is the one the same value had
@@ -50,11 +49,10 @@ ROWS = [
     (FadingModel, ("rayleigh",), "FadingModel(kind='rayleigh', atoms=())"),
     (FadingModel, ("tabulated", ((0.5, 0.5), (1.5, 0.5))),
      "FadingModel(kind='tabulated', atoms=((0.5, 0.5), (1.5, 0.5)))"),
-    (Resolved, (PowerDensity(1e9), CB, SISO, RAYLEIGH, 1.0, 1.0, None),
+    (Resolved, (PowerDensity(1e9), CB, RAYLEIGH, 1.0, 1.0),
      "Resolved(pd=PowerDensity(pr_over_n0_hz=1000000000.0), "
      "cb=CoherenceBlock(lc=1000.0, bc_hz=1000000.0, tc_s=0.001), "
-     "cfg=ArrayConfig(nt=1, nr=1, kt=1, g1=1.0, g2=1.0, gain_model='explicit'), "
-     "fading=FadingModel(kind='rayleigh', atoms=()), gain=1.0, sweep_penalty=1.0, budget=None)"),
+     "fading=FadingModel(kind='rayleigh', atoms=()), gain=1.0, sweep_penalty=1.0)"),
     (UserLink, (1e10, 1.0, 1e8, CB, RAYLEIGH),
      "UserLink(gain_hz_per_watt=10000000000.0, pt_w=1.0, w0_hz=100000000.0, "
      "cb=CoherenceBlock(lc=1000.0, bc_hz=1000000.0, tc_s=0.001), "

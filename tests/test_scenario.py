@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from maxbw import scenario
+from maxbw.beamform import ArrayConfig
 from maxbw.errors import ConfigError
 from maxbw.fading import FadingModel
+from maxbw.linkbudget import LinkBudget, PathLossModel, power_density
 
 
 def test_parse_comments_and_whitespace():
@@ -48,9 +50,7 @@ def test_resolve_direct_density():
     assert res.cb.bc_hz is None
     assert res.gain == 1.0
     assert res.sweep_penalty == 1.0
-    assert res.budget is None
     assert res.fading == FadingModel.rayleigh()  # default
-    assert res.gain_pair == (1.0, 1.0)
 
 
 def test_resolve_coherence_from_tc_bc():
@@ -109,13 +109,15 @@ def test_resolve_receive_gain_total_vs_element():
 
 
 def test_resolve_gain_models():
-    base = {"pr_n0_dbhz": "80", "lc": "10000", "nt": "4", "nr": "2"}
+    # by element power the pair is the array's (G1*G2, Kt*G2)
+    base = {"lc": "10000", "fc_ghz": "28", "distance_m": "100", "pt_element_dbm": "10",
+            "nt": "4", "nr": "2"}
     ideal = scenario.resolve({**base, "gain_model": "ideal"})
-    assert (ideal.cfg.kt, ideal.cfg.g1, ideal.cfg.g2) == (8, 8.0, 1.0)
+    assert (ideal.gain, ideal.sweep_penalty) == (8.0, 8.0)
     rich = scenario.resolve({**base, "gain_model": "rich"})
-    assert (rich.cfg.kt, rich.cfg.g1) == (8, 6.0)
+    assert (rich.gain, rich.sweep_penalty) == (6.0, 8.0)
     explicit = scenario.resolve({**base, "kt": "4", "g1": "6", "g2": "2"})
-    assert (explicit.cfg.kt, explicit.cfg.g1, explicit.cfg.g2) == (4, 6.0, 2.0)
+    assert (explicit.gain, explicit.sweep_penalty) == (12.0, 8.0)
     with pytest.raises(ConfigError, match="derives"):
         scenario.resolve({**base, "gain_model": "ideal", "kt": "4"})
     with pytest.raises(ConfigError, match="unknown gain_model"):
@@ -139,9 +141,14 @@ def test_resolve_fading_kinds(tmp_path):
 def test_resolve_pathloss_kinds():
     base = {"lc": "1000", "fc_ghz": "28", "distance_m": "100",
             "pt_element_dbm": "10"}
+    densities = set()
     for name in ("freespace", "blockedlos", "umi-nlos"):
         res = scenario.resolve({**base, "pathloss": name})
-        assert res.budget.path_loss.kind == name
+        budget = LinkBudget(fc_hz=28e9, d_m=100.0, pt_element_dbm=10.0, eirp_dbm=None,
+                            path_loss=PathLossModel(name))
+        assert res.pd == power_density(budget, ArrayConfig.siso())[0]
+        densities.add(res.pd.pr_over_n0_hz)
+    assert len(densities) == 3
     with pytest.raises(ConfigError, match="pathloss_csv"):
         scenario.resolve({**base, "pathloss": "custom"})
     with pytest.raises(ConfigError, match="unknown pathloss"):

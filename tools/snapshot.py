@@ -4,7 +4,11 @@
 
 writes tests/snapshot.jsonl from the `maxbw` that Python imports. Its first
 line holds the Python and numpy versions, since the rates' last bits depend
-on numpy's exp and log. Then comes one record per CLI command, with its
+on numpy's exp and log, and the SIMD targets numpy dispatches to on this
+CPU, since the array paths' last bits depend on those too: with AVX-512
+turned off (NPY_DISABLE_CPU_FEATURES), 101 library records move in their
+last bits, and 6 `_best_pilots` records at Lc = 1e11 and 2**53 move to a
+count of near-equal rate. Then comes one record per CLI command, with its
 argv, exit code, stdout and stderr, and one per library result, with the
 function, the case number, the point the call chose and its rates. Floats
 are written in JSON's exact repr. A change that moves an output on purpose
@@ -433,11 +437,13 @@ def panel():
 
 
 def lines():
-    """The snapshot's lines: the versions, then every command's record, then
-    every library result's."""
+    """The snapshot's lines: the versions and SIMD targets, then every
+    command's record, then every library result's."""
     import numpy
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    records = [{"python": platform.python_version(), "numpy": numpy.__version__}]
+    records = [{"python": platform.python_version(), "numpy": numpy.__version__,
+                "simd": sorted(f for f in __cpu_dispatch__ if __cpu_features__[f])}]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as folder, mock.patch.dict(os.environ, COLUMNS="80"):
         write_inputs(folder)
@@ -478,7 +484,7 @@ def _relative(a, b):
 def differences(recorded, running):
     """One line of text per finding between two parsed snapshots: each
     record that changed, is new or is missing, each traceback, and the
-    versions when anything differs under other versions."""
+    versions and SIMD targets when anything differs under others."""
     report = []
     old = {_name(record): record for record in recorded[1:]}
     new = {_name(record): record for record in running[1:]}
