@@ -23,8 +23,7 @@ _EXPORTS = {
     "allocate": ("Allocation", "AllocationEntry", "UserLink", "allocate_group",
                  "allocate_pair", "baseline_rates"),
     "baselines": (),
-    "beamform": ("ArrayConfig", "SubstitutedProblem", "closed_form_mimo", "mimo_rate",
-                 "mimo_rate_fixed_bandwidth", "solve_mimo", "solve_with_gains", "substitute"),
+    "beamform": ("ArrayConfig", "closed_form_mimo", "mimo_rate", "solve_with_gains", "substitute"),
     "cli": (),
     "core": ("CoherenceBlock", "EstimationQuality", "OperatingPoint", "PowerDensity",
              "alpha_given_rho", "closed_form_first_order", "closed_form_refined",

@@ -4,7 +4,12 @@ Users start from an equal-split baseline (own power budget Pt, own bandwidth
 budget W0, pilot overhead optimized). Reallocation may move power and
 bandwidth between users subject to the pooled budgets and to the rule that
 nobody ends below their baseline rate. Bandwidth lives on each user's
-coherence lattice; power is searched on a dB grid, coarse pass then refined.
+coherence lattice. A pair solve takes three passes over the weak user's power
+offset and the lattice: a 1 dB grid from _OFFSET_LO_DB = -20 dB up to the
+pair's whole power, a 0.1 dB refine around the winner, and a unit-step polish
+of +-12 lattice steps at the winning split. A split that moved from the
+baseline and lies within 0.05 dB of either end of the grid is flagged
+power_grid_edge.
 
 One pairwise greedy, allocate_group, serves every user count k >= 2, and
 allocate_pair is it on two users.
@@ -412,13 +417,15 @@ def allocate_group(users: Sequence[UserLink], objective: str) -> Allocation:
     Each round re-solves, in the order i < j, the pairs that can move the
     objective: under max-weak (max-strong) those holding the weak (strong)
     user, under sum every pair. A pair is solved over its currently held
-    resources by a power grid (1 dB, then 0.1 dB around the winner) times
-    the bandwidth lattice, fairness judged against the original baselines,
-    and its move is accepted only when the objective improves by more than
-    1e-6 relative. Rounds stop when none is, after at most 20. Weak and
-    strong are as the module says, in the group and in each pair. A
-    heuristic, but it starts from the baseline, so the result can never be
-    worse than no reallocation.
+    resources in three passes: the 1 dB power grid from -20 dB, the 0.1 dB
+    refine around its winner and the +-12-step unit polish of the lattice at
+    the winning split, with power_grid_edge set where the split lies within
+    0.05 dB of either end of the grid. Fairness is judged against the
+    original baselines, and a move is accepted only when the objective
+    improves by more than 1e-6 relative. Rounds stop when none is, after at
+    most 20. Weak and strong are as the module says, in the group and in
+    each pair. A heuristic, but it starts from the baseline, so the result
+    can never be worse than no reallocation.
     """
     _check_objective(objective)
     users = list(users)

@@ -56,8 +56,8 @@ def non_peaky_mi_rate(pd, lc: float, fading: FadingModel) -> float:
     zero with a warning.
     """
     pd_hz = core._pd_hz(pd)
-    if not lc > 1.0:
-        raise ValueError(f"coherence length must be > 1, got {lc}")
+    if not 1.0 < lc < math.inf:
+        raise ValueError(f"coherence length must be finite and > 1, got {lc}")
     bracket = 1.0 - math.sqrt(fading.kurtosis() * math.log(math.pi) * math.log(lc) / lc)
     if bracket < 0.0:
         warnings.warn(

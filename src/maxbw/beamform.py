@@ -8,7 +8,8 @@ problem by substituting
     rho_tilde = G1 * G2 * rho          (stronger per-symbol SNR)
     lc_tilde  = Lc / (Kt * G2)         (coherence shared across the sweep)
 
-so every result from `core` carries over; this module owns the bookkeeping.
+so every result from `core` carries over. `substitute` is the one place
+that folds an array into the scalar problem.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Tuple
 
 from . import core
 from ._frozen import Frozen, replace
-from .core import LOG2E, CoherenceBlock, OperatingPoint, ClosedForm
+from .core import CoherenceBlock, OperatingPoint, ClosedForm
 from .errors import ConfigError
 from .fading import FadingModel
 
@@ -95,23 +96,6 @@ class ArrayConfig(Frozen):
         return self.g1 * self.g2, self.kt * self.g2
 
 
-class SubstitutedProblem(Frozen):
-    """Scalar-problem view of an array link.
-
-    gain: G1*G2, multiplies the power density.
-    sweep_penalty: Kt*G2, divides the coherence length.
-    """
-
-    __slots__ = ("lc_tilde", "gain", "sweep_penalty")
-
-    def __init__(self, lc_tilde: float, gain: float, sweep_penalty: float):
-        Frozen.__init__(self, lc_tilde, gain, sweep_penalty)
-
-    @property
-    def gain_pair(self) -> Tuple[float, float]:
-        return self.gain, self.sweep_penalty
-
-
 def _lc_tilde(lc: float, penalty: float) -> float:
     """Coherence length left per beam, lc / (Kt*G2); at least 2 symbols."""
     lc_tilde = lc / penalty
@@ -123,16 +107,11 @@ def _lc_tilde(lc: float, penalty: float) -> float:
     return lc_tilde
 
 
-def substitute(cfg: ArrayConfig, cb: CoherenceBlock) -> SubstitutedProblem:
-    """Effective coherence length and gain pair for the scalar problem."""
-    gain, penalty = cfg.gain_pair
-    return SubstitutedProblem(lc_tilde=_lc_tilde(cb.lc, penalty), gain=gain, sweep_penalty=penalty)
-
-
-def _substituted(pd, cb: CoherenceBlock, gain: float,
-                 sweep_penalty: float) -> Tuple[float, CoherenceBlock]:
+def substitute(pd, cb: CoherenceBlock, gain: float,
+               sweep_penalty: float) -> Tuple[float, CoherenceBlock]:
     """The scalar problem's inputs under a checked gain pair: the density
-    pd*gain in hertz and the block of length lc/(Kt*G2)."""
+    pd*gain in hertz and the block of length lc/(Kt*G2). An ArrayConfig
+    passes *cfg.gain_pair."""
     if gain <= 0.0 or sweep_penalty < 1.0:
         raise ConfigError(f"bad gain pair ({gain}, {sweep_penalty})")
     lc_tilde = _lc_tilde(cb.lc, sweep_penalty)
@@ -148,55 +127,32 @@ def solve_with_gains(pd, cb: CoherenceBlock, gain: float, sweep_penalty: float,
     shortened by the sweep penalty, and reports rho back in pre-gain units.
     Budgets that already fold the array gain into pd pass gain = 1.
     """
-    point = core.solve_continuous(*_substituted(pd, cb, gain, sweep_penalty), fading)
+    point = core.solve_continuous(*substitute(pd, cb, gain, sweep_penalty), fading)
     return replace(point, rho=point.rho / gain)
 
 
 def fixed_bandwidth_with_gains(pd, w_hz: float, cb: CoherenceBlock, gain: float,
                                sweep_penalty: float, fading: FadingModel) -> OperatingPoint:
     """Pilot-only optimization at pinned bandwidth under an explicit gain pair."""
-    pd_sub, sub_cb = _substituted(pd, cb, gain, sweep_penalty)
+    pd_sub, sub_cb = substitute(pd, cb, gain, sweep_penalty)
     point = core.rate_fixed_bandwidth(pd_sub, w_hz, sub_cb, fading)
     return replace(point, rho=point.rho / gain)
-
-
-def solve_mimo(pd, cb: CoherenceBlock, cfg: ArrayConfig, fading: FadingModel) -> OperatingPoint:
-    """Jointly optimal bandwidth and pilot ratio for an array link.
-
-    Solves the substituted scalar problem, then reports rho per antenna
-    element (divide the substituted SNR by G1*G2). Bandwidth, pilot ratio,
-    effective SNR and rate carry over unchanged.
-    """
-    return solve_with_gains(pd, cb, *cfg.gain_pair, fading)
 
 
 def mimo_rate(pd, w_hz: float, alpha: float, cb: CoherenceBlock, cfg: ArrayConfig,
               fading: FadingModel) -> float:
     """Rate of an array link at an explicit (bandwidth, pilot ratio) choice."""
-    pd_sub, sub_cb = _substituted(pd, cb, *cfg.gain_pair)
+    pd_sub, sub_cb = substitute(pd, cb, *cfg.gain_pair)
     return core.rate(pd_sub, w_hz, alpha, sub_cb, fading)
 
 
-def mimo_rate_fixed_bandwidth(pd, w_hz: float, cb: CoherenceBlock, cfg: ArrayConfig,
-                              fading: FadingModel) -> OperatingPoint:
-    """Pilot-only optimization at pinned bandwidth for an array link."""
-    return fixed_bandwidth_with_gains(pd, w_hz, cb, *cfg.gain_pair, fading)
-
-
 def closed_form_mimo(cfg: ArrayConfig, lc: float) -> ClosedForm:
-    """Leading-order array optimum.
-
-    rho (per antenna) = (4*Kt*G2/Lc)^(1/3) / (G1*G2),
-    alpha             = (Kt*G2/(2*Lc))^(1/3),
-    rate_factor       = (1 - 1.5*(4*Kt*G2/Lc)^(1/3)) * G1*G2 * log2(e),
-    with the rate itself being rate_factor * Pr/N0. Reduces to the scalar
-    closed forms when Kt = G1 = G2 = 1.
+    """Leading-order array optimum: `core.closed_form_first_order` at
+    Lc/(Kt*G2), with rho per antenna (divided by G1*G2) and the rate factor
+    multiplied by G1*G2, the rate itself being rate_factor * Pr/N0.
+    Reduces to the scalar closed form when Kt = G1 = G2 = 1.
     """
     gain, penalty = cfg.gain_pair
-    _lc_tilde(lc, penalty)
-    x = (4.0 * penalty / lc) ** (1.0 / 3.0)
-    return ClosedForm(
-        rho=x / gain,
-        alpha=(penalty / (2.0 * lc)) ** (1.0 / 3.0),
-        rate_factor=(1.0 - 1.5 * x) * gain * LOG2E,
-    )
+    form = core.closed_form_first_order(_lc_tilde(lc, penalty))
+    return ClosedForm(rho=form.rho / gain, alpha=form.alpha,
+                      rate_factor=form.rate_factor * gain)

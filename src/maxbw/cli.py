@@ -78,7 +78,7 @@ def _solve_row(res: scenario.Resolved):
     """The substituted problem's continuous optimum, its report row, and the
     substituted (Pr/N0, block). The row reports rho per element, pre-gain,
     as beamform.solve_with_gains does."""
-    pd_sub, sub_cb = beamform._substituted(res.pd, res.cb, res.gain, res.sweep_penalty)
+    pd_sub, sub_cb = beamform.substitute(res.pd, res.cb, res.gain, res.sweep_penalty)
     point = core.solve_continuous(pd_sub, sub_cb, res.fading)
     rho = point.rho / res.gain
     fixed = core.rate_fixed_bandwidth(pd_sub, FIXED_REFERENCE_HZ, sub_cb, res.fading)

@@ -177,8 +177,8 @@ def _check_point(rho: float, alpha: float, lc: float) -> None:
         raise ValueError(f"rho must be positive and finite, got {rho}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"pilot ratio must lie in (0,1), got {alpha}")
-    if not lc >= 2.0:
-        raise ValueError(f"coherence length must be >= 2, got {lc}")
+    if not 2.0 <= lc < math.inf:
+        raise ValueError(f"coherence length must be finite and >= 2, got {lc}")
 
 
 def effective_snr(rho: float, alpha: float, lc: float) -> float:
@@ -435,7 +435,9 @@ def closed_form_first_order(lc: float) -> ClosedForm:
     if not lc >= 2.0:
         raise ValueError(f"coherence length must be >= 2, got {lc}")
     rho = (4.0 / lc) ** (1.0 / 3.0)
-    alpha = (2.0 * lc) ** (-1.0 / 3.0)
+    # one rounding before the root, so beamform.closed_form_mimo at an exact
+    # Lc/(Kt*G2) has the bits of (Kt*G2/(2*Lc))^(1/3)
+    alpha = (0.5 / lc) ** (1.0 / 3.0)
     return ClosedForm(rho=rho, alpha=alpha, rate_factor=(1.0 - 1.5 * rho) * LOG2E)
 
 

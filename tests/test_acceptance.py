@@ -246,10 +246,9 @@ def test_12_array_reductions_and_substitution_round_trip():
         cfg = ArrayConfig.ideal_directional(nt=nt, nr=nr)
         if lc_i / (cfg.kt * cfg.g2) < 2.0:
             continue
-        sub = beamform.substitute(cfg, CoherenceBlock(lc=lc_i))
-        manual = core.solve_continuous(pd * sub.gain,
-                                       CoherenceBlock(lc=sub.lc_tilde), RAY)
-        array = beamform.solve_mimo(pd, CoherenceBlock(lc=lc_i), cfg, RAY)
+        pd_sub, sub_cb = beamform.substitute(pd, CoherenceBlock(lc=lc_i), *cfg.gain_pair)
+        manual = core.solve_continuous(pd_sub, sub_cb, RAY)
+        array = beamform.solve_with_gains(pd, CoherenceBlock(lc=lc_i), *cfg.gain_pair, RAY)
         assert array.rate_bps == pytest.approx(manual.rate_bps, rel=1e-12)
         assert array.w_hz == pytest.approx(manual.w_hz, rel=1e-12)
-        assert array.rho * sub.gain == pytest.approx(manual.rho, rel=1e-12)
+        assert array.rho * cfg.gain_pair[0] == pytest.approx(manual.rho, rel=1e-12)

@@ -59,25 +59,25 @@ def test_config_validation():
 
 def test_substitution_example():
     cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
-    sub = beamform.substitute(cfg, CoherenceBlock(lc=5e4))
-    assert sub.lc_tilde == pytest.approx(781.25, rel=1e-15)
-    assert sub.gain == 64.0
-    assert sub.sweep_penalty == 64.0
-    assert sub.gain_pair == (64.0, 64.0)
+    pd_sub, block = beamform.substitute(1e8, CoherenceBlock(lc=5e4), *cfg.gain_pair)
+    assert block.lc == pytest.approx(781.25, rel=1e-15)
+    assert pd_sub == 1e8 * 64.0
+    assert 5e4 / block.lc == 64.0
+    assert cfg.gain_pair == (64.0, 64.0)
 
 
 def test_substitution_receive_combining_splits_pair():
     # g2 shortens coherence and boosts power; g1 only boosts power
     cfg = ArrayConfig.simo(nr=4)
-    sub = beamform.substitute(cfg, CoherenceBlock(lc=1e4))
-    assert sub.lc_tilde == pytest.approx(2500.0)
-    assert sub.gain == 4.0
-    assert sub.sweep_penalty == 4.0
+    pd_sub, block = beamform.substitute(1.0, CoherenceBlock(lc=1e4), *cfg.gain_pair)
+    assert block.lc == pytest.approx(2500.0)
+    assert pd_sub == 4.0
+    assert cfg.gain_pair[1] == 4.0
 
     cfg = ArrayConfig.miso(nt=4)
-    sub = beamform.substitute(cfg, CoherenceBlock(lc=1e4))
-    assert sub.lc_tilde == pytest.approx(2500.0)
-    assert sub.gain == 4.0
+    pd_sub, block = beamform.substitute(1.0, CoherenceBlock(lc=1e4), *cfg.gain_pair)
+    assert block.lc == pytest.approx(2500.0)
+    assert pd_sub == 4.0
 
 
 @pytest.mark.parametrize("cfg,pair", [
@@ -89,13 +89,15 @@ def test_substitution_receive_combining_splits_pair():
     (ArrayConfig(nt=4, nr=2, kt=3, g1=6.0, g2=2.0), (12.0, 6.0)),
 ], ids=["siso", "simo", "miso", "ideal_directional", "rich_scattering", "explicit_g2"])
 def test_config_owns_the_substituted_gain_pair(cfg, pair):
-    assert cfg.gain_pair == beamform.substitute(cfg, CoherenceBlock(lc=1e4)).gain_pair == pair
+    assert cfg.gain_pair == pair
+    assert beamform.substitute(1.0, CoherenceBlock(lc=1e4), *cfg.gain_pair) == \
+        (pair[0], CoherenceBlock(lc=1e4 / pair[1]))
 
 
 def test_sweep_exhausts_coherence():
     cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
     with pytest.raises(ConfigError, match="coherence exhausted"):
-        beamform.substitute(cfg, CoherenceBlock(lc=100.0))
+        beamform.substitute(1e8, CoherenceBlock(lc=100.0), *cfg.gain_pair)
     with pytest.raises(ConfigError, match="coherence exhausted"):
         beamform.solve_with_gains(PowerDensity(1e8), CoherenceBlock(lc=100.0),
                                   gain=1.0, sweep_penalty=64.0, fading=RAY)
@@ -110,33 +112,31 @@ def test_bad_gain_pair():
                                   gain=2.0, sweep_penalty=0.5, fading=RAY)
 
 
-# ---------------------------------------------------------------- solve_mimo
+# ---------------------------------------------------------------- solve_with_gains
 
 
 def test_siso_reduces_to_scalar_solver():
     pd = PowerDensity(3e7)
     cb = CoherenceBlock(lc=2e4)
     scalar = core.solve_continuous(pd, cb, RAY)
-    array = beamform.solve_mimo(pd, cb, ArrayConfig.siso(), RAY)
+    array = beamform.solve_with_gains(pd, cb, *ArrayConfig.siso().gain_pair, RAY)
     assert array == scalar
 
 
-def test_solve_mimo_matches_manual_substitution():
+def test_solve_with_gains_matches_manual_substitution():
     pd_hz = 1e8
     cb = CoherenceBlock(lc=5e4)
-    cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
-    sub = beamform.substitute(cfg, cb)
+    gain, penalty = ArrayConfig.ideal_directional(nt=16, nr=4).gain_pair
 
-    manual = core.solve_continuous(pd_hz * sub.gain,
-                                   CoherenceBlock(lc=sub.lc_tilde), RAY)
-    array = beamform.solve_mimo(pd_hz, cb, cfg, RAY)
+    manual = core.solve_continuous(pd_hz * gain, CoherenceBlock(lc=cb.lc / penalty), RAY)
+    array = beamform.solve_with_gains(pd_hz, cb, gain, penalty, RAY)
 
     assert array.w_hz == manual.w_hz
     assert array.alpha == manual.alpha
     assert array.rate_bps == manual.rate_bps
     assert array.rho_eff == manual.rho_eff
     # rho reports per-element SNR
-    assert array.rho == pytest.approx(manual.rho / sub.gain, rel=1e-15)
+    assert array.rho == pytest.approx(manual.rho / gain, rel=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,12 +150,11 @@ def test_round_trip_property(pd_hz, lc, nt, nr):
     cfg = ArrayConfig.ideal_directional(nt=nt, nr=nr)
     if lc / (cfg.kt * cfg.g2) < 2.0:
         return
-    sub = beamform.substitute(cfg, CoherenceBlock(lc=lc))
-    manual = core.solve_continuous(pd_hz * sub.gain,
-                                   CoherenceBlock(lc=sub.lc_tilde), RAY)
-    array = beamform.solve_mimo(pd_hz, CoherenceBlock(lc=lc), cfg, RAY)
+    gain, penalty = cfg.gain_pair
+    manual = core.solve_continuous(pd_hz * gain, CoherenceBlock(lc=lc / penalty), RAY)
+    array = beamform.solve_with_gains(pd_hz, CoherenceBlock(lc=lc), gain, penalty, RAY)
     assert array.rate_bps == pytest.approx(manual.rate_bps, rel=1e-12)
-    assert array.rho * sub.gain == pytest.approx(manual.rho, rel=1e-12)
+    assert array.rho * gain == pytest.approx(manual.rho, rel=1e-12)
 
 
 def test_ideal_beats_rich_scattering():
@@ -163,12 +162,14 @@ def test_ideal_beats_rich_scattering():
     pd = PowerDensity(1e8)
     cb = CoherenceBlock(lc=1e5)
     for nt, nr in [(4, 2), (16, 4), (8, 8)]:
-        ideal = beamform.solve_mimo(pd, cb, ArrayConfig.ideal_directional(nt, nr), RAY)
-        rich = beamform.solve_mimo(pd, cb, ArrayConfig.rich_scattering(nt, nr), RAY)
+        ideal = beamform.solve_with_gains(
+            pd, cb, *ArrayConfig.ideal_directional(nt, nr).gain_pair, RAY)
+        rich = beamform.solve_with_gains(
+            pd, cb, *ArrayConfig.rich_scattering(nt, nr).gain_pair, RAY)
         assert ideal.rate_bps > rich.rate_bps
     # 2x2 is the tie: nt*nr == nt+nr == 4
-    ideal = beamform.solve_mimo(pd, cb, ArrayConfig.ideal_directional(2, 2), RAY)
-    rich = beamform.solve_mimo(pd, cb, ArrayConfig.rich_scattering(2, 2), RAY)
+    ideal = beamform.solve_with_gains(pd, cb, *ArrayConfig.ideal_directional(2, 2).gain_pair, RAY)
+    rich = beamform.solve_with_gains(pd, cb, *ArrayConfig.rich_scattering(2, 2).gain_pair, RAY)
     assert ideal.rate_bps == pytest.approx(rich.rate_bps, rel=1e-15)
 
 
@@ -176,7 +177,7 @@ def test_mimo_rate_agrees_with_operating_point():
     pd = 1e8
     cb = CoherenceBlock(lc=5e4)
     cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
-    point = beamform.solve_mimo(pd, cb, cfg, RAY)
+    point = beamform.solve_with_gains(pd, cb, *cfg.gain_pair, RAY)
     r = beamform.mimo_rate(pd, point.w_hz, point.alpha, cb, cfg, RAY)
     assert r == pytest.approx(point.rate_bps, rel=1e-12)
 
@@ -185,15 +186,15 @@ def test_fixed_bandwidth_at_optimum_recovers_solve():
     pd = 1e8
     cb = CoherenceBlock(lc=5e4)
     cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
-    point = beamform.solve_mimo(pd, cb, cfg, RAY)
-    pinned = beamform.mimo_rate_fixed_bandwidth(pd, point.w_hz, cb, cfg, RAY)
+    point = beamform.solve_with_gains(pd, cb, *cfg.gain_pair, RAY)
+    pinned = beamform.fixed_bandwidth_with_gains(pd, point.w_hz, cb, *cfg.gain_pair, RAY)
     # pinned search snaps alpha to whole pilots on the substituted lattice
     # (here 71/781.25), so compare within half a pilot step; rate is flat-top
     assert pinned.rate_bps == pytest.approx(point.rate_bps, rel=1e-6)
     assert abs(pinned.alpha - point.alpha) <= 0.5 / (cb.lc / 64.0)
     assert pinned.pilot_count == round(pinned.alpha * cb.lc / 64.0)
     # away from the optimum the pinned rate must fall below it
-    off = beamform.mimo_rate_fixed_bandwidth(pd, point.w_hz / 4.0, cb, cfg, RAY)
+    off = beamform.fixed_bandwidth_with_gains(pd, point.w_hz / 4.0, cb, *cfg.gain_pair, RAY)
     assert off.rate_bps < point.rate_bps
 
 
@@ -227,9 +228,8 @@ def test_bandwidth_lattice_survives_substitution():
     # substituted block but bandwidth still steps in channel-sized increments
     cb = CoherenceBlock.from_tc_bc(tc_s=5e-3, bc_hz=1e7)
     cfg = ArrayConfig.ideal_directional(nt=16, nr=4)
-    sub = beamform.substitute(cfg, cb)
-    pd_sub, block = beamform._substituted(1e8, cb, sub.gain, sub.sweep_penalty)
-    assert pd_sub == 1e8 * sub.gain
+    pd_sub, block = beamform.substitute(1e8, cb, *cfg.gain_pair)
+    assert pd_sub == 1e8 * cfg.gain_pair[0]
     assert block.bc_hz == cb.bc_hz
     assert block.lc == pytest.approx(cb.lc / 64.0)
 
@@ -267,12 +267,40 @@ def test_closed_form_mimo_values():
                                              rel=1e-15)
 
 
+@pytest.mark.parametrize("cfg", [
+    ArrayConfig.siso(),
+    ArrayConfig.simo(nr=4),
+    ArrayConfig.miso(nt=8),
+    ArrayConfig.ideal_directional(nt=16, nr=4),
+    ArrayConfig.rich_scattering(nt=16, nr=4),
+    ArrayConfig(nt=4, nr=2, kt=3, g1=6.0, g2=2.0),
+    ArrayConfig.ideal_directional(nt=4, nr=2),
+], ids=["siso", "simo", "miso", "ideal_directional", "rich_scattering", "explicit_g2",
+        "ideal_directional_4x2"])
+def test_closed_form_mimo_is_the_scalar_form_on_the_substituted_block(cfg):
+    # rho per element (4 Kt G2/Lc)^(1/3)/(G1 G2), alpha (Kt G2/(2 Lc))^(1/3) and
+    # rate factor (1 - 1.5 (4 Kt G2/Lc)^(1/3)) G1 G2 log2(e), which is the
+    # scalar first-order form at Lc/(Kt G2) rescaled by G1 G2
+    gain, penalty = cfg.gain_pair
+    for lc in [10.0 ** (k / 4.0) for k in range(12, 49)]:
+        form = beamform.closed_form_mimo(cfg, lc)
+        scalar = core.closed_form_first_order(lc / penalty)
+        x = (4.0 * penalty / lc) ** (1.0 / 3.0)
+        for got, rescaled, written in (
+                (form.rho, scalar.rho / gain, x / gain),
+                (form.alpha, scalar.alpha, (penalty / (2.0 * lc)) ** (1.0 / 3.0)),
+                (form.rate_factor, scalar.rate_factor * gain,
+                 (1.0 - 1.5 * x) * gain * math.log2(math.e))):
+            assert got == pytest.approx(rescaled, rel=1e-15)
+            assert got == pytest.approx(written, rel=1e-15)
+
+
 @pytest.mark.parametrize("lc", [1e4, 1e6, 1e8, 1e10])
 def test_closed_form_mimo_rate_factor_is_the_numeric_rate_to_second_order(lc):
     # the scalar bound on the substituted problem, Lc / (Kt G2) = Lc / 8
     pd = 1e8
     cfg = ArrayConfig.ideal_directional(nt=4, nr=2)
-    rate = beamform.solve_mimo(pd, CoherenceBlock(lc=lc), cfg, DET).rate_bps
+    rate = beamform.solve_with_gains(pd, CoherenceBlock(lc=lc), *cfg.gain_pair, DET).rate_bps
     form = beamform.closed_form_mimo(cfg, lc)
     assert abs(rate / (pd * form.rate_factor) - 1.0) < 5.0 * (lc / 8.0) ** (-2 / 3)
 
@@ -288,7 +316,7 @@ def test_closed_form_tracks_solver():
     cfg = ArrayConfig.ideal_directional(nt=4, nr=2)
     errs = []
     for lc in (1e4, 1e6, 1e8):
-        point = beamform.solve_mimo(pd_hz, CoherenceBlock(lc=lc), cfg, DET)
+        point = beamform.solve_with_gains(pd_hz, CoherenceBlock(lc=lc), *cfg.gain_pair, DET)
         form = beamform.closed_form_mimo(cfg, lc)
         errs.append(abs(point.alpha - form.alpha) / form.alpha)
     assert errs[0] > errs[1] > errs[2]

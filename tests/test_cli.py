@@ -95,8 +95,7 @@ def test_optimize_verify_polishes_flat_peak(capsys):
     assert report["verified_local_max"] is True
 
     res = scenario.resolve(scenario.preset("fig4-left"))
-    sub_cb = core.CoherenceBlock(lc=res.cb.lc / res.sweep_penalty, bc_hz=res.cb.bc_hz)
-    pd = res.pd.pr_over_n0_hz * res.gain
+    pd, sub_cb = beamform.substitute(res.pd, res.cb, res.gain, res.sweep_penalty)
     point = beamform.solve_with_gains(res.pd, res.cb, res.gain,
                                       res.sweep_penalty, res.fading)
     m_star, n_star = point.w_hz / sub_cb.bc_hz, point.alpha * sub_cb.lc

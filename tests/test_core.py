@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxbw import core
+from maxbw import baselines, core
 from maxbw.core import CoherenceBlock, PowerDensity
 from maxbw.errors import SolverError
 from maxbw.fading import FadingModel
@@ -111,6 +111,18 @@ def test_estimation_power_split_sums_to_one(rho, alpha, lc):
 def test_effective_snr_value():
     # alpha*lc*rho^2 / (1 + (1+alpha*lc)*rho) at a hand-checked point
     assert core.effective_snr(1.0, 0.5, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("call", [
+    lambda lc: core.effective_snr(0.1, 0.1, lc),
+    lambda lc: core.estimation_quality(0.1, 0.1, lc),
+    lambda lc: baselines.non_peaky_mi_rate(1e9, lc, RAY),
+], ids=["effective_snr", "estimation_quality", "non_peaky_mi_rate"])
+def test_a_non_finite_coherence_length_is_refused(call):
+    # with an infinite or NaN length every formula here reads NaN, not a rate
+    for lc in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="coherence length must be finite"):
+            call(lc)
 
 
 def test_rate_hand_checked_point():

@@ -11,7 +11,7 @@ import pytest
 import maxbw
 from maxbw._frozen import Frozen, replace
 from maxbw.allocate import Allocation, AllocationEntry, UserLink
-from maxbw.beamform import ArrayConfig, SubstitutedProblem
+from maxbw.beamform import ArrayConfig
 from maxbw.core import CoherenceBlock, EstimationQuality, OperatingPoint, PowerDensity
 from maxbw.fading import FadingModel
 from maxbw.linkbudget import LinkBudget, PathLossModel
@@ -37,8 +37,6 @@ ROWS = [
      "rate_bps=300000000.0, pilot_count=7, flags=('lattice',))"),
     (ArrayConfig, (4, 2, 8, 8.0, 2.0),
      "ArrayConfig(nt=4, nr=2, kt=8, g1=8.0, g2=2.0, gain_model='explicit')"),
-    (SubstitutedProblem, (100.0, 16.0, 16.0),
-     "SubstitutedProblem(lc_tilde=100.0, gain=16.0, sweep_penalty=16.0)"),
     (PathLossModel, ("freespace",), "PathLossModel(kind='freespace', table=())"),
     (PathLossModel, ("custom", ((100.0, 100.0), (10.0, 70.0))),
      "PathLossModel(kind='custom', table=((10.0, 70.0), (100.0, 100.0)))"),
@@ -68,8 +66,7 @@ ROWS = [
 IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(ROWS)]
 assert {cls for cls, _, _ in ROWS} == {
     PowerDensity, CoherenceBlock, EstimationQuality, OperatingPoint, ArrayConfig,
-    SubstitutedProblem, PathLossModel, LinkBudget, FadingModel, Resolved, UserLink,
-    AllocationEntry, Allocation}
+    PathLossModel, LinkBudget, FadingModel, Resolved, UserLink, AllocationEntry, Allocation}
 
 
 @pytest.mark.parametrize("cls,args,text", ROWS, ids=IDS)
