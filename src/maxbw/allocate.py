@@ -55,8 +55,6 @@ np = LazyNumpy(globals())
 
 _REL_IMPROVE = 1e-6
 _OFFSET_LO_DB = -20.0
-# lattice step counts stay exact floats and fit an int
-_MAX_STEPS = 2.0 ** 53
 
 
 class UserLink(Frozen):
@@ -64,7 +62,8 @@ class UserLink(Frozen):
 
     gain_hz_per_watt: combined channel gain referenced to the noise density,
     (Pr/N0)/Pt, so pd = gain * transmit power. Includes path loss, antenna
-    and beamforming gains, and the receiver noise figure.
+    and beamforming gains, and the receiver noise figure. The baseline's
+    Pr/N0 and SNR are tested here, so no allocation tests them again.
     """
 
     __slots__ = ("gain_hz_per_watt", "pt_w", "w0_hz", "cb", "fading")
@@ -77,9 +76,10 @@ class UserLink(Frozen):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if cb.bc_hz is None:
             raise ValueError("allocation needs coherence blocks with bc_hz set")
-        if not w0_hz / cb.bc_hz <= _MAX_STEPS:
+        if not w0_hz / cb.bc_hz <= core._MAX_STEPS:
             raise ValueError(f"baseline bandwidth must be at most 2**53 coherence bandwidths "
                              f"of {cb.bc_hz} Hz, got {w0_hz}")
+        core._fixed_rho(core._pd_hz(gain_hz_per_watt * pt_w), w0_hz)
         Frozen.__init__(self, gain_hz_per_watt, pt_w, w0_hz, cb, fading)
 
     def pd_hz(self, p_w: float) -> float:
@@ -110,12 +110,10 @@ def fixed_bandwidth_rate(user: UserLink, p_w: float, w_hz: float) -> core.Operat
 
 def _baseline_entries(users: Sequence[UserLink]) -> List[AllocationEntry]:
     """Each user at its own (Pt, W0) with only the pilots optimized, all in
-    one _rates_flat call, so in the candidate pass's arithmetic. Pr/N0 and
-    the per-symbol SNR are refused as core.rate_fixed_bandwidth refuses them."""
+    one _rates_flat call, so in the candidate pass's arithmetic. UserLink
+    has refused a Pr/N0 or per-symbol SNR out of range."""
     if not users:
         raise ValueError("need at least one user")
-    for u in users:
-        core._fixed_rho(core._pd_hz(u.pd_hz(u.pt_w)), u.w0_hz)
     scored = _rates_flat(users, [(np.array([u.pt_w]), np.array([u.w0_hz])) for u in users])
     return [AllocationEntry(p_w=u.pt_w, w_hz=u.w0_hz, rate_bps=float(r[0]),
                             pilot_count=int(n[0]), baseline_bps=float(r[0]))
@@ -195,7 +193,7 @@ def _cap_steps(user: UserLink, p_w):
     if pd.size:
         core._pd_hz(float(pd.max() if pd.min() > 0.0 else pd.min()))
     rho = core._solve_rho_on_curve(user.cb.lc, user.fading)[0]
-    return np.minimum(np.maximum(np.ceil(pd / rho / user.cb.bc_hz - 1e-9), 1.0), _MAX_STEPS)
+    return np.minimum(np.maximum(np.ceil(pd / rho / user.cb.bc_hz - 1e-9), 1.0), core._MAX_STEPS)
 
 
 def _power_offsets(step: float, hi_db: float) -> np.ndarray:
@@ -268,7 +266,7 @@ def _candidates(weak: UserLink, strong: UserLink, p_budget: float, w_budget: flo
     # each W0 is at most 2**53 of its own user's Bc, but the pair budget in
     # the other user's steps need not be: clip it like the caps. Every cap
     # is at least 1, so a budget of at least one step keeps every offset.
-    m_budget = int(min((w_budget - bc_s) // bc_w, _MAX_STEPS))
+    m_budget = int(min((w_budget - bc_s) // bc_w, core._MAX_STEPS))
     if m_budget < 1 or not p_w.size:
         return None
     m_hi = np.minimum(cap_w, m_budget)

@@ -14,24 +14,18 @@ that folds an array into the scalar problem.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 from . import core
 from ._frozen import Frozen, replace
-from .core import CoherenceBlock, OperatingPoint, ClosedForm
+from .core import CoherenceBlock, OperatingPoint, ClosedForm, check_count
 from .errors import ConfigError
 from .fading import FadingModel
 
 EXPLICIT = "explicit"
 IDEAL_DIRECTIONAL = "ideal-directional"
 RICH_SCATTERING = "rich-scattering"
-
-
-def check_count(name: str, value) -> None:
-    """ValueError unless value is an int >= 1; bool is an int subclass, but
-    True is no antenna count."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class ArrayConfig(Frozen):
@@ -112,7 +106,7 @@ def substitute(pd, cb: CoherenceBlock, gain: float,
     """The scalar problem's inputs under a checked gain pair: the density
     pd*gain in hertz and the block of length lc/(Kt*G2). An ArrayConfig
     passes *cfg.gain_pair."""
-    if gain <= 0.0 or sweep_penalty < 1.0:
+    if not (0.0 < gain < math.inf and 1.0 <= sweep_penalty < math.inf):
         raise ConfigError(f"bad gain pair ({gain}, {sweep_penalty})")
     lc_tilde = _lc_tilde(cb.lc, sweep_penalty)
     # bandwidth lattice is a property of the channel, not of the sweep

@@ -39,9 +39,9 @@ LOG2E = 1.0 / math.log(2.0)
 R_W_TOL = 1e-9
 R_ALPHA_TOL = 1e-12
 
-# Above 2**53 symbols, n + 1.0 == n for a float pilot count n, so a pilot
-# search could not step from one count to the next.
-_MAX_LC = 2.0 ** 53
+# Above 2**53, n + 1.0 == n for a float count n: neither a pilot search nor an
+# allocation could step from one pilot count or lattice step to the next.
+_MAX_STEPS = 2.0 ** 53
 
 # Above Lc = 1e7, neighbouring pilot counts near the maximum can differ by
 # less than the rate's rounding, so a pilot search can end on a count this far
@@ -80,20 +80,17 @@ _MAX_RHO = math.sqrt(1.7976931348623157e308)
 
 
 class PowerDensity(Frozen):
-    """Received power over noise spectral density, Pr/N0, in hertz:
-    positive and at most 1e150 Hz."""
+    """Received power over noise spectral density, Pr/N0, in hertz, stored
+    as a float: positive and at most 1e150 Hz."""
 
     __slots__ = ("pr_over_n0_hz",)
 
     def __init__(self, pr_over_n0_hz: float):
-        if not 0.0 < pr_over_n0_hz <= _MAX_PD_HZ:
-            raise ValueError(f"Pr/N0 must be positive and at most 1e150 Hz, "
-                             f"got {pr_over_n0_hz}")
-        Frozen.__init__(self, pr_over_n0_hz)
+        Frozen.__init__(self, _pd_hz(pr_over_n0_hz))
 
 
 def _pd_hz(pd) -> float:
-    """Accept a PowerDensity or a bare float in hertz, checked as PowerDensity does."""
+    """A PowerDensity or a bare float in hertz, as a float: the one test of Pr/N0."""
     value = pd.pr_over_n0_hz if isinstance(pd, PowerDensity) else float(pd)
     if not 0.0 < value <= _MAX_PD_HZ:
         raise ValueError(f"Pr/N0 must be positive and at most 1e150 Hz, got {pd!r}")
@@ -118,7 +115,7 @@ class CoherenceBlock(Frozen):
                 raise ValueError(f"coherence {name} must be positive and finite, got {value}")
         if not lc >= 2.0:
             raise ValueError(f"coherence length must be >= 2 (one pilot plus one data symbol), got {lc}")
-        if not lc <= _MAX_LC:
+        if not lc <= _MAX_STEPS:
             raise ValueError(f"coherence length must be at most 2**53, where pilot counts "
                              f"still step by one, got {lc}")
         if bc_hz is not None and tc_s is not None:
@@ -173,10 +170,19 @@ class RefinedForm(NamedTuple):
 
 
 def _check_point(rho: float, alpha: float, lc: float) -> None:
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    _check_rho(rho)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"pilot ratio must lie in (0,1), got {alpha}")
+    _check_lc(lc)
+
+
+def _check_rho(rho: float) -> None:
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+
+
+def _check_lc(lc: float) -> None:
+    """The one test of a bare coherence length; CoherenceBlock has its own."""
     if not 2.0 <= lc < math.inf:
         raise ValueError(f"coherence length must be finite and >= 2, got {lc}")
 
@@ -213,10 +219,7 @@ def _rates(rho, w, alpha, lc, fading: FadingModel):
 
 def rate(pd, w_hz: float, alpha: float, cb: CoherenceBlock, fading: FadingModel) -> float:
     """Pilot-penalized achievable rate in bits/second at bandwidth w_hz."""
-    pd_hz = _pd_hz(pd)
-    if not w_hz > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {w_hz}")
-    rho = pd_hz / w_hz
+    rho = _fixed_rho(_pd_hz(pd), w_hz)
     _check_point(rho, alpha, cb.lc)
     return _rates(rho, w_hz, alpha, cb.lc, fading)
 
@@ -252,10 +255,8 @@ def alpha_given_rho(rho: float, lc: float) -> float:
     Limits: 1/3 as rho -> 0 and 1/(1 + sqrt(1 + Lc)) as rho -> inf, so for
     Lc > 3 the value always lies between those two bounds.
     """
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not lc >= 2.0:
-        raise ValueError(f"coherence length must be >= 2, got {lc}")
+    _check_rho(rho)
+    _check_lc(lc)
     return _pilot_ratio(rho, lc)
 
 
@@ -374,14 +375,14 @@ def _solve_rho_on_curve(lc: float, fading: FadingModel):
         rho = _solve_rho_fixed_pilots(1, fading)[0]  # alpha*Lc = 0.5*2.0
         alpha, flags = 0.5, ("lattice_only",)
     else:
-        # condition_residuals' r_w, without its point check and its r_alpha;
-        # lc comes from a checked CoherenceBlock and r is a positive midpoint,
-        # so alpha_given_rho's checks could not fire
+        # condition_residuals' r_w, without its point check and its r_alpha,
+        # and alpha_given_rho unchecked: lc comes from a checked CoherenceBlock
+        # and each rho is a positive midpoint, so their checks could not fire
         kappa = fading.kurtosis()
         rho = _bisect_root(lambda r: _bandwidth_residual(r, _pilot_ratio(r, lc) * lc, fading),
                            f"the bandwidth optimum (lc={lc})",
                            (4.0 / (kappa * kappa * lc)) ** (1.0 / 3.0))
-        alpha, flags = alpha_given_rho(rho, lc), ()
+        alpha, flags = _pilot_ratio(rho, lc), ()
         r_w, r_alpha = condition_residuals(rho, alpha, lc, fading)
         if abs(r_w) > R_W_TOL or abs(r_alpha) > R_ALPHA_TOL:
             raise SolverError(
@@ -432,8 +433,7 @@ def closed_form_first_order(lc: float) -> ClosedForm:
     rate's relative penalty is 3*(2*Lc)^(-1/3), alpha from the pilots and
     2*alpha from the estimation error, up to O(Lc^(-2/3)).
     """
-    if not lc >= 2.0:
-        raise ValueError(f"coherence length must be >= 2, got {lc}")
+    _check_lc(lc)
     rho = (4.0 / lc) ** (1.0 / 3.0)
     # one rounding before the root, so beamform.closed_form_mimo at an exact
     # Lc/(Kt*G2) has the bits of (Kt*G2/(2*Lc))^(1/3)
@@ -450,8 +450,7 @@ def closed_form_refined(lc: float) -> RefinedForm:
     u term of the pilot condition gives c_rho/2 + 2*c_alpha = -1. The rho
     correction raises the first-order value; the alpha correction lowers it.
     """
-    if not lc >= 2.0:
-        raise ValueError(f"coherence length must be >= 2, got {lc}")
+    _check_lc(lc)
     u = (2.0 * lc) ** (-1.0 / 3.0)
     return RefinedForm(rho=2.0 * u + (14.0 / 9.0) * u * u, alpha=u - (8.0 / 9.0) * u * u)
 
@@ -701,8 +700,7 @@ def exhaustive_search(pd, cb: CoherenceBlock, fading: FadingModel, m_max: int) -
     """
     if cb.bc_hz is None:
         raise ValueError("exhaustive_search needs a coherence block with bc_hz set")
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    check_count("m_max", m_max)
     pd_hz = _pd_hz(pd)
     best = (-1.0, 1, 1)
     chunk = 1 << 14  # bounds the (bandwidths x quadrature nodes) temporaries
@@ -741,3 +739,10 @@ def _fixed_rho(pd_hz: float, w_hz: float) -> float:
         raise ValueError(f"Pr/N0 {pd_hz} Hz over bandwidth {w_hz} Hz is a per-symbol SNR "
                          f"above {_MAX_RHO:.4g}, whose square overflows")
     return rho
+
+
+def check_count(name: str, value) -> None:
+    """ValueError unless value is an int >= 1; bool is an int subclass, but
+    True is no count."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

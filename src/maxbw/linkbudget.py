@@ -12,8 +12,8 @@ from typing import Optional, Tuple
 
 from ._frozen import Frozen
 from ._lazy import LazyNumpy
-from .beamform import RICH_SCATTERING, ArrayConfig, check_count
-from .core import PowerDensity
+from .beamform import RICH_SCATTERING, ArrayConfig
+from .core import PowerDensity, check_count
 from .errors import ConfigError, read_numeric_rows
 
 np = LazyNumpy(globals())

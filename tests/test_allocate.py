@@ -793,6 +793,17 @@ def test_userlink_rejects_infinite_rows_and_unsteppable_bandwidths(field, value)
         UserLink(**row)
 
 
+@pytest.mark.parametrize("gain, pt_w, w0_hz, message", [
+    (1e149, 100.0, 1e8, r"Pr/N0 must be positive and at most 1e150 Hz, got 1e\+151"),
+    (1e148, 1.0, 1e-7, r"Pr/N0 1e\+148 Hz over bandwidth 1e-07 Hz is a per-symbol SNR above"),
+], ids=["pd_past_1e150", "snr_past_its_square_root_limit"])
+def test_userlink_refuses_a_baseline_out_of_range_when_it_is_built(gain, pt_w, w0_hz, message):
+    # both users used to be built, and refused by each allocation that
+    # scored their baselines
+    with pytest.raises(ValueError, match=message):
+        UserLink(gain, pt_w, w0_hz, CB, RAY)
+
+
 def test_pair_with_a_300_db_user_reallocates_without_a_cast_warning():
     # the strong user's cap is about 5e24 lattice steps, beyond every budget
     weak, strong = _user(68.0), _user(300.0)

@@ -112,6 +112,15 @@ def test_bad_gain_pair():
                                   gain=2.0, sweep_penalty=0.5, fading=RAY)
 
 
+@pytest.mark.parametrize("gain, penalty", [(math.nan, 1.0), (math.inf, 1.0),
+                                           (2.0, math.nan), (2.0, math.inf)])
+def test_a_non_finite_gain_pair_is_refused(gain, penalty):
+    # a NaN gain used to pass as a NaN density, and a NaN penalty was
+    # reported as a coherence length of NaN
+    with pytest.raises(ConfigError, match=r"bad gain pair \("):
+        beamform.substitute(1e9, CoherenceBlock(lc=1e4), gain, penalty)
+
+
 # ---------------------------------------------------------------- solve_with_gains
 
 

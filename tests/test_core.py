@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxbw import baselines, core
+from maxbw import baselines, beamform, core
 from maxbw.core import CoherenceBlock, PowerDensity
 from maxbw.errors import SolverError
 from maxbw.fading import FadingModel
@@ -117,9 +117,16 @@ def test_effective_snr_value():
     lambda lc: core.effective_snr(0.1, 0.1, lc),
     lambda lc: core.estimation_quality(0.1, 0.1, lc),
     lambda lc: baselines.non_peaky_mi_rate(1e9, lc, RAY),
-], ids=["effective_snr", "estimation_quality", "non_peaky_mi_rate"])
+    lambda lc: core.alpha_given_rho(0.1, lc),
+    core.closed_form_first_order,
+    core.closed_form_refined,
+    lambda lc: core.condition_residuals(0.1, 0.1, lc, RAY),
+    lambda lc: beamform.closed_form_mimo(beamform.ArrayConfig.siso(), lc),
+], ids=["effective_snr", "estimation_quality", "non_peaky_mi_rate", "alpha_given_rho",
+        "closed_form_first_order", "closed_form_refined", "condition_residuals",
+        "closed_form_mimo"])
 def test_a_non_finite_coherence_length_is_refused(call):
-    # with an infinite or NaN length every formula here reads NaN, not a rate
+    # with an infinite or NaN length these formulas read NaN or zeros, not a rate
     for lc in (math.inf, math.nan):
         with pytest.raises(ValueError, match="coherence length must be finite"):
             call(lc)
@@ -436,6 +443,14 @@ def test_exhaustive_search_flags_edge_maximum():
     cb = CoherenceBlock(lc=1e3, bc_hz=1e6)
     ex = core.exhaustive_search(PowerDensity(1e8), cb, RAY, m_max=50)
     assert "maximum_at_edge" in ex.flags
+
+
+@pytest.mark.parametrize("m_max", [2.5, True, 0])
+def test_exhaustive_search_refuses_a_bandwidth_count_that_is_no_integer_above_zero(m_max):
+    # 2.5 used to escape as a TypeError from range, and True ran as 1
+    cb = CoherenceBlock(lc=1e3, bc_hz=1e6)
+    with pytest.raises(ValueError, match=f"m_max must be an integer >= 1, got {m_max!r}"):
+        core.exhaustive_search(PowerDensity(1e8), cb, RAY, m_max=m_max)
 
 
 def test_exhaustive_point_is_local_maximum():
@@ -1076,6 +1091,14 @@ def test_rate_fixed_bandwidth_names_an_overflowing_snr(law, w):
     fading = _three_laws(np.random.default_rng(7))[law]
     with pytest.raises(ValueError, match=rf"Pr/N0 1e\+150 Hz over bandwidth {w} Hz"):
         core.rate_fixed_bandwidth(1e150, w, CoherenceBlock(lc=1000), fading)
+
+
+@pytest.mark.parametrize("law", [0, 1, 2], ids=["rayleigh", "deterministic", "tabulated"])
+def test_rate_names_an_overflowing_snr(law):
+    # the SNR 1e160 used to be reported as an expectation scale of inf
+    fading = _three_laws(np.random.default_rng(7))[law]
+    with pytest.raises(ValueError, match=r"Pr/N0 1e\+150 Hz over bandwidth 1e-10 Hz"):
+        core.rate(1e150, 1e-10, 0.1, CoherenceBlock(100.0), fading)
 
 
 @pytest.mark.parametrize("law", [0, 1, 2], ids=["rayleigh", "deterministic", "tabulated"])

@@ -63,8 +63,10 @@ ROWS = [
      "pilot_count=12, baseline_bps=250000000.0),), objective='max-weak', "
      "objective_value=300000000.0, baseline_value=250000000.0, flags=())"),
 ]
-IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(ROWS)]
-assert {cls for cls, _, _ in ROWS} == {
+# numbered per class, so adding or removing a row renames no other row's tests
+CLASSES = [cls for cls, _, _ in ROWS]
+IDS = [f"{cls.__name__}-{CLASSES[:i].count(cls)}" for i, cls in enumerate(CLASSES)]
+assert set(CLASSES) == {
     PowerDensity, CoherenceBlock, EstimationQuality, OperatingPoint, ArrayConfig,
     PathLossModel, LinkBudget, FadingModel, Resolved, UserLink, AllocationEntry, Allocation}
 
